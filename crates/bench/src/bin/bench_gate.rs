@@ -44,13 +44,11 @@
 //! The per-image inference-latency artefact
 //! (`results/inference_latency.json`, run `cargo run --release -p
 //! relcnn-bench --bin inference_bench` first) is gated two ways: the
-//! zero-allocation scratch path's p99 speedup over the allocating
-//! pre-optimisation kernels must clear a hard 1.5x floor (the kernels
-//! are bit-identical, so the ratio is pure efficiency and largely
-//! machine-independent — both legs run interleaved on the same host),
-//! and the scratch p99 must not regress more than the tolerance above
-//! its committed baseline. The arena must also report zero grow events
-//! after warmup.
+//! scratch p99 must not regress more than the tolerance above its
+//! committed baseline, and the arena must report zero grow events after
+//! warmup. (The allocating pre-arena kernels are gone, so their
+//! latencies and the speedup over them ride along as a frozen
+//! `"historical"` record, not a live comparison.)
 //!
 //! The scheduler's frontier counters (`frontier_parks`,
 //! `frontier_stall_us`, `max_reorder_depth`) are carried through the
@@ -84,10 +82,6 @@ use std::process::ExitCode;
 const MIN_LATENCY_SPEEDUP: f64 = 3.0;
 /// Hard floor on the skewed-workload work-stealing speedup.
 const MIN_STEAL_SPEEDUP: f64 = 2.0;
-/// Hard floor on the zero-alloc inference path's p99 speedup over the
-/// allocating pre-optimisation kernels (measured ~2.5x on the dev host;
-/// the floor leaves headroom for noisier shared runners).
-const MIN_INFERENCE_SPEEDUP: f64 = 1.5;
 /// CPU-bound 8x/1x speedup contract on hosts with enough cores to show
 /// it (the partial-aggregation result path's headline number).
 const MIN_CPU_SPEEDUP: f64 = 3.0;
@@ -200,12 +194,8 @@ struct Inference {
     images: u64,
     rounds: u64,
     samples: u64,
-    alloc_p50_us: f64,
-    alloc_p99_us: f64,
     scratch_p50_us: f64,
     scratch_p99_us: f64,
-    speedup_p50: f64,
-    speedup_p99: f64,
     arena_grow_events: u64,
 }
 
@@ -626,37 +616,23 @@ fn check_serving(pair: &Baselined<Serving>, tol: f64, failures: &mut Vec<String>
     }
 }
 
-/// Gates the per-image inference latency: the hard speedup floor (the
-/// two legs are bit-identical kernels measured interleaved on the same
-/// host, so their ratio is efficiency, not machine speed), a
-/// baseline-relative ceiling on the scratch p99, and the
-/// zero-allocation invariant (no arena growth after warmup).
+/// Gates the per-image inference latency: a baseline-relative ceiling
+/// on the scratch p99, and the zero-allocation invariant (no arena
+/// growth after warmup).
 fn check_inference(pair: &Baselined<Inference>, tol: f64, failures: &mut Vec<String>) {
     let (fresh, base) = (&pair.fresh, &pair.base);
     assert_eq!(fresh.bench, "inference_latency");
     println!(
-        "inference_latency: {} samples/leg over {} images x {} rounds; \
-         alloc p50/p99 {:.0}/{:.0} us, scratch p50/p99 {:.0}/{:.0} us \
-         (baseline scratch p99 {:.0} us); speedup p50 {:.2}x, \
-         p99 {:.2}x (baseline {:.2}x); {} arena grow events",
+        "inference_latency: {} samples over {} images x {} rounds; \
+         scratch p50/p99 {:.0}/{:.0} us (baseline scratch p99 {:.0} us); \
+         {} arena grow events",
         fresh.samples,
         fresh.images,
         fresh.rounds,
-        fresh.alloc_p50_us,
-        fresh.alloc_p99_us,
         fresh.scratch_p50_us,
         fresh.scratch_p99_us,
         base.scratch_p99_us,
-        fresh.speedup_p50,
-        fresh.speedup_p99,
-        base.speedup_p99,
         fresh.arena_grow_events,
-    );
-    gate_floor(
-        failures,
-        "inference_latency: scratch-over-alloc p99 speedup",
-        fresh.speedup_p99,
-        MIN_INFERENCE_SPEEDUP,
     );
     gate_not_above(
         failures,

@@ -23,7 +23,7 @@
 
 use relcnn_bench::workload::{cluster_job, cluster_task, merge_cluster_outputs, Profile, SHARDS};
 use relcnn_cluster::ClusterHooks;
-use relcnn_cluster::{run_cluster_hooked, run_worker_if_spawned, ChaosPlan, ClusterConfig};
+use relcnn_cluster::{run_cluster, run_worker_if_spawned, ChaosPlan, ClusterConfig};
 use relcnn_obs::trace::{export_chrome, validate, TraceRecorder};
 
 fn usage() -> ! {
@@ -125,7 +125,7 @@ fn main() {
         hooks = hooks.with_trace(&recorder);
     }
 
-    let outcome = run_cluster_hooked(&config, &job, cluster_task, &hooks)
+    let outcome = run_cluster(&config, &job, cluster_task, &hooks)
         .unwrap_or_else(|e| panic!("cluster run failed: {e}"));
     let (merged, payload) = merge_cluster_outputs(&outcome.outputs);
 

@@ -21,7 +21,9 @@
 //! `--quick` drops the cpu-profile topology legs.
 
 use relcnn_bench::workload::{cluster_job, cluster_task, merge_cluster_outputs, Profile};
-use relcnn_cluster::{run_cluster, run_worker_if_spawned, ChaosPlan, ClusterConfig, ClusterStats};
+use relcnn_cluster::{
+    run_cluster, run_worker_if_spawned, ChaosPlan, ClusterConfig, ClusterHooks, ClusterStats,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,7 +41,7 @@ fn leg(
     config: ClusterConfig,
 ) -> (String, ClusterStats) {
     let job = cluster_job(profile, threads);
-    let outcome = run_cluster(&config, &job, cluster_task)
+    let outcome = run_cluster(&config, &job, cluster_task, &ClusterHooks::none())
         .unwrap_or_else(|e| panic!("cluster run ({} p{procs} t{threads}): {e}", profile.name()));
     let (merged, payload) = merge_cluster_outputs(&outcome.outputs);
     let report = serde_json::to_string(&merged).expect("serialize merged aggregate");

@@ -50,7 +50,7 @@ fn main() {
     });
     let (mut net, matrix) = train_gtsrb_model(
         &data,
-        &if relcnn_bench::exists(&ckpt) {
+        &if ckpt.exists() {
             // Minimal retrain pass replaced by checkpoint load below.
             let mut tc = train_config;
             tc.epochs = 0;
@@ -61,7 +61,7 @@ fn main() {
         303,
     )
     .expect("training");
-    if relcnn_bench::exists(&ckpt) {
+    if ckpt.exists() {
         serial::load(&mut net, &ckpt).expect("checkpoint load");
         println!("loaded cached model {}", ckpt.display());
     } else {

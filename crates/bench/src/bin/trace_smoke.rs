@@ -25,9 +25,7 @@
 use relcnn_bench::workload::{
     cluster_job, cluster_task, merge_cluster_outputs, Profile, BASE_SEED, SHARDS, TRIALS,
 };
-use relcnn_cluster::{
-    run_cluster_hooked, run_worker_if_spawned, ChaosPlan, ClusterConfig, ClusterHooks,
-};
+use relcnn_cluster::{run_cluster, run_worker_if_spawned, ChaosPlan, ClusterConfig, ClusterHooks};
 use relcnn_faults::SkewedCost;
 use relcnn_obs::trace::{export_chrome, validate, ParsedTrace, TraceRecorder, TraceSnapshot};
 use relcnn_runtime::{
@@ -130,7 +128,7 @@ fn cluster_artifact(recorder: &TraceRecorder) -> (String, Vec<TraceSnapshot>) {
     } else {
         ClusterHooks::none()
     };
-    let outcome = run_cluster_hooked(&config, &job, cluster_task, &hooks)
+    let outcome = run_cluster(&config, &job, cluster_task, &hooks)
         .unwrap_or_else(|e| panic!("chaos cluster run: {e}"));
     assert!(
         outcome.stats.degraded && outcome.stats.tasks_requeued >= 1,

@@ -12,7 +12,7 @@
 pub mod workload;
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Directory where experiment binaries drop their CSV/JSON artefacts.
 pub fn results_dir() -> PathBuf {
@@ -106,11 +106,6 @@ pub fn quick_mode() -> bool {
         .map(|v| v == "1")
         .unwrap_or(false)
         || std::env::args().any(|a| a == "--quick")
-}
-
-/// Checks whether a path exists (checkpoint reuse helper).
-pub fn exists(path: &Path) -> bool {
-    path.exists()
 }
 
 #[cfg(test)]

@@ -294,64 +294,6 @@ struct Seat {
     running: Option<(usize, Instant)>,
 }
 
-/// Runs `job` over `config.workers` worker processes with unregistered
-/// metrics. See [`run_cluster_observed`] for the scrapeable variant.
-///
-/// `task_fn` is used twice: shipped implicitly (the workers are this
-/// binary, whose `main` passes the same function to
-/// [`run_worker_if_spawned`](crate::run_worker_if_spawned)), and called
-/// directly by the head for local fallback. It must be a pure function
-/// of `(job, shard_lo, shard_hi)`.
-pub fn run_cluster<F>(
-    config: &ClusterConfig,
-    job: &JobSpec,
-    task_fn: F,
-) -> io::Result<ClusterOutcome>
-where
-    F: Fn(&JobSpec, usize, usize) -> (String, String),
-{
-    run_cluster_hooked(config, job, task_fn, &ClusterHooks::none())
-}
-
-/// [`run_cluster`] publishing live `relcnn_cluster_*` metrics on
-/// `registry` (including a live scrape endpoint; see
-/// [`ClusterHooks::registry`]).
-pub fn run_cluster_observed<F>(
-    config: &ClusterConfig,
-    job: &JobSpec,
-    task_fn: F,
-    registry: &Registry,
-) -> io::Result<ClusterOutcome>
-where
-    F: Fn(&JobSpec, usize, usize) -> (String, String),
-{
-    run_cluster_hooked(
-        config,
-        job,
-        task_fn,
-        &ClusterHooks::none().with_registry(registry),
-    )
-}
-
-/// [`run_cluster`] with the full set of observability side-channels:
-/// metrics + live scrape endpoint, flight-recorder tracing across the
-/// head and every worker, and scrape-address announcement.
-pub fn run_cluster_hooked<F>(
-    config: &ClusterConfig,
-    job: &JobSpec,
-    task_fn: F,
-    hooks: &ClusterHooks<'_>,
-) -> io::Result<ClusterOutcome>
-where
-    F: Fn(&JobSpec, usize, usize) -> (String, String),
-{
-    let cm = match hooks.registry {
-        Some(registry) => ClusterMetrics::registered(registry),
-        None => ClusterMetrics::unregistered(),
-    };
-    run_cluster_with(config, job, task_fn, &cm, hooks)
-}
-
 fn send_to(seat: &mut Seat, msg: &ToWorker, stats: &mut ClusterStats, cm: &ClusterMetrics) -> bool {
     let ok = write_frame(&mut seat.stdin, &encode(msg)).is_ok();
     if ok {
@@ -422,16 +364,30 @@ struct Flight {
     ring: relcnn_obs::TraceRing,
 }
 
-fn run_cluster_with<F>(
+/// Runs `job` over `config.workers` worker processes. `hooks` carries
+/// the optional observability side-channels — metrics + live scrape
+/// endpoint, flight-recorder tracing across the head and every worker,
+/// scrape-address announcement; a bare run passes
+/// [`ClusterHooks::none`].
+///
+/// `task_fn` is used twice: shipped implicitly (the workers are this
+/// binary, whose `main` passes the same function to
+/// [`run_worker_if_spawned`](crate::run_worker_if_spawned)), and called
+/// directly by the head for local fallback. It must be a pure function
+/// of `(job, shard_lo, shard_hi)`.
+pub fn run_cluster<F>(
     config: &ClusterConfig,
     job: &JobSpec,
     task_fn: F,
-    cm: &ClusterMetrics,
     hooks: &ClusterHooks<'_>,
 ) -> io::Result<ClusterOutcome>
 where
     F: Fn(&JobSpec, usize, usize) -> (String, String),
 {
+    let cm = &match hooks.registry {
+        Some(registry) => ClusterMetrics::registered(registry),
+        None => ClusterMetrics::unregistered(),
+    };
     let started = Instant::now();
     let mut stats = ClusterStats::default();
     cm.degraded.set(0);
@@ -961,7 +917,7 @@ mod tests {
             .with_registry(&registry)
             .with_trace(&recorder)
             .with_scrape_notify(&tx);
-        let outcome = run_cluster_hooked(&config, &job, task_fn, &hooks).expect("local run");
+        let outcome = run_cluster(&config, &job, task_fn, &hooks).expect("local run");
 
         assert_eq!(outcome.outputs.len(), 2);
         assert_eq!(outcome.outputs[1].payload, "2..4\n");
@@ -986,9 +942,12 @@ mod tests {
     #[test]
     fn unhooked_local_run_records_nothing() {
         let config = ClusterConfig::new(0);
-        let outcome = run_cluster(&config, &tiny_job(), |_, lo, hi| {
-            (String::from("{}"), format!("{lo}..{hi}\n"))
-        })
+        let outcome = run_cluster(
+            &config,
+            &tiny_job(),
+            |_, lo, hi| (String::from("{}"), format!("{lo}..{hi}\n")),
+            &ClusterHooks::none(),
+        )
         .expect("local run");
         assert_eq!(outcome.outputs.len(), 4);
         assert!(outcome.traces.is_empty());

@@ -72,8 +72,7 @@ pub use frame::{
     crc32, encode_frame, read_frame, write_frame, FrameError, FRAME_MAGIC, MAX_FRAME_LEN,
 };
 pub use head::{
-    run_cluster, run_cluster_hooked, run_cluster_observed, ClusterConfig, ClusterHooks,
-    ClusterOutcome, ClusterStats, TaskOutput,
+    run_cluster, ClusterConfig, ClusterHooks, ClusterOutcome, ClusterStats, TaskOutput,
 };
 pub use metrics::ClusterMetrics;
 pub use proto::{FromWorker, JobSpec, ToWorker};

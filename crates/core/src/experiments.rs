@@ -46,7 +46,7 @@ pub fn train_gtsrb_model(
         .iter()
         .map(|s| (s.image.clone(), s.label.index()))
         .collect();
-    let matrix = evaluate(&mut net, &test, data.config().classes.len())?;
+    let matrix = evaluate(&net, &test, data.config().classes.len())?;
     Ok((net, matrix))
 }
 
@@ -257,7 +257,7 @@ pub fn pretrain_drift(
         .iter()
         .map(|s| (s.image.clone(), s.label.index()))
         .collect();
-    let matrix = evaluate(&mut net, &test, data.config().classes.len())?;
+    let matrix = evaluate(&net, &test, data.config().classes.len())?;
     Ok(PretrainReport {
         policy,
         accuracy: matrix.accuracy(),
@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn train_model_smoke() {
         let data = smoke_data(1);
-        let (mut net, matrix) = train_gtsrb_model(&data, &smoke_train(2), 3).unwrap();
+        let (net, matrix) = train_gtsrb_model(&data, &smoke_train(2), 3).unwrap();
         assert_eq!(matrix.total(), 16);
         // Model is runnable.
         let c = net.classify(&data.test()[0].image).unwrap();

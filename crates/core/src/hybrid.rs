@@ -7,8 +7,8 @@ use relcnn_nn::freeze::{FilterPin, FreezePolicy};
 use relcnn_nn::metrics::ConfusionMatrix;
 use relcnn_nn::train::{evaluate, train, TrainConfig};
 use relcnn_nn::{alexnet, InferScratch, Network};
-use relcnn_relexec::conv::{reliable_conv2d, ReliableConvConfig};
-use relcnn_relexec::{DmrAlu, PlainAlu, RedundancyMode, TmrAlu};
+use relcnn_relexec::conv::{reliable_conv2d, reliable_relu, ExecStats, ReliableConvConfig};
+use relcnn_relexec::{DmrAlu, PlainAlu, QualifiedAlu, RedundancyMode, TmrAlu};
 use relcnn_tensor::conv::ConvGeometry;
 use relcnn_tensor::init::Rand;
 use relcnn_tensor::ops::argmax_slice;
@@ -210,9 +210,10 @@ pub struct HybridCnn {
     sobel_x_filter: usize,
     /// conv-1 filter index carrying the all-channels Sobel-y bank.
     sobel_y_filter: usize,
-    /// Per-worker inference arena for the unprotected tail. Cloning a
-    /// `HybridCnn` (how the runtime hands each worker its own copy)
-    /// yields a fresh, empty arena — scratch memory is never shared.
+    /// This handle's own inference arena, used by the `&mut self`
+    /// entry points. Shared-model callers ([`HybridCnn::classify_with`])
+    /// bring their own and never touch it; a clone starts with a fresh,
+    /// empty one.
     scratch: InferScratch,
 }
 
@@ -267,7 +268,8 @@ impl HybridCnn {
     /// # Errors
     ///
     /// Returns [`HybridError::BadConfig`] unless the network starts with a
-    /// 3-input-channel convolution with at least two filters.
+    /// 3-input-channel convolution with at least two filters — followed
+    /// by a ReLU when `config.reliable_relu` extends the partition.
     pub fn from_network(mut net: Network, config: HybridConfig) -> Result<HybridCnn, HybridError> {
         config.validate()?;
         let conv_idx = net
@@ -292,6 +294,11 @@ impl HybridCnn {
         if out_c < 2 {
             return Err(HybridError::BadConfig {
                 reason: "conv-1 needs at least two filters for the Sobel pair".into(),
+            });
+        }
+        if config.reliable_relu && net.layer_names().get(1) != Some(&"relu") {
+            return Err(HybridError::BadConfig {
+                reason: "reliable_relu requires layer 1 to be a ReLU".into(),
             });
         }
         let sobel_x = uniform_sobel_filter(in_c, k, SobelAxis::X)?;
@@ -359,7 +366,7 @@ impl HybridCnn {
             .iter()
             .map(|s| (s.image.clone(), s.label.index()))
             .collect();
-        Ok(evaluate(&mut self.net, &test, self.config.num_classes)?)
+        Ok(evaluate(&self.net, &test, self.config.num_classes)?)
     }
 
     /// Classifies one image fault-free (the production path).
@@ -385,136 +392,55 @@ impl HybridCnn {
         image: &Tensor,
         injector: &mut I,
     ) -> Result<QualifiedClassification, HybridError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let verdict = self.classify_with(image, injector, &mut scratch);
+        self.scratch = scratch;
+        verdict
+    }
+
+    /// The one classification body: a pure function of the immutable
+    /// model, with all per-call state (`injector`, the tail's `scratch`
+    /// arena) owned by the caller — so any number of threads classify
+    /// through one `&HybridCnn`, each with its own arena. The verdict
+    /// does not depend on what the arena held before.
+    ///
+    /// # Errors
+    ///
+    /// As for [`HybridCnn::classify_under_faults`].
+    pub fn classify_with<I: FaultInjector + Clone>(
+        &self,
+        image: &Tensor,
+        injector: &mut I,
+        scratch: &mut InferScratch,
+    ) -> Result<QualifiedClassification, HybridError> {
         if image.shape().rank() != 3 || image.shape().dim(0) != 3 {
             return Err(HybridError::BadConfig {
                 reason: format!("expected [3,h,w] image, got {}", image.shape()),
             });
         }
 
-        // --- Reliable partition: conv-1 under qualified operations. -----
-        // Filters and bias are borrowed straight from the layer — the old
-        // path cloned both tensors (for conv-1 that is ~139 KB of weights
-        // per image) before every classification.
-        let conv = self.net.conv2d_at(0).expect("validated at construction");
-        let geom = ConvGeometry::new(
-            image.shape().dim(1),
-            image.shape().dim(2),
-            conv.kernel_size(),
-            conv.kernel_size(),
-            conv.stride(),
-            conv.padding(),
-        )?;
-        let (filters, bias) = (conv.filters(), conv.bias());
-        // The ALU takes ownership of (a clone of) the injector; the
-        // evolved injector state is copied back afterwards so callers can
-        // read its counters and so consecutive classifications draw fresh
-        // randomness. On an abort the injector is left at its pre-call
-        // state (the error itself carries the diagnosis).
+        // --- Reliable partition: conv-1 (and optionally its ReLU) under
+        // qualified operations. ------------------------------------------
         let (conv_out, stats) = match self.config.redundancy {
             RedundancyMode::Plain => {
-                let mut alu = PlainAlu::new(injector.clone());
-                let out = reliable_conv2d(
-                    image,
-                    filters,
-                    Some(bias),
-                    &geom,
-                    &mut alu,
-                    &self.config.conv,
-                )?;
-                *injector = alu.into_injector();
-                (out.output, out.stats)
+                self.reliable_partition(image, injector, PlainAlu::new, PlainAlu::into_injector)
             }
             RedundancyMode::Dmr => {
-                let mut alu = DmrAlu::new(injector.clone());
-                let out = reliable_conv2d(
-                    image,
-                    filters,
-                    Some(bias),
-                    &geom,
-                    &mut alu,
-                    &self.config.conv,
-                )?;
-                *injector = alu.into_injector();
-                (out.output, out.stats)
+                self.reliable_partition(image, injector, DmrAlu::new, DmrAlu::into_injector)
             }
             RedundancyMode::Tmr => {
-                let mut alu = TmrAlu::new(injector.clone());
-                let out = reliable_conv2d(
-                    image,
-                    filters,
-                    Some(bias),
-                    &geom,
-                    &mut alu,
-                    &self.config.conv,
-                )?;
-                *injector = alu.into_injector();
-                (out.output, out.stats)
+                self.reliable_partition(image, injector, TmrAlu::new, TmrAlu::into_injector)
             }
-        };
-        let mut stats = stats;
-        // Optional partition extension: the ReLU after conv-1 also runs
-        // reliably (qualified comparator ops share the bucket semantics).
-        let mut tail_start = 1usize;
-        let conv_out = if self.config.reliable_relu {
-            if self.net.layer_names().get(1) != Some(&"relu") {
-                return Err(HybridError::BadConfig {
-                    reason: "reliable_relu requires layer 1 to be a ReLU".into(),
-                });
-            }
-            tail_start = 2;
-            let relu_out = match self.config.redundancy {
-                RedundancyMode::Plain => {
-                    let mut alu = PlainAlu::new(injector.clone());
-                    let out = relcnn_relexec::conv::reliable_relu(
-                        &conv_out,
-                        &mut alu,
-                        &self.config.conv,
-                    )?;
-                    *injector = alu.into_injector();
-                    out
-                }
-                RedundancyMode::Dmr => {
-                    let mut alu = DmrAlu::new(injector.clone());
-                    let out = relcnn_relexec::conv::reliable_relu(
-                        &conv_out,
-                        &mut alu,
-                        &self.config.conv,
-                    )?;
-                    *injector = alu.into_injector();
-                    out
-                }
-                RedundancyMode::Tmr => {
-                    let mut alu = TmrAlu::new(injector.clone());
-                    let out = relcnn_relexec::conv::reliable_relu(
-                        &conv_out,
-                        &mut alu,
-                        &self.config.conv,
-                    )?;
-                    *injector = alu.into_injector();
-                    out
-                }
-            };
-            stats.acc_ops += relu_out.stats.acc_ops;
-            stats.failed_ops += relu_out.stats.failed_ops;
-            stats.retries += relu_out.stats.retries;
-            stats.recovered += relu_out.stats.recovered;
-            stats.cycles += relu_out.stats.cycles;
-            stats.bucket_peak = stats.bucket_peak.max(relu_out.stats.bucket_peak);
-            relu_out.output
-        } else {
-            conv_out
-        };
+        }?;
+        let tail_start = if self.config.reliable_relu { 2 } else { 1 };
         let guarantee = GuaranteeReport::from_stats(self.config.redundancy, &stats);
 
         // --- Unprotected remainder of the CNN. ---------------------------
-        // Runs through the per-worker scratch arena: bit-identical to the
-        // allocating `forward_from(.., Mode::Eval)` + `softmax` +
-        // `argmax` path (pinned by the nn crate's scratch_parity tests),
-        // but allocation-free after the first image warms the arena.
+        // Allocation-free after the first image warms the arena.
         self.net
-            .forward_from_scratch(&conv_out, tail_start, &mut self.scratch)?;
+            .forward_from_scratch(&conv_out, tail_start, scratch)?;
         let (class, confidence) = {
-            let probs = self.scratch.softmax_front();
+            let probs = scratch.softmax_front();
             let class = argmax_slice(probs).ok_or_else(|| HybridError::BadConfig {
                 reason: "empty class output".into(),
             })?;
@@ -547,6 +473,59 @@ impl HybridCnn {
             qualifier,
             guarantee,
         })
+    }
+
+    /// Runs conv-1 — and, when the partition is extended, the ReLU after
+    /// it — on one redundancy mode's ALU, returning the feature maps and
+    /// the merged execution statistics.
+    ///
+    /// Each stage's ALU takes ownership of a clone of the injector; the
+    /// evolved injector state is copied back afterwards so callers can
+    /// read its counters and so consecutive classifications draw fresh
+    /// randomness. On an abort the injector is left at the failing
+    /// stage's pre-call state (the error itself carries the diagnosis).
+    fn reliable_partition<I: FaultInjector + Clone, A: QualifiedAlu>(
+        &self,
+        image: &Tensor,
+        injector: &mut I,
+        new_alu: fn(I) -> A,
+        into_injector: fn(A) -> I,
+    ) -> Result<(Tensor, ExecStats), HybridError> {
+        // Filters and bias are borrowed straight from the layer.
+        let conv = self.net.conv2d_at(0).expect("validated at construction");
+        let geom = ConvGeometry::new(
+            image.shape().dim(1),
+            image.shape().dim(2),
+            conv.kernel_size(),
+            conv.kernel_size(),
+            conv.stride(),
+            conv.padding(),
+        )?;
+        let mut alu = new_alu(injector.clone());
+        let conv_out = reliable_conv2d(
+            image,
+            conv.filters(),
+            Some(conv.bias()),
+            &geom,
+            &mut alu,
+            &self.config.conv,
+        )?;
+        *injector = into_injector(alu);
+        if !self.config.reliable_relu {
+            return Ok((conv_out.output, conv_out.stats));
+        }
+        // Qualified comparator ops share the bucket semantics.
+        let mut alu = new_alu(injector.clone());
+        let relu_out = reliable_relu(&conv_out.output, &mut alu, &self.config.conv)?;
+        *injector = into_injector(alu);
+        let mut stats = conv_out.stats;
+        stats.acc_ops += relu_out.stats.acc_ops;
+        stats.failed_ops += relu_out.stats.failed_ops;
+        stats.retries += relu_out.stats.retries;
+        stats.recovered += relu_out.stats.recovered;
+        stats.cycles += relu_out.stats.cycles;
+        stats.bucket_peak = stats.bucket_peak.max(relu_out.stats.bucket_peak);
+        Ok((relu_out.output, stats))
     }
 
     /// Runs the qualifier on the configured evidence source.
@@ -826,10 +805,8 @@ mod tests {
         net.push(relcnn_nn::Dense::new(8 * 46 * 46, 8, &mut rng));
         let mut config = HybridConfig::tiny(23);
         config.reliable_relu = true;
-        let mut hybrid = HybridCnn::from_network(net, config).unwrap();
-        let img = render(SignClass::Stop, 48, 24);
         assert!(matches!(
-            hybrid.classify(&img),
+            HybridCnn::from_network(net, config),
             Err(HybridError::BadConfig { .. })
         ));
     }

@@ -1,6 +1,6 @@
 use crate::error::NnError;
 use crate::scratch::ScratchBuf;
-use relcnn_tensor::conv::{col2im, im2col, im2col_into, max_pool2d, max_pool2d_into, ConvGeometry};
+use relcnn_tensor::conv::{col2im, im2col_into, max_pool2d, max_pool2d_into, ConvGeometry};
 use relcnn_tensor::init::{Init, Rand};
 use relcnn_tensor::ops::{gemm_bias_into, gemm_into};
 use relcnn_tensor::{Shape, Tensor};
@@ -32,23 +32,75 @@ impl fmt::Debug for Param<'_> {
     }
 }
 
+/// What one training-mode forward just computed, handed to
+/// [`Layer::remember`].
+pub struct Forwarded<'a> {
+    /// The layer input.
+    pub input: &'a Tensor,
+    /// The output [`Layer::infer`] wrote; `remember` may rewrite it.
+    pub out: &'a mut ScratchBuf,
+    /// The lowering scratch `infer` filled (a convolution's im2col
+    /// matrix), by value so a layer can keep it without a copy.
+    pub cols: ScratchBuf,
+}
+
 /// A differentiable network layer operating on single-sample tensors.
 ///
-/// `forward` in [`Mode::Train`] caches whatever `backward` needs;
-/// `backward` consumes the cache, **accumulates** parameter gradients and
-/// returns the gradient with respect to the layer input. Gradients
-/// accumulate across samples of a batch; the optimiser divides by the
-/// batch size.
+/// Each layer writes its forward arithmetic once, in [`Layer::infer`] —
+/// a pure function of the immutable layer. [`Layer::forward`] is that
+/// same body run on temporaries; in [`Mode::Train`] it additionally calls
+/// [`Layer::remember`] to cache whatever `backward` needs. `backward`
+/// consumes the cache, **accumulates** parameter gradients and returns
+/// the gradient with respect to the layer input. Gradients accumulate
+/// across samples of a batch; the optimiser divides by the batch size.
 pub trait Layer: fmt::Debug + Send + Sync {
     /// Short layer name for diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Computes the layer output.
+    /// The layer's forward arithmetic: reads `input`, writes the layer
+    /// output into `out`, optionally using `cols` as lowering scratch.
+    /// Allocation-free once the buffers are warm, and free of side
+    /// effects on the layer, so one model serves any number of threads.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] for shape mismatches.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError>;
+    fn infer(
+        &self,
+        input: &ScratchBuf,
+        out: &mut ScratchBuf,
+        cols: &mut ScratchBuf,
+    ) -> Result<(), NnError>;
+
+    /// Training-time capture, called by [`Layer::forward`] after
+    /// [`Layer::infer`] with the buffers that call filled: caches what
+    /// `backward` needs, and may rewrite the output (dropout applies its
+    /// mask here). Stateless layers keep the default no-op.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::BadInput`] for shape mismatches.
+    fn remember(&mut self, _pass: Forwarded<'_>) -> Result<(), NnError> {
+        Ok(())
+    }
+
+    /// Computes the layer output as an owned tensor: [`Layer::infer`] on
+    /// temporaries, plus [`Layer::remember`] in [`Mode::Train`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Layer::infer`].
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
+        let mut x = ScratchBuf::new();
+        x.copy_from_tensor(input)?;
+        let (mut out, mut cols) = (ScratchBuf::new(), ScratchBuf::new());
+        self.infer(&x, &mut out, &mut cols)?;
+        if mode == Mode::Train {
+            let out = &mut out;
+            self.remember(Forwarded { input, out, cols })?;
+        }
+        out.into_tensor()
+    }
 
     /// Backpropagates `grad_output`, returning the input gradient.
     ///
@@ -57,31 +109,6 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// Returns [`NnError::NoForwardCache`] when called without a prior
     /// training-mode forward.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError>;
-
-    /// Zero-allocation inference step: reads `input`, writes the layer
-    /// output into `out`, optionally using `cols` as lowering scratch.
-    ///
-    /// **Contract:** bit-identical to `forward(input, Mode::Eval)` on
-    /// every output bit (the only exception is the codegen-defined
-    /// payload of a NaN formed from two NaN operands, which no real
-    /// input produces), with the same cache side-effects as an `Eval`
-    /// forward. The hot-path layers override
-    /// this with arena-backed kernels; the default falls back to the
-    /// allocating forward so exotic layers stay correct.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Layer::forward`].
-    fn infer(
-        &mut self,
-        input: &ScratchBuf,
-        out: &mut ScratchBuf,
-        _cols: &mut ScratchBuf,
-    ) -> Result<(), NnError> {
-        let x = input.to_tensor()?;
-        let y = self.forward(&x, Mode::Eval)?;
-        out.copy_from_tensor(&y)
-    }
 
     /// Learnable parameters (empty for stateless layers).
     fn params(&mut self) -> Vec<Param<'_>> {
@@ -128,11 +155,6 @@ pub struct Conv2d {
     /// Filters whose gradients are masked to zero ("frozen").
     frozen: Vec<bool>,
     cache: Option<ConvCache>,
-    /// Cached `[out_c, in_c*k*k]` view of `weight` — the GEMM operand.
-    /// Rebuilt lazily; invalidated whenever the weight can change
-    /// ([`Conv2d::set_filter`] and [`Layer::params`], which hands out
-    /// `&mut weight`).
-    w_mat: Option<Tensor>,
 }
 
 #[derive(Debug, Clone)]
@@ -168,7 +190,6 @@ impl Conv2d {
             padding,
             frozen: vec![false; out_c],
             cache: None,
-            w_mat: None,
         }
     }
 
@@ -249,7 +270,6 @@ impl Conv2d {
         let per_filter = self.in_c * self.kernel * self.kernel;
         let dst = &mut self.weight.as_mut_slice()[index * per_filter..(index + 1) * per_filter];
         dst.copy_from_slice(values.as_slice());
-        self.w_mat = None;
         Ok(())
     }
 
@@ -274,36 +294,22 @@ impl Conv2d {
         self.frozen.get(index).copied().unwrap_or(false)
     }
 
-    fn geometry_for(&self, input: &Tensor) -> Result<ConvGeometry, NnError> {
-        if input.shape().rank() != 3 || input.shape().dim(0) != self.in_c {
+    fn geometry_for(&self, dims: &[usize]) -> Result<ConvGeometry, NnError> {
+        if dims.len() != 3 || dims[0] != self.in_c {
             return Err(NnError::BadInput {
                 layer: "conv2d",
-                reason: format!("expected [{}, h, w], got {}", self.in_c, input.shape()),
+                reason: format!("expected [{}, h, w], got {dims:?}", self.in_c),
             });
         }
         ConvGeometry::new(
-            input.shape().dim(1),
-            input.shape().dim(2),
+            dims[1],
+            dims[2],
             self.kernel,
             self.kernel,
             self.stride,
             self.padding,
         )
         .map_err(NnError::from)
-    }
-
-    /// The cached `[out_c, in_c*k*k]` weight matrix, rebuilding it if a
-    /// weight update invalidated it. Both the training forward/backward
-    /// and the scratch inference path go through here, so the reshape
-    /// clone happens once per weight update instead of once per call.
-    fn weight_matrix(&mut self) -> Result<&Tensor, NnError> {
-        if self.w_mat.is_none() {
-            self.w_mat = Some(
-                self.weight
-                    .reshape(vec![self.out_c, self.in_c * self.kernel * self.kernel])?,
-            );
-        }
-        Ok(self.w_mat.as_ref().expect("just rebuilt"))
     }
 }
 
@@ -316,26 +322,12 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        let geom = self.geometry_for(input)?;
-        let cols = im2col(input, &geom)?;
-        let mut out = self.weight_matrix()?.matmul(&cols)?;
-        let positions = geom.positions();
-        {
-            let slice = out.as_mut_slice();
-            for oc in 0..self.out_c {
-                let b = self.bias.as_slice()[oc];
-                for v in &mut slice[oc * positions..(oc + 1) * positions] {
-                    *v += b;
-                }
-            }
-        }
-        if mode == Mode::Train {
-            self.cache = Some(ConvCache { cols, geom });
-        } else {
-            self.cache = None;
-        }
-        Ok(out.into_reshaped(vec![self.out_c, geom.out_h(), geom.out_w()])?)
+    fn remember(&mut self, pass: Forwarded<'_>) -> Result<(), NnError> {
+        self.cache = Some(ConvCache {
+            cols: pass.cols.into_tensor()?,
+            geom: self.geometry_for(pass.input.shape().dims())?,
+        });
+        Ok(())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -375,63 +367,43 @@ impl Layer for Conv2d {
             }
         }
         // dX = col2im(Wᵀ · dY)
-        let dcols = self.weight_matrix()?.transpose()?.matmul(&dy)?;
+        let w = self.weight.reshape(vec![self.out_c, per_filter])?;
+        let dcols = w.transpose()?.matmul(&dy)?;
         let dx = col2im(&dcols, self.in_c, &cache.geom)?;
         Ok(dx)
     }
 
     fn infer(
-        &mut self,
+        &self,
         input: &ScratchBuf,
         out: &mut ScratchBuf,
         cols: &mut ScratchBuf,
     ) -> Result<(), NnError> {
-        let dims = input.dims();
-        if dims.len() != 3 || dims[0] != self.in_c {
-            return Err(NnError::BadInput {
-                layer: "conv2d",
-                reason: format!("expected [{}, h, w], got {dims:?}", self.in_c),
-            });
-        }
-        let geom = ConvGeometry::new(
-            dims[1],
-            dims[2],
-            self.kernel,
-            self.kernel,
-            self.stride,
-            self.padding,
-        )?;
+        let geom = self.geometry_for(input.dims())?;
         let rows = self.in_c * self.kernel * self.kernel;
         let positions = geom.positions();
         cols.set_dims(&[rows, positions])?;
         im2col_into(input.as_slice(), self.in_c, &geom, cols.as_mut_slice())?;
         out.set_dims(&[self.out_c, geom.out_h(), geom.out_w()])?;
-        let out_c = self.out_c;
-        self.weight_matrix()?;
-        let w = self
-            .w_mat
-            .as_ref()
-            .expect("weight_matrix populated the cache");
-        // Fused bias: added per element at GEMM store time, after that
-        // element's k-accumulation completes — the same op order as the
-        // separate "matmul, then add bias per row" pass, so the fusion is
-        // bit-invisible (pinned by the scratch-parity tests).
+        // The OIHW filter bank *is* the row-major `[out_c, in_c·k·k]`
+        // GEMM operand. Fused bias: added per element at GEMM store
+        // time, after that element's k-accumulation completes — the same
+        // op order as a separate "matmul, then add bias per row" pass, so
+        // the fusion is bit-invisible (pinned by the scratch-parity
+        // tests against the naive tensor oracles).
         gemm_bias_into(
-            out_c,
+            self.out_c,
             rows,
             positions,
-            w.as_slice(),
+            self.weight.as_slice(),
             cols.as_slice(),
             self.bias.as_slice(),
             out.as_mut_slice(),
         )?;
-        self.cache = None;
         Ok(())
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {
-        // The caller receives `&mut weight`: assume it changes.
-        self.w_mat = None;
         vec![
             Param {
                 name: "conv2d.weight",
@@ -486,11 +458,9 @@ impl Layer for ReLU {
         "relu"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        if mode == Mode::Train {
-            self.mask = Some(input.iter().map(|&v| v > 0.0).collect());
-        }
-        Ok(input.map(|v| v.max(0.0)))
+    fn remember(&mut self, pass: Forwarded<'_>) -> Result<(), NnError> {
+        self.mask = Some(pass.input.iter().map(|&v| v > 0.0).collect());
+        Ok(())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -513,7 +483,7 @@ impl Layer for ReLU {
     }
 
     fn infer(
-        &mut self,
+        &self,
         input: &ScratchBuf,
         out: &mut ScratchBuf,
         _cols: &mut ScratchBuf,
@@ -554,6 +524,17 @@ impl MaxPool2d {
             cache: None,
         }
     }
+
+    fn geometry_for(&self, dims: &[usize]) -> Result<ConvGeometry, NnError> {
+        if dims.len() != 3 {
+            return Err(NnError::BadInput {
+                layer: "max_pool2d",
+                reason: format!("expected CHW, got {dims:?}"),
+            });
+        }
+        ConvGeometry::new(dims[1], dims[2], self.kernel, self.kernel, self.stride, 0)
+            .map_err(NnError::from)
+    }
 }
 
 impl Layer for MaxPool2d {
@@ -565,31 +546,16 @@ impl Layer for MaxPool2d {
         "max_pool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        if input.shape().rank() != 3 {
-            return Err(NnError::BadInput {
-                layer: "max_pool2d",
-                reason: format!("expected CHW, got {}", input.shape()),
-            });
-        }
-        let geom = ConvGeometry::new(
-            input.shape().dim(1),
-            input.shape().dim(2),
-            self.kernel,
-            self.kernel,
-            self.stride,
-            0,
-        )?;
-        let (out, argmax) = max_pool2d(input, &geom)?;
-        if mode == Mode::Train {
-            self.cache = Some(PoolCache {
-                argmax,
-                input_shape: input.shape().clone(),
-            });
-        } else {
-            self.cache = None;
-        }
-        Ok(out)
+    fn remember(&mut self, pass: Forwarded<'_>) -> Result<(), NnError> {
+        // The blocked kernel does not track winners; the naive oracle's
+        // argmax (same window order, same tie-break) routes the gradient.
+        let geom = self.geometry_for(pass.input.shape().dims())?;
+        let (_, argmax) = max_pool2d(pass.input, &geom)?;
+        self.cache = Some(PoolCache {
+            argmax,
+            input_shape: pass.input.shape().clone(),
+        });
+        Ok(())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -611,22 +577,15 @@ impl Layer for MaxPool2d {
     }
 
     fn infer(
-        &mut self,
+        &self,
         input: &ScratchBuf,
         out: &mut ScratchBuf,
         _cols: &mut ScratchBuf,
     ) -> Result<(), NnError> {
         let dims = input.dims();
-        if dims.len() != 3 {
-            return Err(NnError::BadInput {
-                layer: "max_pool2d",
-                reason: format!("expected CHW, got {dims:?}"),
-            });
-        }
-        let geom = ConvGeometry::new(dims[1], dims[2], self.kernel, self.kernel, self.stride, 0)?;
+        let geom = self.geometry_for(dims)?;
         out.set_dims(&[dims[0], geom.out_h(), geom.out_w()])?;
         max_pool2d_into(input.as_slice(), dims[0], &geom, out.as_mut_slice())?;
-        self.cache = None;
         Ok(())
     }
 }
@@ -657,11 +616,9 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        if mode == Mode::Train {
-            self.input_shape = Some(input.shape().clone());
-        }
-        Ok(input.reshape(vec![input.len()])?)
+    fn remember(&mut self, pass: Forwarded<'_>) -> Result<(), NnError> {
+        self.input_shape = Some(pass.input.shape().clone());
+        Ok(())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -673,7 +630,7 @@ impl Layer for Flatten {
     }
 
     fn infer(
-        &mut self,
+        &self,
         input: &ScratchBuf,
         out: &mut ScratchBuf,
         _cols: &mut ScratchBuf,
@@ -746,24 +703,9 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        if input.len() != self.in_dim {
-            return Err(NnError::BadInput {
-                layer: "dense",
-                reason: format!("expected {} inputs, got {}", self.in_dim, input.len()),
-            });
-        }
-        let x = input.reshape(vec![self.in_dim, 1])?;
-        let mut y = self.weight.matmul(&x)?.into_reshaped(vec![self.out_dim])?;
-        for (v, b) in y.iter_mut().zip(self.bias.iter()) {
-            *v += b;
-        }
-        if mode == Mode::Train {
-            self.cache = Some(input.reshape(vec![input.len()])?);
-        } else {
-            self.cache = None;
-        }
-        Ok(y)
+    fn remember(&mut self, pass: Forwarded<'_>) -> Result<(), NnError> {
+        self.cache = Some(pass.input.reshape(vec![pass.input.len()])?);
+        Ok(())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -811,7 +753,7 @@ impl Layer for Dense {
     }
 
     fn infer(
-        &mut self,
+        &self,
         input: &ScratchBuf,
         out: &mut ScratchBuf,
         _cols: &mut ScratchBuf,
@@ -823,9 +765,9 @@ impl Layer for Dense {
             });
         }
         out.set_dims(&[self.out_dim])?;
-        // n = 1 GEMV through the same blocked kernel; bit-identical to
-        // `weight.matmul(x)` because the per-element k order is the naive
-        // order.
+        // n = 1 GEMV through the blocked kernel; bit-identical to the
+        // naive `Tensor::matmul` because the per-element k order is the
+        // naive order.
         gemm_into(
             self.out_dim,
             self.in_dim,
@@ -837,7 +779,6 @@ impl Layer for Dense {
         for (v, b) in out.as_mut_slice().iter_mut().zip(self.bias.iter()) {
             *v += b;
         }
-        self.cache = None;
         Ok(())
     }
 
@@ -895,13 +836,15 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        if mode == Mode::Eval || self.p == 0.0 {
+    fn remember(&mut self, pass: Forwarded<'_>) -> Result<(), NnError> {
+        if self.p == 0.0 {
             self.mask = None;
-            return Ok(input.clone());
+            return Ok(());
         }
+        // `infer` copied the input through; training scales it by a
+        // fresh inverted-dropout mask.
         let keep = 1.0 - self.p;
-        let mask: Vec<f32> = (0..input.len())
+        let mask: Vec<f32> = (0..pass.input.len())
             .map(|_| {
                 if self.rng.chance(keep as f64) {
                     1.0 / keep
@@ -910,14 +853,11 @@ impl Layer for Dropout {
                 }
             })
             .collect();
-        let data = input
-            .iter()
-            .zip(mask.iter())
-            .map(|(&v, &m)| v * m)
-            .collect();
-        let out = Tensor::from_vec(input.shape().clone(), data)?;
+        for (v, &m) in pass.out.as_mut_slice().iter_mut().zip(mask.iter()) {
+            *v *= m;
+        }
         self.mask = Some(mask);
-        Ok(out)
+        Ok(())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -934,7 +874,7 @@ impl Layer for Dropout {
     }
 
     fn infer(
-        &mut self,
+        &self,
         input: &ScratchBuf,
         out: &mut ScratchBuf,
         _cols: &mut ScratchBuf,
@@ -942,7 +882,6 @@ impl Layer for Dropout {
         // Inference-mode dropout is the identity.
         out.set_dims(input.dims())?;
         out.as_mut_slice().copy_from_slice(input.as_slice());
-        self.mask = None;
         Ok(())
     }
 }
@@ -959,13 +898,8 @@ pub struct LocalResponseNorm {
     k: f32,
     alpha: f32,
     beta: f32,
-    cache: Option<LrnCache>,
-}
-
-#[derive(Debug, Clone)]
-struct LrnCache {
-    input: Tensor,
-    denom: Vec<f32>, // (k + α/n Σ x²) per element
+    /// The training-mode input; `backward` re-derives the denominators.
+    cache: Option<Tensor>,
 }
 
 impl LocalResponseNorm {
@@ -992,29 +926,19 @@ impl LocalResponseNorm {
         }
     }
 
-    fn denominators(&self, input: &Tensor) -> Vec<f32> {
-        let (c, h, w) = (
-            input.shape().dim(0),
-            input.shape().dim(1),
-            input.shape().dim(2),
-        );
+    /// `k + α/n · Σ_{j∈window(i)} x_j²` at plane position `p` of a
+    /// `[c, plane]` activation — the one expression `infer` and
+    /// `backward` both evaluate.
+    fn denominator(&self, x: &[f32], c: usize, plane: usize, i: usize, p: usize) -> f32 {
         let half = self.n / 2;
-        let x = input.as_slice();
-        let plane = h * w;
-        let mut denom = vec![0.0f32; c * plane];
-        for i in 0..c {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half).min(c - 1);
-            for p in 0..plane {
-                let mut acc = 0.0f32;
-                for j in lo..=hi {
-                    let v = x[j * plane + p];
-                    acc += v * v;
-                }
-                denom[i * plane + p] = self.k + self.alpha / self.n as f32 * acc;
-            }
+        let lo = i.saturating_sub(half);
+        let hi = (i + half).min(c - 1);
+        let mut acc = 0.0f32;
+        for j in lo..=hi {
+            let v = x[j * plane + p];
+            acc += v * v;
         }
-        denom
+        self.k + self.alpha / self.n as f32 * acc
     }
 }
 
@@ -1027,37 +951,16 @@ impl Layer for LocalResponseNorm {
         "lrn"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor, NnError> {
-        if input.shape().rank() != 3 {
-            return Err(NnError::BadInput {
-                layer: "lrn",
-                reason: format!("expected CHW, got {}", input.shape()),
-            });
-        }
-        let denom = self.denominators(input);
-        let data = input
-            .iter()
-            .zip(denom.iter())
-            .map(|(&v, &d)| v * d.powf(-self.beta))
-            .collect();
-        let out = Tensor::from_vec(input.shape().clone(), data)?;
-        if mode == Mode::Train {
-            self.cache = Some(LrnCache {
-                input: input.clone(),
-                denom,
-            });
-        } else {
-            self.cache = None;
-        }
-        Ok(out)
+    fn remember(&mut self, pass: Forwarded<'_>) -> Result<(), NnError> {
+        self.cache = Some(pass.input.clone());
+        Ok(())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let cache = self
+        let input = self
             .cache
             .take()
             .ok_or(NnError::NoForwardCache { layer: "lrn" })?;
-        let input = &cache.input;
         let (c, h, w) = (
             input.shape().dim(0),
             input.shape().dim(1),
@@ -1067,7 +970,9 @@ impl Layer for LocalResponseNorm {
         let half = self.n / 2;
         let x = input.as_slice();
         let dy = grad_output.as_slice();
-        let d = &cache.denom;
+        let d: Vec<f32> = (0..c * plane)
+            .map(|idx| self.denominator(x, c, plane, idx / plane, idx % plane))
+            .collect();
         // dx_j = dy_j d_j^{-β} − (2αβ/n) x_j Σ_{i ∋ j} dy_i x_i d_i^{-β-1}
         let coeff = 2.0 * self.alpha * self.beta / self.n as f32;
         let mut dx = vec![0.0f32; c * plane];
@@ -1088,7 +993,7 @@ impl Layer for LocalResponseNorm {
     }
 
     fn infer(
-        &mut self,
+        &self,
         input: &ScratchBuf,
         out: &mut ScratchBuf,
         _cols: &mut ScratchBuf,
@@ -1101,27 +1006,15 @@ impl Layer for LocalResponseNorm {
             });
         }
         out.set_dims(dims)?;
-        // Fused denominators: same accumulation order and the same
-        // `k + α/n·Σ` / `x·d^(−β)` expressions as the allocating forward,
-        // so every output bit matches.
         let (c, plane) = (dims[0], dims[1] * dims[2]);
-        let half = self.n / 2;
         let x = input.as_slice();
         let o = out.as_mut_slice();
         for i in 0..c {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half).min(c - 1);
             for p in 0..plane {
-                let mut acc = 0.0f32;
-                for j in lo..=hi {
-                    let v = x[j * plane + p];
-                    acc += v * v;
-                }
-                let d = self.k + self.alpha / self.n as f32 * acc;
+                let d = self.denominator(x, c, plane, i, p);
                 o[i * plane + p] = x[i * plane + p] * d.powf(-self.beta);
             }
         }
-        self.cache = None;
         Ok(())
     }
 }
@@ -1194,17 +1087,12 @@ mod tests {
         let analytic = conv.w_grad.clone();
         let eps = 1e-2f32;
         for &i in &[0usize, 5, 11, 17] {
-            // Mutating the weight field directly bypasses the public
-            // invalidation points, so drop the cached view by hand.
             let orig = conv.weight.as_slice()[i];
             conv.weight.as_mut_slice()[i] = orig + eps;
-            conv.w_mat = None;
             let f_plus = conv.forward(&input, Mode::Eval).unwrap().sum();
             conv.weight.as_mut_slice()[i] = orig - eps;
-            conv.w_mat = None;
             let f_minus = conv.forward(&input, Mode::Eval).unwrap().sum();
             conv.weight.as_mut_slice()[i] = orig;
-            conv.w_mat = None;
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             let a = analytic.as_slice()[i];
             assert!(
@@ -1373,65 +1261,6 @@ mod tests {
         assert!(lrn
             .forward(&Tensor::zeros(Shape::d1(4)), Mode::Eval)
             .is_err());
-    }
-
-    #[test]
-    fn weight_matrix_cache_invalidates_on_update() {
-        let mut r = rng();
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut r);
-        let input = r.tensor(Shape::d3(2, 6, 6), Init::Uniform { lo: -1.0, hi: 1.0 });
-        let before = conv.forward(&input, Mode::Eval).unwrap();
-        assert!(conv.w_mat.is_some(), "forward populates the cache");
-        // Repeated forwards reuse the cached view and stay bit-identical.
-        let again = conv.forward(&input, Mode::Eval).unwrap();
-        for (a, b) in again.iter().zip(before.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // set_filter invalidates, and the next forward sees the new weights.
-        let new_filter = Tensor::from_fn(Shape::d3(2, 3, 3), |i| i[1] as f32 - 1.0);
-        conv.set_filter(0, &new_filter).unwrap();
-        assert!(conv.w_mat.is_none(), "set_filter drops the cache");
-        let after = conv.forward(&input, Mode::Eval).unwrap();
-        assert!(
-            after.iter().zip(before.iter()).any(|(a, b)| a != b),
-            "new filter changed the output"
-        );
-        // params() hands out &mut weight — the optimiser path — so it
-        // must invalidate too, on the training path as well as eval.
-        let _ = conv.forward(&input, Mode::Train).unwrap();
-        assert!(conv.w_mat.is_some());
-        for p in conv.params() {
-            if p.name == "conv2d.weight" {
-                for v in p.value.iter_mut() {
-                    *v += 0.25;
-                }
-            }
-        }
-        assert!(conv.w_mat.is_none(), "params() drops the cache");
-        let shifted = conv.forward(&input, Mode::Eval).unwrap();
-        assert!(
-            shifted.iter().zip(after.iter()).any(|(a, b)| a != b),
-            "optimiser-updated weights reach the cached matrix"
-        );
-    }
-
-    #[test]
-    fn conv2d_infer_matches_eval_forward_bitwise() {
-        use crate::scratch::InferScratch;
-        let mut r = rng();
-        // Padded, strided conv — exercises the zero-filled cols path.
-        let mut conv = Conv2d::new(3, 4, 3, 2, 1, &mut r);
-        let input = r.tensor(Shape::d3(3, 9, 9), Init::Uniform { lo: -1.0, hi: 1.0 });
-        let oracle = conv.forward(&input, Mode::Eval).unwrap();
-        let mut arena = InferScratch::new();
-        arena.load_input(&input).unwrap();
-        let (front, back, cols) = arena.frames();
-        conv.infer(front, back, cols).unwrap();
-        arena.swap();
-        assert_eq!(arena.front().dims(), oracle.shape().dims());
-        for (a, b) in arena.front().as_slice().iter().zip(oracle.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -53,7 +53,8 @@ pub mod scratch;
 
 pub use error::NnError;
 pub use layers::{
-    Conv2d, Dense, Dropout, Flatten, Layer, LocalResponseNorm, MaxPool2d, Mode, Param, ReLU,
+    Conv2d, Dense, Dropout, Flatten, Forwarded, Layer, LocalResponseNorm, MaxPool2d, Mode, Param,
+    ReLU,
 };
 pub use loss::{softmax, softmax_in_place, CrossEntropyLoss};
 pub use network::Network;

@@ -3,27 +3,17 @@
 use crate::error::NnError;
 use relcnn_tensor::Tensor;
 
-/// Numerically stable softmax of a logit vector.
+/// Numerically stable softmax of a logit vector: [`softmax_in_place`]
+/// on a copy.
 pub fn softmax(logits: &Tensor) -> Tensor {
-    let max = logits.max();
-    let exps: Vec<f32> = logits.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    Tensor::from_vec(
-        logits.shape().clone(),
-        exps.into_iter()
-            .map(|e| e / sum.max(f32::MIN_POSITIVE))
-            .collect(),
-    )
-    .expect("same length")
+    let mut probs = logits.clone();
+    softmax_in_place(probs.as_mut_slice());
+    probs
 }
 
-/// In-place softmax over a mutable slice, bit-identical to [`softmax`]
-/// applied to the same values — the zero-allocation variant the scratch
-/// inference path uses.
-///
-/// Bit-identity holds because the operation sequence per element is the
-/// same: max-fold over the inputs, `(v - max).exp()`, a left-to-right sum
-/// of the exponentials, then one divide by `sum.max(f32::MIN_POSITIVE)`.
+/// In-place softmax over a mutable slice — the one softmax arithmetic:
+/// max-fold over the inputs, `(v - max).exp()`, a left-to-right sum of
+/// the exponentials, then one divide by `sum.max(f32::MIN_POSITIVE)`.
 pub fn softmax_in_place(xs: &mut [f32]) {
     let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     for v in xs.iter_mut() {

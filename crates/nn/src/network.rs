@@ -1,8 +1,8 @@
 use crate::error::NnError;
 use crate::layers::{Conv2d, Layer, Mode, Param};
-use crate::loss::softmax;
 use crate::scratch::InferScratch;
-use relcnn_tensor::Tensor;
+use relcnn_tensor::ops::argmax_slice;
+use relcnn_tensor::{Shape, Tensor};
 
 /// A sequential network: layers applied in order, single-sample tensors.
 #[derive(Debug)]
@@ -68,61 +68,36 @@ impl Network {
         Ok(g)
     }
 
-    /// Runs the forward pass starting at layer `start` — used by the
-    /// hybrid network, which executes the layers before `start` through
-    /// the *reliable* path and hands the feature maps back to the
-    /// unprotected remainder (Figure 2's bifurcation point).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadInput`] when `start > len()`; propagates
-    /// layer shape errors.
-    pub fn forward_from(
-        &mut self,
-        input: &Tensor,
-        start: usize,
-        mode: Mode,
-    ) -> Result<Tensor, NnError> {
-        if start > self.layers.len() {
-            return Err(NnError::BadInput {
-                layer: "network",
-                reason: format!("start layer {start} > {} layers", self.layers.len()),
-            });
-        }
-        let mut x = input.clone();
-        for layer in &mut self.layers[start..] {
-            x = layer.forward(&x, mode)?;
-        }
-        Ok(x)
-    }
-
     /// Runs the zero-allocation inference forward pass through a
     /// reusable scratch arena. After the call, `scratch.front()` holds
-    /// the network output — **bit-identical** to
-    /// `forward(input, Mode::Eval)`, pinned by the `scratch_parity`
-    /// integration tests. After a warmup pass sized the arena, repeated
-    /// calls perform zero heap allocations.
+    /// the network output — the same bits `forward(input, Mode::Eval)`
+    /// returns, because both run each layer's one `infer` body. After a
+    /// warmup pass sized the arena, repeated calls perform zero heap
+    /// allocations. The network is only read, so any number of threads
+    /// may run this concurrently, each with its own arena.
     ///
     /// # Errors
     ///
     /// Propagates layer shape errors.
     pub fn forward_scratch(
-        &mut self,
+        &self,
         input: &Tensor,
         scratch: &mut InferScratch,
     ) -> Result<(), NnError> {
         self.forward_from_scratch(input, 0, scratch)
     }
 
-    /// Scratch-arena variant of [`Network::forward_from`] — the hybrid
-    /// network's tail executes through this after the reliable partition.
+    /// [`Network::forward_scratch`] starting at layer `start` — used by
+    /// the hybrid network, which executes the layers before `start`
+    /// through the *reliable* path and hands the feature maps back to the
+    /// unprotected remainder (Figure 2's bifurcation point).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] when `start > len()`; propagates
     /// layer shape errors.
     pub fn forward_from_scratch(
-        &mut self,
+        &self,
         input: &Tensor,
         start: usize,
         scratch: &mut InferScratch,
@@ -134,7 +109,7 @@ impl Network {
             });
         }
         scratch.load_input(input)?;
-        for layer in &mut self.layers[start..] {
+        for layer in &self.layers[start..] {
             let (front, back, cols) = scratch.frames();
             layer.infer(front, back, cols)?;
             scratch.swap();
@@ -164,9 +139,11 @@ impl Network {
     /// # Errors
     ///
     /// Propagates layer shape errors.
-    pub fn predict(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let logits = self.forward(input, Mode::Eval)?;
-        Ok(softmax(&logits))
+    pub fn predict(&self, input: &Tensor) -> Result<Tensor, NnError> {
+        let mut scratch = InferScratch::new();
+        self.forward_scratch(input, &mut scratch)?;
+        let shape = Shape::new(scratch.front().dims().to_vec());
+        Ok(Tensor::from_vec(shape, scratch.softmax_front().to_vec())?)
     }
 
     /// The predicted class index for one input.
@@ -174,9 +151,10 @@ impl Network {
     /// # Errors
     ///
     /// Propagates layer shape errors; errors on empty outputs.
-    pub fn classify(&mut self, input: &Tensor) -> Result<usize, NnError> {
-        let logits = self.forward(input, Mode::Eval)?;
-        logits.argmax().ok_or(NnError::BadInput {
+    pub fn classify(&self, input: &Tensor) -> Result<usize, NnError> {
+        let mut scratch = InferScratch::new();
+        self.forward_scratch(input, &mut scratch)?;
+        argmax_slice(scratch.front().as_slice()).ok_or(NnError::BadInput {
             layer: "network",
             reason: "empty output layer".into(),
         })
@@ -294,27 +272,30 @@ mod tests {
     }
 
     #[test]
-    fn forward_from_matches_split_execution() {
+    fn forward_from_scratch_matches_split_execution() {
         let mut rng = Rand::seeded(21);
         let mut net = tiny_net(&mut rng);
         let x = rng.tensor(Shape::d3(2, 2, 2), Init::Uniform { lo: -1.0, hi: 1.0 });
         let full = net.forward(&x, Mode::Eval).unwrap();
+        let mut arena = InferScratch::new();
+        net.forward_from_scratch(&x, 0, &mut arena).unwrap();
+        assert_eq!(arena.front().as_slice(), full.as_slice());
         // Execute layer 0 manually, then resume from layer 1.
-        let mid = net.forward_from(&x, 0, Mode::Eval).unwrap();
-        assert_eq!(mid, full);
         let after_flatten = x.reshape(vec![8]).unwrap();
-        let resumed = net.forward_from(&after_flatten, 1, Mode::Eval).unwrap();
-        assert_eq!(resumed, full);
-        assert!(net.forward_from(&x, 9, Mode::Eval).is_err());
+        net.forward_from_scratch(&after_flatten, 1, &mut arena)
+            .unwrap();
+        assert_eq!(arena.front().as_slice(), full.as_slice());
+        assert!(net.forward_from_scratch(&x, 9, &mut arena).is_err());
         // start == len is identity.
-        let id = net.forward_from(&x, 4, Mode::Eval).unwrap();
-        assert_eq!(id, x);
+        net.forward_from_scratch(&x, 4, &mut arena).unwrap();
+        assert_eq!(arena.front().dims(), x.shape().dims());
+        assert_eq!(arena.front().as_slice(), x.as_slice());
     }
 
     #[test]
     fn predict_gives_probabilities() {
         let mut rng = Rand::seeded(2);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
         let x = rng.tensor(Shape::d3(2, 2, 2), Init::Uniform { lo: -1.0, hi: 1.0 });
         let p = net.predict(&x).unwrap();
         assert!((p.sum() - 1.0).abs() < 1e-5);

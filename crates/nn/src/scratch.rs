@@ -1,8 +1,9 @@
 //! Reusable per-worker scratch arenas for the zero-allocation inference
 //! path.
 //!
-//! The training path allocates freely — every `forward` returns a fresh
-//! [`Tensor`] — but steady-state inference runs the same geometry over and
+//! The training path allocates freely — every `forward` runs the layer's
+//! `infer` on temporaries and returns a fresh [`Tensor`] — but
+//! steady-state inference runs the same geometry over and
 //! over, so all of its buffers can be sized once and recycled. A
 //! [`ScratchBuf`] is a growable flat `f32` buffer with explicit dims; an
 //! [`InferScratch`] bundles the three buffers one forward pass needs:
@@ -17,10 +18,11 @@
 //! heap allocations per image** — pinned by the `zero_alloc` integration
 //! test with a counting global allocator.
 //!
-//! Cloning an [`InferScratch`] yields a *fresh, empty* arena: the runtime
-//! hands each worker its own clone of a network, and sharing scratch
-//! memory across workers would be both a data race and a cache-line
-//! pessimisation. The clone re-warms on its first image.
+//! The model itself is immutable during inference, so workers share one
+//! network by reference and each owns only an arena. Cloning an
+//! [`InferScratch`] yields a *fresh, empty* arena (a cloned model handle
+//! must not copy another handle's buffers); it re-warms on its first
+//! image.
 
 use crate::error::NnError;
 use relcnn_tensor::{Shape, Tensor};
@@ -111,25 +113,26 @@ impl ScratchBuf {
         Ok(())
     }
 
-    /// Materialises the live contents as an owned [`Tensor`] — the
-    /// allocating escape hatch used by the default [`Layer::infer`]
-    /// fallback, never by the specialised hot-path kernels.
+    /// Converts the live contents into an owned [`Tensor`], reusing the
+    /// backing storage — how [`Layer::forward`] hands its temporaries
+    /// back to tensor-land.
     ///
-    /// [`Layer::infer`]: crate::Layer::infer
+    /// [`Layer::forward`]: crate::Layer::forward
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] if the buffer was never sized.
-    pub fn to_tensor(&self) -> Result<Tensor, NnError> {
+    pub fn into_tensor(mut self) -> Result<Tensor, NnError> {
         if self.rank == 0 {
             return Err(NnError::BadInput {
                 layer: "scratch",
                 reason: "scratch buffer has no dims".into(),
             });
         }
+        self.data.truncate(self.volume());
         Ok(Tensor::from_vec(
             Shape::new(self.dims().to_vec()),
-            self.as_slice().to_vec(),
+            self.data,
         )?)
     }
 }
@@ -146,9 +149,9 @@ pub struct InferScratch {
 }
 
 impl Clone for InferScratch {
-    /// A cloned arena starts fresh: scratch memory is per-worker by
+    /// A cloned arena starts fresh: scratch memory is per-owner by
     /// construction, so the clone re-warms on its first image instead of
-    /// copying another worker's buffers.
+    /// copying another owner's buffers.
     fn clone(&self) -> Self {
         InferScratch::default()
     }
@@ -243,7 +246,7 @@ mod tests {
         let mut buf = ScratchBuf::new();
         assert!(buf.set_dims(&[]).is_err());
         assert!(buf.set_dims(&[1, 1, 1, 1, 1]).is_err());
-        assert!(buf.to_tensor().is_err());
+        assert!(buf.into_tensor().is_err());
     }
 
     #[test]
@@ -255,7 +258,7 @@ mod tests {
         .unwrap();
         let mut buf = ScratchBuf::new();
         buf.copy_from_tensor(&t).unwrap();
-        let back = buf.to_tensor().unwrap();
+        let back = buf.into_tensor().unwrap();
         assert_eq!(back.shape(), t.shape());
         for (a, b) in back.iter().zip(t.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());

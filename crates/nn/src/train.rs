@@ -127,7 +127,7 @@ pub fn train(
 /// Returns [`NnError::BadTraining`] for an empty evaluation set and
 /// propagates layer errors.
 pub fn evaluate(
-    net: &mut Network,
+    net: &Network,
     samples: &[(Tensor, usize)],
     num_classes: usize,
 ) -> Result<ConfusionMatrix, NnError> {
@@ -152,7 +152,7 @@ pub fn evaluate(
 /// Returns [`NnError::BadTraining`] for an empty sample set and
 /// propagates layer errors.
 pub fn mean_class_confidence(
-    net: &mut Network,
+    net: &Network,
     samples: &[&Tensor],
     class: usize,
 ) -> Result<f64, NnError> {
@@ -228,7 +228,7 @@ mod tests {
 
         // Held-out evaluation.
         let test = toy_dataset(5, 99);
-        let matrix = evaluate(&mut net, &test, 3).unwrap();
+        let matrix = evaluate(&net, &test, 3).unwrap();
         assert!(
             matrix.accuracy() > 0.8,
             "test accuracy {}",
@@ -246,7 +246,7 @@ mod tests {
             .filter(|(_, t)| *t == 0)
             .map(|(i, _)| i)
             .collect();
-        let before = mean_class_confidence(&mut net, &class0, 0).unwrap();
+        let before = mean_class_confidence(&net, &class0, 0).unwrap();
         let config = TrainConfig {
             epochs: 6,
             batch_size: 5,
@@ -254,7 +254,7 @@ mod tests {
             seed: 6,
         };
         train(&mut net, &data, &config, &[]).unwrap();
-        let after = mean_class_confidence(&mut net, &class0, 0).unwrap();
+        let after = mean_class_confidence(&net, &class0, 0).unwrap();
         assert!(after > before, "confidence {before} -> {after}");
         assert!(after > 0.6);
     }
@@ -269,10 +269,10 @@ mod tests {
         let mut bad = TrainConfig::quick(0);
         bad.batch_size = 0;
         assert!(train(&mut net, &data, &bad, &[]).is_err());
-        assert!(evaluate(&mut net, &[], 3).is_err());
-        assert!(mean_class_confidence(&mut net, &[], 0).is_err());
+        assert!(evaluate(&net, &[], 3).is_err());
+        assert!(mean_class_confidence(&net, &[], 0).is_err());
         let img = Tensor::zeros(Shape::d3(3, 16, 16));
-        assert!(mean_class_confidence(&mut net, &[&img], 9).is_err());
+        assert!(mean_class_confidence(&net, &[&img], 9).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Proves the arena claim mechanically: after a warmup image has sized
-//! the scratch buffers and the weight-matrix cache, steady-state
+//! the scratch buffers, steady-state
 //! inference through `Network::forward_scratch` performs **zero heap
 //! allocations per image**.
 //!
@@ -68,7 +68,7 @@ fn steady_state_inference_allocates_nothing() {
         .map(|img| net.forward(img, Mode::Eval).expect("oracle forward"))
         .collect();
 
-    // Warmup: one batch sizes the arena and the conv weight-matrix cache.
+    // Warmup: one batch sizes the arena.
     let mut arena = InferScratch::new();
     for img in &images {
         net.forward_scratch(img, &mut arena).expect("warmup");

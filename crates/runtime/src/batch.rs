@@ -1,19 +1,19 @@
 //! Batched hybrid-CNN inference on the engine.
 //!
-//! `HybridCnn::classify` is a single-image, `&mut self` path; serving
-//! traffic means classifying many images at once. [`BatchClassify`]
-//! fans a batch out across the worker pool — each worker owns a clone of
-//! the network — and returns verdicts in input order. Classification is
-//! deterministic per image, so the batch output is independent of the
-//! worker count by construction *and* by the engine's ordered result
-//! stream.
+//! Serving traffic means classifying many images at once.
+//! [`BatchClassify`] fans a batch out across the worker pool and returns
+//! verdicts in input order. Classification is a pure function of the
+//! immutable model ([`HybridCnn::classify_with`]), so every worker
+//! classifies through the *same* `&HybridCnn` — no weights are copied per
+//! run — and is deterministic per image, so the batch output is
+//! independent of the worker count by construction *and* by the engine's
+//! ordered result stream.
 //!
-//! The per-worker clone in [`SourcedTrial::init`] is also what threads
-//! the zero-allocation inference arena through the engine: a cloned
-//! `HybridCnn` starts with a fresh `InferScratch`, so every worker warms
-//! its own arena on its first image and recycles it for the rest of the
-//! run — scratch memory is never shared across workers, and steady-state
-//! classification performs no per-image heap allocation in the CNN tail.
+//! The only per-worker state ([`SourcedTrial::init`]) is an
+//! `InferScratch` arena: every worker warms its own on its first image
+//! and recycles it for the rest of the run — scratch memory is never
+//! shared across workers, and steady-state classification performs no
+//! per-image heap allocation in the CNN tail.
 //!
 //! Images arrive through a [`TrialSource`]: an in-memory batch is the
 //! eager [`SliceSource`] case ([`classify_many`]), while
@@ -31,6 +31,8 @@ use crate::sink::CollectSink;
 use crate::source::{SliceSource, TrialSource};
 use crate::trial::{SourcedTrial, TrialCtx};
 use relcnn_core::{HybridCnn, HybridError, QualifiedClassification};
+use relcnn_faults::NoFaults;
+use relcnn_nn::InferScratch;
 use relcnn_tensor::Tensor;
 use std::borrow::Borrow;
 
@@ -39,15 +41,16 @@ struct ClassifyTrial<'a> {
 }
 
 impl<I: Borrow<Tensor> + Send> SourcedTrial<I> for ClassifyTrial<'_> {
-    type State = HybridCnn;
+    type State = InferScratch;
     type Output = Result<QualifiedClassification, HybridError>;
 
-    fn init(&self, _worker_index: usize) -> HybridCnn {
-        self.hybrid.clone()
+    fn init(&self, _worker_index: usize) -> InferScratch {
+        InferScratch::new()
     }
 
-    fn run(&self, state: &mut HybridCnn, item: I, _ctx: &mut TrialCtx) -> Self::Output {
-        state.classify(item.borrow())
+    fn run(&self, scratch: &mut InferScratch, item: I, _ctx: &mut TrialCtx) -> Self::Output {
+        self.hybrid
+            .classify_with(item.borrow(), &mut NoFaults::new(), scratch)
     }
 }
 
@@ -65,14 +68,6 @@ pub trait BatchClassify {
         engine: &Engine,
         images: &[Tensor],
     ) -> Result<Vec<QualifiedClassification>, HybridError>;
-
-    /// Like [`classify_many`](BatchClassify::classify_many) but also
-    /// returns the engine's throughput/latency counters.
-    fn classify_many_stats(
-        &self,
-        engine: &Engine,
-        images: &[Tensor],
-    ) -> RunOutcome<Result<Vec<QualifiedClassification>, HybridError>>;
 
     /// Classifies one image per item of `source` across the worker pool,
     /// preserving source order: the streaming ingestion entry point.
@@ -97,15 +92,8 @@ impl BatchClassify for HybridCnn {
         engine: &Engine,
         images: &[Tensor],
     ) -> Result<Vec<QualifiedClassification>, HybridError> {
-        self.classify_many_stats(engine, images).summary
-    }
-
-    fn classify_many_stats(
-        &self,
-        engine: &Engine,
-        images: &[Tensor],
-    ) -> RunOutcome<Result<Vec<QualifiedClassification>, HybridError>> {
         self.classify_source(engine, &SliceSource::new(images))
+            .summary
     }
 
     fn classify_source<Src>(

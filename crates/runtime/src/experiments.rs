@@ -2,8 +2,8 @@
 //!
 //! `relcnn_core::experiments` holds the pure, single-threaded experiment
 //! workflows; this module fans the embarrassingly parallel ones out over
-//! the engine. Each worker owns a clone of the model, so mutation-heavy
-//! steps (filter swap, evaluation) never contend.
+//! the engine. Each sweep worker owns a clone of the model, because the
+//! filter swap mutates it; read-only evaluation borrows the original.
 
 use crate::engine::{Engine, RunOutcome, RunPlan};
 use crate::sink::CollectSink;
@@ -72,15 +72,10 @@ pub fn fig4_filter_sweep_parallel(
         .collect();
     let classes = data.config().classes.len();
 
-    let mut baseline_net = net.clone();
     let baseline = SweepPoint {
         filter: usize::MAX,
-        stop_confidence: mean_class_confidence(
-            &mut baseline_net,
-            &stop_images,
-            stop_class.index(),
-        )?,
-        accuracy: evaluate(&mut baseline_net, &test, classes)?.accuracy(),
+        stop_confidence: mean_class_confidence(net, &stop_images, stop_class.index())?,
+        accuracy: evaluate(net, &test, classes)?.accuracy(),
     };
 
     let filters = net

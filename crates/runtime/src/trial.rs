@@ -21,16 +21,16 @@ pub struct TrialCtx {
 /// A unit of work executed by the engine's workers.
 ///
 /// Implementations must be deterministic in `(state, ctx)` for engine
-/// runs to be reproducible; `state` is per-worker scratch (e.g. a cloned
-/// network) that must not leak information between trials that would
-/// change their outputs.
+/// runs to be reproducible; `state` is per-worker scratch (e.g. an
+/// inference arena) that must not leak information between trials that
+/// would change their outputs.
 pub trait Trial: Sync {
     /// Per-worker state, built once per worker thread.
     type State: Send;
     /// The result of one trial.
     type Output: Send;
 
-    /// Builds the worker-local state (e.g. clones a model).
+    /// Builds the worker-local state (e.g. an empty inference arena).
     fn init(&self, worker_index: usize) -> Self::State;
 
     /// Runs one trial.
@@ -51,7 +51,7 @@ pub trait SourcedTrial<I>: Sync {
     /// The result of one trial.
     type Output: Send;
 
-    /// Builds the worker-local state (e.g. clones a model).
+    /// Builds the worker-local state (e.g. an empty inference arena).
     fn init(&self, worker_index: usize) -> Self::State;
 
     /// Runs one trial on its pulled input.

@@ -50,11 +50,11 @@ pub struct CnnVerdict {
 /// request's payload seed selects the image, so a trace replays the
 /// exact same inputs.
 ///
-/// Per-batch dispatch clones the hybrid per worker
-/// (`BatchClassify`/`SourcedTrial::init`), and each clone carries its
-/// own fresh `InferScratch` arena — the borrowed-pool image source plus
-/// the per-worker arena make the serving inner loop allocation-free
-/// once warmed up.
+/// Every batch dispatches through `BatchClassify` against this one
+/// model by reference — no weights are copied per batch. Each engine
+/// worker brings only its own `InferScratch` arena; the borrowed-pool
+/// image source plus that arena keep the serving inner loop free of
+/// per-image allocation in the CNN tail once the arena is warm.
 pub struct CnnBackend {
     hybrid: HybridCnn,
     images: Vec<Tensor>,

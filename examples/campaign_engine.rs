@@ -11,7 +11,7 @@ use relcnn::faults::{BerInjector, FaultInjector, FaultSite, OpContext};
 use relcnn::gtsrb::{DatasetConfig, SyntheticGtsrb};
 use relcnn::runtime::{
     run_campaign, run_campaign_sink, BatchClassify, CampaignConfig, CampaignSink, EarlyStop,
-    Engine, JsonlSink, TrialOutcome, TrialResult,
+    Engine, JsonlSink, SliceSource, TrialOutcome, TrialResult,
 };
 
 fn seu_trial(seed: u64) -> TrialResult {
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = SyntheticGtsrb::generate(&DatasetConfig::tiny(7))?;
     let hybrid = HybridCnn::untrained(&HybridConfig::tiny(8))?;
     let images: Vec<_> = data.test().iter().map(|s| s.image.clone()).collect();
-    let outcome = hybrid.classify_many_stats(&Engine::default(), &images);
+    let outcome = hybrid.classify_source(&Engine::default(), &SliceSource::new(&images));
     let verdicts = outcome.summary?;
     println!(
         "batch inference: {} images in {:?} ({:.1} images/s, mean latency {:?})",

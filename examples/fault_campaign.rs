@@ -10,6 +10,7 @@
 use relcnn::core::{HybridCnn, HybridConfig, HybridError};
 use relcnn::faults::{BerInjector, FaultInjector, FaultSite, StuckBitInjector};
 use relcnn::gtsrb::{RenderParams, SignClass, SignRenderer};
+use relcnn::nn::InferScratch;
 use relcnn::runtime::{
     CampaignSink, EarlyStop, Engine, RunPlan, Trial, TrialCtx, TrialOutcome, TrialResult,
 };
@@ -18,8 +19,8 @@ use relcnn::tensor::Tensor;
 
 /// One campaign trial: classify `image` under a seeded BER injector.
 ///
-/// Each worker clones the network once (`Trial::init`), not once per
-/// trial — the runtime's per-worker-state mechanism.
+/// Every worker classifies through the same `&HybridCnn`; the only
+/// per-worker state (`Trial::init`) is an inference arena.
 struct SeuTrial<'a> {
     hybrid: &'a HybridCnn,
     image: &'a Tensor,
@@ -28,17 +29,20 @@ struct SeuTrial<'a> {
 }
 
 impl Trial for SeuTrial<'_> {
-    type State = HybridCnn;
+    type State = InferScratch;
     type Output = TrialResult;
 
-    fn init(&self, _worker_index: usize) -> HybridCnn {
-        self.hybrid.clone()
+    fn init(&self, _worker_index: usize) -> InferScratch {
+        InferScratch::new()
     }
 
-    fn run(&self, local: &mut HybridCnn, ctx: &mut TrialCtx) -> TrialResult {
+    fn run(&self, scratch: &mut InferScratch, ctx: &mut TrialCtx) -> TrialResult {
         let mut injector = BerInjector::new(ctx.seed, self.ber)
             .with_sites(vec![FaultSite::Multiplier, FaultSite::Accumulator]);
-        let outcome = match local.classify_under_faults(self.image, &mut injector) {
+        let verdict = self
+            .hybrid
+            .classify_with(self.image, &mut injector, scratch);
+        let outcome = match verdict {
             Ok(v) if v.class() != self.clean_class => TrialOutcome::SilentCorruption,
             Ok(v) if v.guarantee().recovered > 0 => TrialOutcome::DetectedRecovered,
             Ok(_) => TrialOutcome::Correct,
