@@ -17,7 +17,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite, OpContext};
-use relcnn_runtime::{run_campaign, CampaignConfig, RunStats, TrialOutcome, TrialResult};
+use relcnn_runtime::{
+    run_campaign, EarlyStop, Engine, RunPlan, RunStats, TrialOutcome, TrialResult,
+};
 use std::time::Duration;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -59,17 +61,14 @@ fn latency_bound_trial(seed: u64) -> TrialResult {
 }
 
 fn campaign_stats(workers: usize, trials: u64, f: fn(u64) -> TrialResult) -> RunStats {
-    let config = CampaignConfig::new(trials, 0xBEE5)
-        .with_threads(workers)
-        .with_shards(32);
+    let engine = Engine::with_workers(workers);
+    let plan = RunPlan::new(trials, 0xBEE5).with_shards(32);
     // Best of five: the trajectory artefact records capability, not
     // scheduler noise (a single sample on a loaded or cgroup-throttled
     // host can swing 2x, and the dips are bursty enough that three
     // samples sometimes all land in one).
     (0..5)
-        .map(|_| {
-            relcnn_runtime::run_campaign_with(&config, relcnn_runtime::EarlyStop::never(), f).stats
-        })
+        .map(|_| run_campaign(&engine, &plan, EarlyStop::never(), f).stats)
         .max_by(|a, b| a.throughput.total_cmp(&b.throughput))
         .expect("three samples")
 }
@@ -83,10 +82,12 @@ fn bench_runtime_scaling(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 b.iter(|| {
-                    let config = CampaignConfig::new(256, 7)
-                        .with_threads(workers)
-                        .with_shards(32);
-                    run_campaign(&config, cpu_bound_trial)
+                    run_campaign(
+                        &Engine::with_workers(workers),
+                        &RunPlan::new(256, 7).with_shards(32),
+                        EarlyStop::never(),
+                        cpu_bound_trial,
+                    )
                 })
             },
         );
@@ -95,10 +96,12 @@ fn bench_runtime_scaling(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 b.iter(|| {
-                    let config = CampaignConfig::new(128, 7)
-                        .with_threads(workers)
-                        .with_shards(32);
-                    run_campaign(&config, latency_bound_trial)
+                    run_campaign(
+                        &Engine::with_workers(workers),
+                        &RunPlan::new(128, 7).with_shards(32),
+                        EarlyStop::never(),
+                        latency_bound_trial,
+                    )
                 })
             },
         );

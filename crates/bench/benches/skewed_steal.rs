@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use relcnn_faults::SkewedCost;
 use relcnn_runtime::{
-    run_campaign_with, CampaignConfig, EarlyStop, RunOutcome, TrialOutcome, TrialResult,
+    run_campaign, EarlyStop, Engine, RunOutcome, RunPlan, TrialOutcome, TrialResult,
 };
 use std::time::Duration;
 
@@ -65,12 +65,16 @@ fn run_mode(chunk: u64) -> RunOutcome<relcnn_runtime::CampaignReport> {
     } else {
         (chunk, true)
     };
-    let config = CampaignConfig::new(TRIALS, BASE_SEED)
-        .with_threads(WORKERS)
+    let plan = RunPlan::new(TRIALS, BASE_SEED)
         .with_shards(SHARDS)
         .with_chunk(chunk)
         .with_adaptive(adaptive);
-    run_campaign_with(&config, EarlyStop::never(), skewed_trial)
+    run_campaign(
+        &Engine::with_workers(WORKERS),
+        &plan,
+        EarlyStop::never(),
+        skewed_trial,
+    )
 }
 
 /// Wall-clock and steal counters of the median-wall run out of `samples`

@@ -41,15 +41,6 @@
 //!   *behavioural* change to admission/batching/expiry/AIMD control,
 //!   not noise, and an intended one must ship a refreshed baseline.
 //!
-//! The per-image inference-latency artefact
-//! (`results/inference_latency.json`, run `cargo run --release -p
-//! relcnn-bench --bin inference_bench` first) is gated two ways: the
-//! scratch p99 must not regress more than the tolerance above its
-//! committed baseline, and the arena must report zero grow events after
-//! warmup. (The allocating pre-arena kernels are gone, so their
-//! latencies and the speedup over them ride along as a frozen
-//! `"historical"` record, not a live comparison.)
-//!
 //! The scheduler's frontier counters (`frontier_parks`,
 //! `frontier_stall_us`, `max_reorder_depth`) are carried through the
 //! scaling entries and **printed as informational fields** — the
@@ -187,24 +178,10 @@ struct Skewed {
     chunks_stolen: u64,
 }
 
-/// The per-image inference-latency artefact (`inference_latency.json`).
-#[derive(Debug, Deserialize)]
-struct Inference {
-    bench: String,
-    images: u64,
-    rounds: u64,
-    samples: u64,
-    scratch_p50_us: f64,
-    scratch_p99_us: f64,
-    arena_grow_events: u64,
-}
-
 /// Regeneration hint for the scaling/steal artefacts.
 const BENCH_HINT: &str = "cargo bench -p relcnn-bench --bench runtime_scaling --bench skewed_steal";
 /// Regeneration hint for the serving artefact.
 const SERVE_HINT: &str = "cargo run --release -p relcnn-bench --bin serve_bench";
-/// Regeneration hint for the inference-latency artefact.
-const INFER_HINT: &str = "cargo run --release -p relcnn-bench --bin inference_bench";
 
 /// A fresh artefact paired with its committed baseline — the one shape
 /// every check in this gate compares.
@@ -616,41 +593,6 @@ fn check_serving(pair: &Baselined<Serving>, tol: f64, failures: &mut Vec<String>
     }
 }
 
-/// Gates the per-image inference latency: a baseline-relative ceiling
-/// on the scratch p99, and the zero-allocation invariant (no arena
-/// growth after warmup).
-fn check_inference(pair: &Baselined<Inference>, tol: f64, failures: &mut Vec<String>) {
-    let (fresh, base) = (&pair.fresh, &pair.base);
-    assert_eq!(fresh.bench, "inference_latency");
-    println!(
-        "inference_latency: {} samples over {} images x {} rounds; \
-         scratch p50/p99 {:.0}/{:.0} us (baseline scratch p99 {:.0} us); \
-         {} arena grow events",
-        fresh.samples,
-        fresh.images,
-        fresh.rounds,
-        fresh.scratch_p50_us,
-        fresh.scratch_p99_us,
-        base.scratch_p99_us,
-        fresh.arena_grow_events,
-    );
-    gate_not_above(
-        failures,
-        "inference_latency: scratch p99 vs baseline",
-        fresh.scratch_p99_us,
-        base.scratch_p99_us,
-        tol,
-        0.0,
-    );
-    if fresh.arena_grow_events > 8 {
-        failures.push(format!(
-            "inference_latency: {} arena grow events (warmup should settle \
-             the arena in at most one growth per distinct layer buffer)",
-            fresh.arena_grow_events
-        ));
-    }
-}
-
 /// The cluster smoke's counter summary (`results/cluster_smoke.json`).
 #[derive(Deserialize)]
 struct ClusterSmoke {
@@ -808,10 +750,6 @@ fn main() -> ExitCode {
     }
     match load_pair::<Serving>("serving_latency.json", SERVE_HINT) {
         Ok(pair) => check_serving(&pair, tol, &mut failures),
-        Err(e) => failures.push(e),
-    }
-    match load_pair::<Inference>("inference_latency.json", INFER_HINT) {
-        Ok(pair) => check_inference(&pair, tol, &mut failures),
         Err(e) => failures.push(e),
     }
     check_cluster(&mut failures);

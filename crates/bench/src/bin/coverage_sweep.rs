@@ -22,7 +22,7 @@ use relcnn_faults::{BerInjector, FaultInjector, FaultSite};
 use relcnn_relexec::conv::{reliable_conv2d, ReliableConvConfig};
 use relcnn_relexec::{BucketConfig, DmrAlu, PlainAlu, RedundancyMode, RetryPolicy, TmrAlu};
 use relcnn_runtime::{
-    run_campaign_sink, CampaignConfig, CampaignSink, EarlyStop, JsonlSink, TrialOutcome,
+    CampaignSink, EarlyStop, Engine, FnTrial, JsonlSink, RunPlan, TrialCtx, TrialOutcome,
     TrialResult,
 };
 use relcnn_tensor::conv::{conv2d, ConvGeometry};
@@ -66,7 +66,7 @@ fn main() {
     let mut rows = Vec::new();
     for ber in [1e-5f64, 1e-4, 1e-3] {
         for mode in RedundancyMode::ALL {
-            let campaign = CampaignConfig::new(trials, 0xC0FFEE ^ (ber.to_bits()));
+            let plan = RunPlan::new(trials, 0xC0FFEE ^ (ber.to_bits()));
             // Point header: the trial/footer lines that follow (until the
             // next header) belong to this (ber, mode) campaign. Trial
             // indices restart at 0 per point.
@@ -80,8 +80,8 @@ fn main() {
             // nothing. The stop point is a deterministic shard boundary.
             let policy = EarlyStop::on_ci_width(0.02, trials / 4);
             let sink = JsonlSink::new(&mut jsonl, CampaignSink::new(policy));
-            let outcome = run_campaign_sink(&campaign, sink, |seed| {
-                let injector = BerInjector::new(seed, ber)
+            let trial = FnTrial::new(|ctx: &mut TrialCtx| {
+                let injector = BerInjector::new(ctx.seed, ber)
                     .with_sites(vec![FaultSite::Multiplier, FaultSite::Accumulator]);
                 let run = |out: Result<relcnn_relexec::conv::ConvOutput, _>| match out {
                     Err(_) => (TrialOutcome::DetectedAborted, Default::default()),
@@ -129,6 +129,7 @@ fn main() {
                     injector: injector_stats,
                 }
             });
+            let outcome = Engine::default().run(&plan, &trial, sink);
             let report = outcome.summary;
 
             let silent_rate = report.silent as f64 / report.trials as f64;

@@ -59,8 +59,8 @@
 
 use relcnn_bench::workload::{Profile, BASE_SEED, SHARDS, TRIALS};
 use relcnn_runtime::{
-    run_campaign_sink_on, run_campaign_source_on, CampaignConfig, CampaignSink, EarlyStop, Engine,
-    FnSource, JsonlSink, RunOutcome, Sink, SliceSource, TrialResult,
+    CampaignSink, EarlyStop, Engine, FnSource, FnSourcedTrial, FnTrial, JsonlSink, RunOutcome,
+    RunPlan, Sink, SliceSource, TrialCtx, TrialResult,
 };
 
 /// Which route delivers the workload descriptors to the workers.
@@ -78,31 +78,33 @@ enum Source {
 /// (plain or metrics-observed — the artefact bytes must not care).
 fn run_one<S: Sink<TrialResult>>(
     engine: &Engine,
-    config: &CampaignConfig,
+    plan: &RunPlan,
     profile: Profile,
     source: Source,
     sink: S,
 ) -> RunOutcome<S::Summary> {
     match source {
-        Source::Plan => run_campaign_sink_on(engine, config, sink, move |seed| {
-            profile.run(profile.item(seed - BASE_SEED), seed)
-        }),
+        Source::Plan => engine.run(
+            plan,
+            &FnTrial::new(move |ctx: &mut TrialCtx| profile.trial(ctx.seed)),
+            sink,
+        ),
         Source::Eager => {
             let dataset: Vec<u64> = (0..TRIALS).map(|i| profile.item(i)).collect();
-            run_campaign_source_on(
-                engine,
-                config,
+            engine.run_source(
+                plan,
                 &SliceSource::new(&dataset),
+                &FnSourcedTrial::new(move |item: &u64, ctx: &mut TrialCtx| {
+                    profile.run(*item, ctx.seed)
+                }),
                 sink,
-                move |item: &u64, seed| profile.run(*item, seed),
             )
         }
-        Source::Streaming => run_campaign_source_on(
-            engine,
-            config,
+        Source::Streaming => engine.run_source(
+            plan,
             &FnSource::new(TRIALS, move |i| profile.item(i)),
+            &FnSourcedTrial::new(move |item, ctx: &mut TrialCtx| profile.run(item, ctx.seed)),
             sink,
-            move |item, seed| profile.run(item, seed),
         ),
     }
 }
@@ -176,8 +178,7 @@ fn main() {
     }
     let Some(out) = out else { usage() };
 
-    let config = CampaignConfig::new(TRIALS, BASE_SEED)
-        .with_threads(workers)
+    let plan = RunPlan::new(TRIALS, BASE_SEED)
         .with_shards(SHARDS)
         .with_chunk(chunk)
         .with_reorder_budget(reorder_budget);
@@ -215,7 +216,7 @@ fn main() {
     // path (every trial crosses the channel and is replayed per-`absorb`).
     let file = std::fs::File::create(&out).unwrap_or_else(|e| panic!("create {out}: {e}"));
     let sink = JsonlSink::new(file, CampaignSink::new(policy)).without_footer();
-    let outcome = run_one(&engine, &config, profile, source, sink);
+    let outcome = run_one(&engine, &plan, profile, source, sink);
 
     // Second run on the bare `CampaignSink`: the partial-aggregation
     // path, where workers fold chunk-local `CampaignReport`s and no raw
@@ -223,7 +224,7 @@ fn main() {
     // artefact, so the CI byte-diff across worker counts covers *both*
     // result paths — and the two paths must agree with each other here
     // and now.
-    let partial = run_one(&engine, &config, profile, source, CampaignSink::new(policy));
+    let partial = run_one(&engine, &plan, profile, source, CampaignSink::new(policy));
     assert_eq!(
         partial.summary, outcome.summary,
         "partial-aggregation path diverged from the raw-replay path"

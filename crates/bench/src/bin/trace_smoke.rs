@@ -28,9 +28,7 @@ use relcnn_bench::workload::{
 use relcnn_cluster::{run_cluster, run_worker_if_spawned, ChaosPlan, ClusterConfig, ClusterHooks};
 use relcnn_faults::SkewedCost;
 use relcnn_obs::trace::{export_chrome, validate, ParsedTrace, TraceRecorder, TraceSnapshot};
-use relcnn_runtime::{
-    run_campaign_sink_on, CampaignConfig, CampaignSink, EarlyStop, Engine, JsonlSink,
-};
+use relcnn_runtime::{CampaignSink, EarlyStop, Engine, FnTrial, JsonlSink, RunPlan, TrialCtx};
 use relcnn_serve::{
     BatchPolicy, CnnBackend, ControllerConfig, LoadGen, LoadGenConfig, Server, ServerConfig,
     ServiceModel,
@@ -69,17 +67,18 @@ fn assert_identical(leg: &str, traced: &str, reference: &str) {
 /// engine. Returns the artefact string.
 fn campaign_artifact(recorder: &TraceRecorder) -> String {
     let profile = Profile::Latency;
-    let config = CampaignConfig::new(TRIALS, BASE_SEED)
-        .with_threads(4)
+    let plan = RunPlan::new(TRIALS, BASE_SEED)
         .with_shards(SHARDS)
         .with_chunk(2);
     let engine = Engine::with_workers(4).traced(recorder);
     let mut buf = Vec::new();
     let sink =
         JsonlSink::new(&mut buf, CampaignSink::new(EarlyStop::on_escalations(48))).without_footer();
-    run_campaign_sink_on(&engine, &config, sink, move |seed| {
-        profile.run(profile.item(seed - BASE_SEED), seed)
-    });
+    engine.run(
+        &plan,
+        &FnTrial::new(move |ctx: &mut TrialCtx| profile.trial(ctx.seed)),
+        sink,
+    );
     String::from_utf8(buf).expect("JSONL artefact is UTF-8")
 }
 

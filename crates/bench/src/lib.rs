@@ -1,10 +1,10 @@
 //! Shared plumbing for the `relcnn` benchmark harness.
 //!
 //! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper (see `DESIGN.md` §4 for the experiment index); the Criterion
-//! benches in `benches/` provide statistically robust timing for the
-//! quantities Table 1 reports. This library holds the small amount of
-//! shared output plumbing.
+//! paper (see the README's *Paper ↔ repo map* for the experiment index);
+//! the Criterion benches in `benches/` provide statistically robust
+//! timing for the quantities Table 1 reports. This library holds the
+//! small amount of shared output plumbing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,8 +12,8 @@
 use relcnn_cluster::{JobSpec, TaskOutput};
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite, OpContext, SkewedCost};
 use relcnn_runtime::{
-    merge_in_order, run_campaign_window_sink, CampaignConfig, CampaignReport, CampaignSink,
-    EarlyStop, JsonlSink, TrialOutcome, TrialResult,
+    merge_in_order, CampaignReport, CampaignSink, EarlyStop, Engine, FnTrial, JsonlSink, RunPlan,
+    TrialCtx, TrialOutcome, TrialResult,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -134,10 +134,12 @@ pub fn cluster_job(profile: Profile, threads: usize) -> JobSpec {
 pub fn cluster_task(job: &JobSpec, shard_lo: usize, shard_hi: usize) -> (String, String) {
     let profile = Profile::parse(&job.workload)
         .unwrap_or_else(|| panic!("unknown workload {:?}", job.workload));
-    let config = CampaignConfig::new(job.trials, job.seed)
-        .with_threads(job.threads)
+    // The plan is the *full* campaign's, so the window's result stream is
+    // the corresponding slice of a single-process run.
+    let plan = RunPlan::new(job.trials, job.seed)
         .with_shards(job.shards)
-        .with_chunk(job.chunk);
+        .with_chunk(job.chunk)
+        .with_shard_window(shard_lo, shard_hi);
     let buf = Arc::new(Mutex::new(Vec::new()));
     // No early stop: distributed tasks see only their window, so a stop
     // decision could not match the full run's (mirrors `--no-abort`).
@@ -146,9 +148,11 @@ pub fn cluster_task(job: &JobSpec, shard_lo: usize, shard_hi: usize) -> (String,
         CampaignSink::new(EarlyStop::never()),
     )
     .without_footer();
-    let outcome = run_campaign_window_sink(&config, shard_lo, shard_hi, sink, move |seed| {
-        profile.trial(seed)
-    });
+    let outcome = Engine::with_workers(job.threads).run(
+        &plan,
+        &FnTrial::new(move |ctx: &mut TrialCtx| profile.trial(ctx.seed)),
+        sink,
+    );
     let payload = String::from_utf8(std::mem::take(&mut *buf.lock().expect("buffer poisoned")))
         .expect("JSONL artefact is UTF-8");
     let partial = serde_json::to_string(&outcome.summary).expect("partial aggregate serialization");

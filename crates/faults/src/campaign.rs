@@ -6,13 +6,17 @@
 //! machinery behind experiments X3/X4 (detection coverage vs bit error
 //! rate; leaky-bucket availability).
 //!
-//! This module defines the *data* side of that story: trial outcomes,
-//! campaign parameters, and the [`CampaignReport`] aggregate with its
-//! streaming [`record`](CampaignReport::record)/[`merge`](CampaignReport::merge)
+//! This module defines the *data* side of that story: trial outcomes and
+//! the [`CampaignReport`] aggregate with its streaming
+//! [`record`](CampaignReport::record)/[`merge`](CampaignReport::merge)
 //! operations. *Execution* — the sharded, multi-threaded worker pool that
 //! actually runs trials and feeds this aggregation — lives in the
-//! `relcnn-runtime` crate (`relcnn_runtime::run_campaign`), which layers
-//! deterministic sharding and early-abort hooks on top of these types.
+//! `relcnn-runtime` crate: a campaign is described by a
+//! `relcnn_runtime::RunPlan` (trials, base seed, shards, scheduling knobs)
+//! and started on a `relcnn_runtime::Engine`, which owns the worker count;
+//! `relcnn_runtime::run_campaign(&engine, &plan, policy, trial_fn)` is the
+//! closure-and-`CampaignSink` shorthand. Trial `i` sees seed
+//! `plan.seed + i`, so reports can cite exact reproduction commands.
 
 use crate::injector::InjectorStats;
 use serde::{Deserialize, Serialize};
@@ -49,92 +53,6 @@ pub struct TrialResult {
     pub outcome: TrialOutcome,
     /// Injector counters for the trial.
     pub injector: InjectorStats,
-}
-
-/// Campaign parameters.
-///
-/// Worker-thread count is an *execution* knob: it never changes the
-/// aggregate statistics. The runtime partitions trials into `shards`
-/// fixed, scheduling-independent blocks, so a campaign's results are a
-/// pure function of `(trials, base_seed, shards)`. The `chunk` size is
-/// even weaker: it only tunes work-stealing granularity and does not
-/// change results at all (any chunking of the same shards aggregates
-/// identically).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CampaignConfig {
-    /// Number of independent trials.
-    pub trials: u64,
-    /// Base seed; trial `i` derives seed `base_seed + i` (documented so
-    /// reports can cite exact reproduction commands).
-    pub base_seed: u64,
-    /// Worker threads (0 = available parallelism).
-    pub threads: usize,
-    /// Work-queue shards (0 = runtime default). Part of the experiment's
-    /// identity: shard boundaries fix the early-abort decision points.
-    pub shards: usize,
-    /// Trials per work-stealing chunk (0 = runtime default). Pure
-    /// scheduling knob: smaller chunks rebalance skewed trial costs
-    /// better at slightly higher queue traffic.
-    pub chunk: u64,
-    /// Whether the runtime may split a claimed chunk further *mid-run*
-    /// when its starvation counters show idle workers (adaptive chunk
-    /// sizing). Another pure scheduling knob — splitting never changes a
-    /// trial's inputs or the aggregate — kept configurable so benchmarks
-    /// can pin the static granularity of earlier engine generations.
-    pub adaptive: bool,
-    /// Maximum trials workers may execute ahead of the runtime's
-    /// released watermark (0 = unbounded): hard-caps the aggregator's
-    /// out-of-order buffer at this many trials. Pure scheduling flow
-    /// control — any budget produces the identical aggregate; a tight
-    /// budget trades worker parallelism for bounded reorder memory.
-    pub reorder_budget: u64,
-}
-
-impl CampaignConfig {
-    /// Creates a config with the given trial count and seed, auto
-    /// threads/shards/chunking and adaptive chunk splitting enabled.
-    pub fn new(trials: u64, base_seed: u64) -> Self {
-        CampaignConfig {
-            trials,
-            base_seed,
-            threads: 0,
-            shards: 0,
-            chunk: 0,
-            adaptive: true,
-            reorder_budget: 0,
-        }
-    }
-
-    /// Overrides the worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Overrides the shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Overrides the work-stealing chunk size.
-    pub fn with_chunk(mut self, chunk: u64) -> Self {
-        self.chunk = chunk;
-        self
-    }
-
-    /// Enables or disables mid-run adaptive chunk splitting.
-    pub fn with_adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// Caps how many trials workers may run ahead of the released
-    /// watermark (0 = unbounded).
-    pub fn with_reorder_budget(mut self, budget: u64) -> Self {
-        self.reorder_budget = budget;
-        self
-    }
 }
 
 /// Aggregated campaign results.
@@ -388,13 +306,6 @@ mod tests {
         let mut reversed = report;
         reversed.merge(&CampaignReport::default());
         assert_eq!(reversed, report);
-    }
-
-    #[test]
-    fn config_adaptive_defaults_on_and_toggles() {
-        let config = CampaignConfig::new(10, 1);
-        assert!(config.adaptive);
-        assert!(!config.with_adaptive(false).adaptive);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper trains AlexNet on the German Traffic Sign Recognition
 //! Benchmark (GTSRB, \[50\]) and uses a slightly angled stop sign from it
 //! for Figure 3. Real GTSRB photographs are not redistributable here, so
-//! this crate provides the documented substitution (DESIGN.md §2): a
-//! **procedural renderer** that draws the geometry the experiments
+//! this crate provides the documented substitution (README, *Workspace
+//! layout*): a **procedural renderer** that draws the geometry the experiments
 //! actually depend on — signs whose *shape* (octagon, circle, triangle,
 //! diamond, square) is recoverable by deterministic edge analysis —
 //! under seeded pose, lighting, clutter and noise variation.

@@ -1,8 +1,8 @@
 //! From-scratch CNN framework: the trainable substrate of the hybrid CNN.
 //!
 //! The paper uses TensorFlow + AlexNet; this crate is the documented
-//! substitution (DESIGN.md §2): a small, dependency-free deep-learning
-//! framework with exactly the pieces the experiments need —
+//! substitution (README, *Workspace layout*): a small, dependency-free
+//! deep-learning framework with exactly the pieces the experiments need —
 //!
 //! * layers: [`Conv2d`], [`ReLU`], [`MaxPool2d`], [`LocalResponseNorm`],
 //!   [`Flatten`], [`Dense`], [`Dropout`] (all with exact backprop);

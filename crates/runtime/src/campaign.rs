@@ -1,24 +1,23 @@
 //! Fault-injection campaigns on the engine.
 //!
-//! The data types ([`CampaignConfig`], [`CampaignReport`], …) live in
-//! `relcnn_faults::campaign`; this module supplies their *execution*: a
-//! sharded, multi-threaded run whose aggregate is bit-identical for any
-//! worker count, with optional statistical early stopping.
+//! The data types ([`TrialResult`], [`CampaignReport`], …) live in
+//! `relcnn_faults::campaign`; this module supplies their *execution*: the
+//! [`CampaignSink`] aggregate and [`EarlyStop`] policy an
+//! [`Engine`] run feeds. A campaign is described by a [`RunPlan`] and
+//! started on an [`Engine`] — the aggregate is bit-identical for any
+//! worker count.
 
 use crate::agg::PartialAggregate;
 use crate::engine::{Engine, RunOutcome, RunPlan, RunStats};
 use crate::sink::{Control, Sink};
-use crate::source::TrialSource;
-use crate::trial::{FnSourcedTrial, FnTrial, TrialCtx};
-pub use relcnn_faults::campaign::{
-    wilson_interval, CampaignConfig, CampaignReport, TrialOutcome, TrialResult,
-};
+use crate::trial::{FnTrial, TrialCtx};
+pub use relcnn_faults::campaign::{wilson_interval, CampaignReport, TrialOutcome, TrialResult};
 
 /// Statistical early-stop policy, evaluated at shard boundaries.
 ///
 /// Stopping decisions only ever see the contiguous prefix of completed
-/// shards, so for a fixed `(config, policy)` the campaign stops after the
-/// same shard regardless of thread count.
+/// shards, so for a fixed `(plan, policy)` the campaign stops after the
+/// same shard regardless of worker count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EarlyStop {
     /// Stop once the Wilson 95% CI on the silent-corruption rate is
@@ -141,172 +140,29 @@ impl Sink<TrialResult> for CampaignSink {
     }
 }
 
-fn plan_of(config: &CampaignConfig) -> RunPlan {
-    let mut plan = RunPlan::new(config.trials, config.base_seed)
-        .with_adaptive(config.adaptive)
-        .with_reorder_budget(config.reorder_budget);
-    if config.shards > 0 {
-        plan = plan.with_shards(config.shards);
-    }
-    if config.chunk > 0 {
-        plan = plan.with_chunk(config.chunk);
-    }
-    plan
-}
-
-/// Runs a campaign through the engine with a custom sink wrapped around
-/// the aggregation (e.g. [`JsonlSink`](crate::JsonlSink)).
-pub fn run_campaign_sink<F, S>(
-    config: &CampaignConfig,
-    sink: S,
-    trial_fn: F,
-) -> RunOutcome<S::Summary>
-where
-    F: Fn(u64) -> TrialResult + Sync,
-    S: Sink<TrialResult>,
-{
-    run_campaign_sink_on(
-        &Engine::with_workers(config.threads),
-        config,
-        sink,
-        trial_fn,
-    )
-}
-
-/// [`run_campaign_sink`] on a caller-supplied engine — the entry point
-/// for campaigns that should publish live metrics: build the engine once
-/// with [`Engine::observed`](crate::Engine) and run through it. The
-/// engine's worker configuration wins over `config.threads` (the plan —
-/// and with it every deterministic result byte — comes from `config`
-/// either way).
-pub fn run_campaign_sink_on<F, S>(
+/// Runs `plan.trials` independent trials of `trial_fn` (called with the
+/// trial's derived seed `plan.seed + i`) on `engine`, aggregating the
+/// outcomes under the early-stop `policy` — [`FnTrial`] and
+/// [`CampaignSink`] composed for the common case. A campaign that tees to
+/// JSONL, pulls from a [`TrialSource`](crate::TrialSource) or runs one
+/// shard window calls [`Engine::run`] / [`Engine::run_source`] itself.
+///
+/// `trial_fn` must be deterministic in its seed argument; the aggregate is
+/// then bit-identical for every engine worker count.
+pub fn run_campaign<F>(
     engine: &Engine,
-    config: &CampaignConfig,
-    sink: S,
-    trial_fn: F,
-) -> RunOutcome<S::Summary>
-where
-    F: Fn(u64) -> TrialResult + Sync,
-    S: Sink<TrialResult>,
-{
-    engine.run(
-        &plan_of(config),
-        &FnTrial::new(move |ctx: &mut TrialCtx| trial_fn(ctx.seed)),
-        sink,
-    )
-}
-
-/// Runs a campaign whose per-trial inputs come from a
-/// [`TrialSource`] — a generated or streamed dataset is pulled one
-/// scheduling chunk at a time on the worker that executes it, never
-/// materialised whole. `trial_fn` receives the pulled item and the
-/// trial's derived seed (`base_seed + i`, the documented reproduction
-/// contract).
-///
-/// Determinism is unchanged: provided the source is a pure function of
-/// the trial index (see the trait docs), the aggregate — and any teed
-/// JSONL artefact — is byte-identical to an eager run over the
-/// materialised dataset, at every worker count and reorder budget. The
-/// CI determinism matrix enforces exactly that equivalence.
-///
-/// # Panics
-///
-/// Panics when `config.trials` disagrees with `source.len()`.
-pub fn run_campaign_source<Src, F, S>(
-    config: &CampaignConfig,
-    source: &Src,
-    sink: S,
-    trial_fn: F,
-) -> RunOutcome<S::Summary>
-where
-    Src: TrialSource,
-    F: Fn(Src::Item, u64) -> TrialResult + Sync,
-    S: Sink<TrialResult>,
-{
-    run_campaign_source_on(
-        &Engine::with_workers(config.threads),
-        config,
-        source,
-        sink,
-        trial_fn,
-    )
-}
-
-/// [`run_campaign_source`] on a caller-supplied engine (see
-/// [`run_campaign_sink_on`] for when and why).
-pub fn run_campaign_source_on<Src, F, S>(
-    engine: &Engine,
-    config: &CampaignConfig,
-    source: &Src,
-    sink: S,
-    trial_fn: F,
-) -> RunOutcome<S::Summary>
-where
-    Src: TrialSource,
-    F: Fn(Src::Item, u64) -> TrialResult + Sync,
-    S: Sink<TrialResult>,
-{
-    engine.run_source(
-        &plan_of(config),
-        source,
-        &FnSourcedTrial::new(move |item, ctx: &mut TrialCtx| trial_fn(item, ctx.seed)),
-        sink,
-    )
-}
-
-/// Runs only the shards in `[shard_lo, shard_hi)` of `config`'s campaign
-/// — the cluster worker's entry point. The plan (and with it the shard
-/// partition, every trial's global index, seed and RNG stream) is the
-/// *full* campaign's, so the windowed result stream is bit-identical to
-/// the corresponding slice of a single-process run and disjoint windows
-/// merged in shard order ([`merge_in_order`](crate::merge_in_order))
-/// reproduce the full aggregate exactly.
-///
-/// No early-stop policy parameter on purpose: a stop decision taken on
-/// one window's prefix would not be the decision the full run takes, so
-/// distributed campaigns run every assigned trial.
-pub fn run_campaign_window_sink<F, S>(
-    config: &CampaignConfig,
-    shard_lo: usize,
-    shard_hi: usize,
-    sink: S,
-    trial_fn: F,
-) -> RunOutcome<S::Summary>
-where
-    F: Fn(u64) -> TrialResult + Sync,
-    S: Sink<TrialResult>,
-{
-    Engine::with_workers(config.threads).run(
-        &plan_of(config).with_shard_window(shard_lo, shard_hi),
-        &FnTrial::new(move |ctx: &mut TrialCtx| trial_fn(ctx.seed)),
-        sink,
-    )
-}
-
-/// Runs a campaign with an early-stop policy, returning the aggregate and
-/// the engine's throughput/latency counters.
-pub fn run_campaign_with<F>(
-    config: &CampaignConfig,
+    plan: &RunPlan,
     policy: EarlyStop,
     trial_fn: F,
 ) -> RunOutcome<CampaignReport>
 where
     F: Fn(u64) -> TrialResult + Sync,
 {
-    run_campaign_sink(config, CampaignSink::new(policy), trial_fn)
-}
-
-/// Runs `config.trials` independent trials of `trial_fn` (called with the
-/// trial's derived seed `base_seed + i`) across the worker pool,
-/// aggregating the outcomes.
-///
-/// `trial_fn` must be deterministic in its seed argument; the aggregate is
-/// then bit-identical for every `threads` setting.
-pub fn run_campaign<F>(config: &CampaignConfig, trial_fn: F) -> CampaignReport
-where
-    F: Fn(u64) -> TrialResult + Sync,
-{
-    run_campaign_with(config, EarlyStop::never(), trial_fn).summary
+    engine.run(
+        plan,
+        &FnTrial::new(move |ctx: &mut TrialCtx| trial_fn(ctx.seed)),
+        CampaignSink::new(policy),
+    )
 }
 
 #[cfg(test)]
@@ -327,14 +183,19 @@ mod tests {
 
     #[test]
     fn aggregates_counts() {
-        let config = CampaignConfig::new(100, 0).with_threads(4);
-        let report = run_campaign(&config, |seed| {
-            fake_trial(if seed % 4 == 0 {
-                TrialOutcome::SilentCorruption
-            } else {
-                TrialOutcome::Correct
-            })
-        });
+        let report = run_campaign(
+            &Engine::with_workers(4),
+            &RunPlan::new(100, 0),
+            EarlyStop::never(),
+            |seed| {
+                fake_trial(if seed % 4 == 0 {
+                    TrialOutcome::SilentCorruption
+                } else {
+                    TrialOutcome::Correct
+                })
+            },
+        )
+        .summary;
         assert_eq!(report.trials, 100);
         assert_eq!(report.silent, 25);
         assert_eq!(report.correct, 75);
@@ -346,17 +207,22 @@ mod tests {
     fn deterministic_across_thread_counts() {
         // Outcome depends only on seed, so aggregation must not depend on
         // scheduling.
-        let run = |threads| {
-            let config = CampaignConfig::new(64, 7).with_threads(threads);
-            run_campaign(&config, |seed| {
-                let mut inj = BerInjector::new(seed, 0.5);
-                let v = inj.perturb(OpContext::new(FaultSite::Multiplier, 0), 1.0);
-                fake_trial(if v == 1.0 {
-                    TrialOutcome::Correct
-                } else {
-                    TrialOutcome::DetectedRecovered
-                })
-            })
+        let run = |workers| {
+            run_campaign(
+                &Engine::with_workers(workers),
+                &RunPlan::new(64, 7),
+                EarlyStop::never(),
+                |seed| {
+                    let mut inj = BerInjector::new(seed, 0.5);
+                    let v = inj.perturb(OpContext::new(FaultSite::Multiplier, 0), 1.0);
+                    fake_trial(if v == 1.0 {
+                        TrialOutcome::Correct
+                    } else {
+                        TrialOutcome::DetectedRecovered
+                    })
+                },
+            )
+            .summary
         };
         let a = run(1);
         let b = run(8);
@@ -365,8 +231,13 @@ mod tests {
 
     #[test]
     fn zero_trials_report() {
-        let config = CampaignConfig::new(0, 0).with_threads(2);
-        let report = run_campaign(&config, |_| fake_trial(TrialOutcome::Correct));
+        let report = run_campaign(
+            &Engine::with_workers(2),
+            &RunPlan::new(0, 0),
+            EarlyStop::never(),
+            |_| fake_trial(TrialOutcome::Correct),
+        )
+        .summary;
         assert_eq!(report.trials, 0);
         assert_eq!(report.safety_rate(), 1.0);
     }
@@ -375,13 +246,13 @@ mod tests {
     fn ci_early_stop_is_thread_count_invariant() {
         // All-correct trials tighten the silent-rate CI rapidly; the stop
         // point (a shard boundary) must not depend on the worker count.
-        let run = |threads| {
-            let config = CampaignConfig::new(10_000, 3)
-                .with_threads(threads)
-                .with_shards(50);
-            run_campaign_with(&config, EarlyStop::on_ci_width(0.02, 100), |_| {
-                fake_trial(TrialOutcome::Correct)
-            })
+        let run = |workers| {
+            run_campaign(
+                &Engine::with_workers(workers),
+                &RunPlan::new(10_000, 3).with_shards(50),
+                EarlyStop::on_ci_width(0.02, 100),
+                |_| fake_trial(TrialOutcome::Correct),
+            )
         };
         let a = run(1);
         let b = run(4);
@@ -396,14 +267,18 @@ mod tests {
 
     #[test]
     fn escalation_early_stop_fires() {
-        let config = CampaignConfig::new(5_000, 11).with_shards(25);
-        let outcome = run_campaign_with(&config, EarlyStop::on_escalations(5), |seed| {
-            fake_trial(if seed % 100 == 0 {
-                TrialOutcome::DetectedAborted
-            } else {
-                TrialOutcome::Correct
-            })
-        });
+        let outcome = run_campaign(
+            &Engine::default(),
+            &RunPlan::new(5_000, 11).with_shards(25),
+            EarlyStop::on_escalations(5),
+            |seed| {
+                fake_trial(if seed % 100 == 0 {
+                    TrialOutcome::DetectedAborted
+                } else {
+                    TrialOutcome::Correct
+                })
+            },
+        );
         assert!(outcome.stats.aborted);
         assert!(outcome.summary.detected_aborted >= 5);
         assert!(outcome.summary.trials < 5_000);
@@ -412,9 +287,9 @@ mod tests {
     #[test]
     fn windowed_campaigns_merge_into_the_full_report() {
         // Distribution contract: disjoint shard windows, each run with a
-        // different thread count, merged in shard order must equal the
+        // different worker count, merged in shard order must equal the
         // single-process campaign exactly.
-        let config = CampaignConfig::new(240, 0xD17E).with_shards(12);
+        let plan = RunPlan::new(240, 0xD17E).with_shards(12);
         let trial = |seed: u64| {
             let mut inj = BerInjector::new(seed, 0.5);
             let v = inj.perturb(OpContext::new(FaultSite::Multiplier, 0), 1.0);
@@ -424,16 +299,14 @@ mod tests {
                 TrialOutcome::SilentCorruption
             })
         };
-        let full = run_campaign(&config, trial);
+        let full = run_campaign(&Engine::default(), &plan, EarlyStop::never(), trial).summary;
         let parts: Vec<CampaignReport> = [(0usize, 5usize, 1), (5, 8, 2), (8, 12, 4)]
             .iter()
-            .map(|&(lo, hi, threads)| {
-                let config = config.with_threads(threads);
-                run_campaign_window_sink(
-                    &config,
-                    lo,
-                    hi,
-                    CampaignSink::new(EarlyStop::never()),
+            .map(|&(lo, hi, workers)| {
+                run_campaign(
+                    &Engine::with_workers(workers),
+                    &plan.with_shard_window(lo, hi),
+                    EarlyStop::never(),
                     trial,
                 )
                 .summary
@@ -445,14 +318,18 @@ mod tests {
 
     #[test]
     fn throughput_counters_populated() {
-        let config = CampaignConfig::new(500, 1).with_threads(2);
-        let outcome = run_campaign_with(&config, EarlyStop::never(), |seed| {
-            fake_trial(if seed % 2 == 0 {
-                TrialOutcome::Correct
-            } else {
-                TrialOutcome::DetectedRecovered
-            })
-        });
+        let outcome = run_campaign(
+            &Engine::with_workers(2),
+            &RunPlan::new(500, 1),
+            EarlyStop::never(),
+            |seed| {
+                fake_trial(if seed % 2 == 0 {
+                    TrialOutcome::Correct
+                } else {
+                    TrialOutcome::DetectedRecovered
+                })
+            },
+        );
         assert_eq!(outcome.stats.trials, 500);
         assert!(outcome.stats.throughput > 0.0);
         assert!(outcome.stats.wall > std::time::Duration::ZERO);

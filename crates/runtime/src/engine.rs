@@ -108,13 +108,6 @@ pub const CHANNEL_DEPTH_PER_WORKER: usize = 4;
 /// raw-results envelope can pin.
 const COALESCE_TRIALS: u64 = 1024;
 
-/// Engine construction parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineConfig {
-    /// Worker threads (0 = available parallelism).
-    pub workers: usize,
-}
-
 /// What to execute: the deterministic identity of a run.
 ///
 /// Two runs with equal plans produce bit-identical sink streams,
@@ -130,7 +123,9 @@ pub struct RunPlan {
     /// Shard count (0 = `min(DEFAULT_SHARDS, trials)`).
     pub shards: usize,
     /// Trials per scheduling chunk (0 = shard length divided by
-    /// [`DEFAULT_CHUNKS_PER_SHARD`], at least 1).
+    /// [`DEFAULT_CHUNKS_PER_SHARD`], floored at
+    /// `min(`[`MIN_AUTO_CHUNK`]`, shard length)` — so shards of up to
+    /// `MIN_AUTO_CHUNK` trials stay whole).
     pub chunk: u64,
     /// Whether workers may split claimed chunks mid-run when the
     /// starvation counters show idle workers. Pure scheduling (never
@@ -518,12 +513,13 @@ fn take_block<T>(pool: &Mutex<Vec<Vec<T>>>, cap: usize) -> Vec<T> {
 }
 
 /// The worker-pool engine. Cheap to construct; holds no threads between
-/// runs. Clones share the live-metrics handles (the config is copied),
-/// so a cloned engine publishes into — and
+/// runs. Clones share the live-metrics handles (the worker count is
+/// copied), so a cloned engine publishes into — and
 /// [`stats_snapshot`](Engine::stats_snapshot)s — the same counters.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
-    config: EngineConfig,
+    /// Worker threads (0 = available parallelism).
+    workers: usize,
     /// Live publication handles, updated by workers and the aggregator
     /// as a run executes. Unregistered by default (private atomics);
     /// [`observed`](Engine::observed) swaps in registry-backed handles.
@@ -538,18 +534,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with explicit configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        Engine {
-            config,
-            metrics: Arc::new(EngineMetrics::unregistered()),
-            trace: TraceRecorder::off(),
-        }
-    }
-
     /// An engine with a fixed worker count (0 = available parallelism).
     pub fn with_workers(workers: usize) -> Self {
-        Engine::new(EngineConfig { workers })
+        Engine {
+            workers,
+            ..Engine::default()
+        }
     }
 
     /// Attaches this engine's live metrics to `registry`: subsequent
@@ -592,8 +582,8 @@ impl Engine {
     /// the serving layer keeps one engine and dispatches every
     /// micro-batch through it.
     pub fn configured_workers(&self) -> usize {
-        if self.config.workers > 0 {
-            self.config.workers
+        if self.workers > 0 {
+            self.workers
         } else {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -608,19 +598,12 @@ impl Engine {
     /// the trial count (a coarse `with_chunk` plan on a big machine must
     /// not pin the pool to its initial chunk count).
     fn effective_workers(&self, plan: &RunPlan, chunks: usize) -> usize {
-        let requested = if self.config.workers > 0 {
-            self.config.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
         let cap = if plan.adaptive {
             usize::try_from(plan.trials).unwrap_or(usize::MAX)
         } else {
             chunks
         };
-        requested.clamp(1, cap.max(1))
+        self.configured_workers().clamp(1, cap.max(1))
     }
 
     /// Runs `plan.trials` index-driven trials through the worker pool,
@@ -1399,6 +1382,7 @@ mod tests {
             .with_shards(2)
             .with_chunk(32)
             .with_adaptive(false);
+        assert!(RunPlan::new(64, 3).adaptive, "splitting defaults on");
         let slow = FnTrial::new(|ctx: &mut TrialCtx| {
             std::thread::sleep(Duration::from_micros(200));
             ctx.index

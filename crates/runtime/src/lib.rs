@@ -9,6 +9,7 @@
 //!
 //! ```text
 //!   RunPlan { trials, seed, shards, chunk, adaptive, reorder_budget, shard_window }
+//!        │  (what runs: the result's identity)       Engine::with_workers(N + 1)
 //!        │             ┌────────────────┐ pop front  ┌─────────┐ pull chunk items
 //!        ├─ shards ────│ deque worker 0 │───────────▶│ worker 0│◀── TrialSource
 //!        │  × chunks   │ deque ...      │ steal back │ ...     │ fold chunk into
@@ -63,7 +64,7 @@
 //!   [`TrialSource`]: workers materialise a generated or streamed
 //!   dataset one chunk at a time ([`FnSource`]), with the in-memory case
 //!   as the eager [`SliceSource`] impl. Campaigns
-//!   ([`run_campaign_source`]) and batched inference
+//!   ([`Engine::run_source`]) and batched inference
 //!   ([`BatchClassify::classify_source`]) ride the same seam, so the
 //!   serving layer dispatches batches without cloning an image.
 //! * **Streaming aggregation** — a [`Sink`] sees results in trial order
@@ -88,20 +89,28 @@
 //!
 //! ## Quickstart: a campaign
 //!
-//! ```rust
-//! use relcnn_runtime::{run_campaign, CampaignConfig, TrialOutcome, TrialResult};
+//! One description of a run ([`RunPlan`]), one way to start it (an
+//! [`Engine`], which owns the worker count). [`run_campaign`] is
+//! [`Engine::run`] with a seed closure and a [`CampaignSink`]; a campaign
+//! that tees to JSONL, pulls from a [`TrialSource`] or runs one
+//! [shard window](RunPlan::with_shard_window) calls the engine directly.
 //!
-//! let config = CampaignConfig::new(1_000, 0xC0FFEE).with_threads(4);
-//! let report = run_campaign(&config, |seed| TrialResult {
-//!     outcome: if seed % 97 == 0 {
-//!         TrialOutcome::DetectedRecovered
-//!     } else {
-//!         TrialOutcome::Correct
-//!     },
-//!     injector: Default::default(),
+//! ```rust
+//! use relcnn_runtime::{run_campaign, EarlyStop, Engine, RunPlan, TrialOutcome, TrialResult};
+//!
+//! let plan = RunPlan::new(1_000, 0xC0FFEE);
+//! let outcome = run_campaign(&Engine::with_workers(4), &plan, EarlyStop::never(), |seed| {
+//!     TrialResult {
+//!         outcome: if seed % 97 == 0 {
+//!             TrialOutcome::DetectedRecovered
+//!         } else {
+//!             TrialOutcome::Correct
+//!         },
+//!         injector: Default::default(),
+//!     }
 //! });
-//! assert_eq!(report.trials, 1_000);
-//! // Identical for any `with_threads(..)` value.
+//! assert_eq!(outcome.summary.trials, 1_000);
+//! // Identical for any `with_workers(..)` value.
 //! ```
 //!
 //! ## Quickstart: batched inference
@@ -134,12 +143,10 @@ mod trial;
 pub use agg::{merge_in_order, PartialAggregate, TrialCount};
 pub use batch::BatchClassify;
 pub use campaign::{
-    run_campaign, run_campaign_sink, run_campaign_sink_on, run_campaign_source,
-    run_campaign_source_on, run_campaign_window_sink, run_campaign_with, CampaignConfig,
-    CampaignReport, CampaignSink, EarlyStop, TrialOutcome, TrialResult,
+    run_campaign, CampaignReport, CampaignSink, EarlyStop, TrialOutcome, TrialResult,
 };
 pub use engine::{
-    chunk_rng, shard_rng, Engine, EngineConfig, RunOutcome, RunPlan, RunStats, WorkerStats,
+    chunk_rng, shard_rng, Engine, RunOutcome, RunPlan, RunStats, WorkerStats,
     CHANNEL_DEPTH_PER_WORKER, DEFAULT_CHUNKS_PER_SHARD, DEFAULT_SHARDS, MIN_AUTO_CHUNK,
 };
 pub use hist::{LatencyHistogram, NUM_BUCKETS};

@@ -70,11 +70,6 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// A private, unregistered bundle (the engine default).
-    pub fn unregistered() -> Self {
-        EngineMetrics::default()
-    }
-
     /// A bundle whose handles are registered on `registry` under the
     /// `relcnn_engine_*` names. Idempotent: a second engine attaching to
     /// the same registry receives the *same* series.
@@ -238,7 +233,7 @@ mod tests {
 
     #[test]
     fn unregistered_metrics_still_snapshot() {
-        let m = EngineMetrics::unregistered();
+        let m = EngineMetrics::default();
         m.runs_started.inc();
         m.trials_executed.add(10);
         m.trial_ns.record(1_500);
@@ -266,7 +261,7 @@ mod tests {
         for v in [100u64, 2_000, 2_000, 1_000_000] {
             lh.record(v);
         }
-        let m = EngineMetrics::unregistered();
+        let m = EngineMetrics::default();
         m.merge_trial_hist(&lh);
         let snap = m.trial_ns.snapshot();
         assert_eq!(snap.count(), lh.count());

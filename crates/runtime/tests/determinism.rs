@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite, OpContext};
 use relcnn_runtime::{
-    run_campaign, run_campaign_sink, run_campaign_source, run_campaign_with, CampaignConfig,
-    CampaignReport, CampaignSink, Control, EarlyStop, FnSource, JsonlSink, RunOutcome, RunStats,
-    Sink, SliceSource, TrialOutcome, TrialResult,
+    run_campaign, CampaignReport, CampaignSink, Control, EarlyStop, Engine, FnSource,
+    FnSourcedTrial, FnTrial, JsonlSink, RunOutcome, RunPlan, RunStats, Sink, SliceSource, TrialCtx,
+    TrialOutcome, TrialResult,
 };
 
 /// A seeded trial whose outcome mixes every `TrialOutcome` variant.
@@ -63,18 +63,18 @@ impl Sink<TrialResult> for ReplaySink {
 
 /// Runs one campaign twice — per-worker partial aggregation vs per-trial
 /// replay — and asserts the aggregate, abort flag and stop shard agree.
-fn assert_partial_matches_replay(config: &CampaignConfig, policy: EarlyStop) {
-    let partial: RunOutcome<CampaignReport> =
-        run_campaign_sink(config, CampaignSink::new(policy), trial);
-    let replay: RunOutcome<CampaignReport> =
-        run_campaign_sink(config, ReplaySink::new(policy), trial);
+fn assert_partial_matches_replay(workers: usize, plan: &RunPlan, policy: EarlyStop) {
+    let engine = Engine::with_workers(workers);
+    let by_seed = FnTrial::new(|ctx: &mut TrialCtx| trial(ctx.seed));
+    let partial: RunOutcome<CampaignReport> = engine.run(plan, &by_seed, CampaignSink::new(policy));
+    let replay: RunOutcome<CampaignReport> = engine.run(plan, &by_seed, ReplaySink::new(policy));
     assert_eq!(
         partial.summary, replay.summary,
-        "partial merge diverged from per-trial replay: {config:?}"
+        "partial merge diverged from per-trial replay: workers={workers} {plan:?}"
     );
-    assert_eq!(partial.stats.aborted, replay.stats.aborted, "{config:?}");
-    assert_eq!(partial.stats.shards, replay.stats.shards, "{config:?}");
-    assert_eq!(partial.stats.trials, replay.stats.trials, "{config:?}");
+    assert_eq!(partial.stats.aborted, replay.stats.aborted, "{plan:?}");
+    assert_eq!(partial.stats.shards, replay.stats.shards, "{plan:?}");
+    assert_eq!(partial.stats.trials, replay.stats.trials, "{plan:?}");
 }
 
 proptest! {
@@ -93,12 +93,11 @@ proptest! {
     ) {
         for workers in [1usize, 2, 8] {
             for chunk in [1u64, 0, trials] {
-                let config = CampaignConfig::new(trials, base_seed)
-                    .with_threads(workers)
+                let plan = RunPlan::new(trials, base_seed)
                     .with_shards(shards)
                     .with_chunk(chunk);
-                assert_partial_matches_replay(&config, EarlyStop::never());
-                assert_partial_matches_replay(&config, EarlyStop::on_escalations(3));
+                assert_partial_matches_replay(workers, &plan, EarlyStop::never());
+                assert_partial_matches_replay(workers, &plan, EarlyStop::on_escalations(3));
             }
         }
     }
@@ -114,11 +113,10 @@ proptest! {
         chunk in 0u64..24,
     ) {
         for workers in [1usize, 2, 8] {
-            let config = CampaignConfig::new(trials, base_seed)
-                .with_threads(workers)
+            let plan = RunPlan::new(trials, base_seed)
                 .with_shards(shards)
                 .with_chunk(chunk);
-            assert_partial_matches_replay(&config, EarlyStop::never());
+            assert_partial_matches_replay(workers, &plan, EarlyStop::never());
         }
     }
 
@@ -133,12 +131,11 @@ proptest! {
         shards in 1usize..40,
         chunk in 0u64..12,
     ) {
-        let report_at = |threads: usize, chunk: u64| {
-            let config = CampaignConfig::new(trials, base_seed)
-                .with_threads(threads)
+        let report_at = |workers: usize, chunk: u64| {
+            let plan = RunPlan::new(trials, base_seed)
                 .with_shards(shards)
                 .with_chunk(chunk);
-            run_campaign(&config, trial)
+            run_campaign(&Engine::with_workers(workers), &plan, EarlyStop::never(), trial).summary
         };
         let one = report_at(1, chunk);
         let two = report_at(2, chunk);
@@ -160,12 +157,16 @@ proptest! {
         base_seed in any::<u64>(),
         chunk in 0u64..8,
     ) {
-        let outcome_at = |threads: usize, chunk: u64| {
-            let config = CampaignConfig::new(trials, base_seed)
-                .with_threads(threads)
+        let outcome_at = |workers: usize, chunk: u64| {
+            let plan = RunPlan::new(trials, base_seed)
                 .with_shards(20)
                 .with_chunk(chunk);
-            run_campaign_with(&config, EarlyStop::on_escalations(3), trial)
+            run_campaign(
+                &Engine::with_workers(workers),
+                &plan,
+                EarlyStop::on_escalations(3),
+                trial,
+            )
         };
         let one = outcome_at(1, chunk);
         let eight = outcome_at(8, chunk);
@@ -186,14 +187,15 @@ proptest! {
         shards in 16usize..128,
         chunk in 0u64..32,
     ) {
-        let config = CampaignConfig::new(trials, base_seed)
-            .with_threads(8)
+        let plan = RunPlan::new(trials, base_seed)
             .with_shards(shards)
             .with_chunk(chunk);
-        let report = run_campaign(&config, trial);
+        let report_at = |workers: usize| {
+            run_campaign(&Engine::with_workers(workers), &plan, EarlyStop::never(), trial).summary
+        };
+        let report = report_at(8);
         prop_assert_eq!(report.trials, trials);
-        let serial = run_campaign(&config.with_threads(1), trial);
-        prop_assert_eq!(report, serial);
+        prop_assert_eq!(report, report_at(1));
     }
 }
 
@@ -208,25 +210,27 @@ fn steal_racing_early_abort_is_deterministic() {
 
     let cost = SkewedCost::tail(0, 2, 0); // every trial sleeps a little
     let heavy = SkewedCost::tail(1, 6, 48); // tail trials sleep more
-    let outcome_at = |threads: usize, chunk: u64| {
-        let config = CampaignConfig::new(64, 77)
-            .with_threads(threads)
-            .with_shards(8)
-            .with_chunk(chunk);
-        run_campaign_with(&config, EarlyStop::on_escalations(4), move |seed| {
-            let index = seed - 77;
-            std::thread::sleep(Duration::from_millis(
-                cost.evals(index) + heavy.evals(index),
-            ));
-            TrialResult {
-                outcome: if index % 5 == 0 {
-                    TrialOutcome::DetectedAborted
-                } else {
-                    TrialOutcome::Correct
-                },
-                injector: Default::default(),
-            }
-        })
+    let outcome_at = |workers: usize, chunk: u64| {
+        let plan = RunPlan::new(64, 77).with_shards(8).with_chunk(chunk);
+        run_campaign(
+            &Engine::with_workers(workers),
+            &plan,
+            EarlyStop::on_escalations(4),
+            move |seed| {
+                let index = seed - 77;
+                std::thread::sleep(Duration::from_millis(
+                    cost.evals(index) + heavy.evals(index),
+                ));
+                TrialResult {
+                    outcome: if index % 5 == 0 {
+                        TrialOutcome::DetectedAborted
+                    } else {
+                        TrialOutcome::Correct
+                    },
+                    injector: Default::default(),
+                }
+            },
+        )
     };
     let reference = outcome_at(1, 1);
     assert!(reference.stats.aborted, "escalation stop must fire");
@@ -252,22 +256,30 @@ fn matrix_worker_count_agrees_with_serial() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(8);
     for chunk in [1u64, 3, 1_000] {
-        let config = CampaignConfig::new(300, 0xA11)
-            .with_shards(24)
-            .with_chunk(chunk);
+        let plan = RunPlan::new(300, 0xA11).with_shards(24).with_chunk(chunk);
+        let full = |workers: usize, plan: &RunPlan| {
+            run_campaign(
+                &Engine::with_workers(workers),
+                plan,
+                EarlyStop::never(),
+                trial,
+            )
+            .summary
+        };
         assert_eq!(
-            run_campaign(&config.with_threads(workers), trial),
-            run_campaign(&config.with_threads(1), trial),
+            full(workers, &plan),
+            full(1, &plan),
             "full campaign, workers={workers} chunk={chunk}"
         );
         assert_eq!(
-            run_campaign(&config.with_threads(workers).with_adaptive(false), trial),
-            run_campaign(&config.with_threads(workers), trial),
+            full(workers, &plan.with_adaptive(false)),
+            full(workers, &plan),
             "adaptive splitting changed the aggregate, workers={workers} chunk={chunk}"
         );
-        let stopped = |threads| {
-            run_campaign_with(
-                &config.with_threads(threads),
+        let stopped = |workers| {
+            run_campaign(
+                &Engine::with_workers(workers),
+                &plan,
                 EarlyStop::on_escalations(2),
                 trial,
             )
@@ -301,17 +313,21 @@ fn frontier_stall_parks_instead_of_buffering() {
     // watermark stalls on the very first trial while every other worker
     // races ahead into the reorder window.
     let cost = SkewedCost::periodic(0, 15, 1_000_000);
-    let run = |threads: usize, budget: u64| {
-        let config = CampaignConfig::new(72, 0xF00)
-            .with_threads(threads)
+    let run = |workers: usize, budget: u64| {
+        let plan = RunPlan::new(72, 0xF00)
             .with_shards(12)
             .with_chunk(2)
             .with_reorder_budget(budget);
-        run_campaign_with(&config, EarlyStop::never(), move |seed| {
-            let index = seed - 0xF00;
-            std::thread::sleep(Duration::from_micros(100 + cost.evals(index) * 1000));
-            trial(seed)
-        })
+        run_campaign(
+            &Engine::with_workers(workers),
+            &plan,
+            EarlyStop::never(),
+            move |seed| {
+                let index = seed - 0xF00;
+                std::thread::sleep(Duration::from_micros(100 + cost.evals(index) * 1000));
+                trial(seed)
+            },
+        )
     };
     let reference = run(1, 0);
     for round in 0..3 {
@@ -341,16 +357,19 @@ fn frontier_stall_parks_instead_of_buffering() {
 /// JSONL artefact, not just on the aggregate.
 #[test]
 fn reorder_budget_covering_the_run_is_byte_identical_to_unbounded() {
-    let artefact = |budget: u64, threads: usize| {
+    let artefact = |budget: u64, workers: usize| {
         let mut buf: Vec<u8> = Vec::new();
         {
-            let config = CampaignConfig::new(120, 0xB07)
-                .with_threads(threads)
+            let plan = RunPlan::new(120, 0xB07)
                 .with_shards(10)
                 .with_reorder_budget(budget);
             let sink =
                 JsonlSink::new(&mut buf, CampaignSink::new(EarlyStop::never())).without_footer();
-            run_campaign_sink(&config, sink, trial);
+            Engine::with_workers(workers).run(
+                &plan,
+                &FnTrial::new(|ctx: &mut TrialCtx| trial(ctx.seed)),
+                sink,
+            );
         }
         buf
     };
@@ -371,17 +390,21 @@ fn reorder_budget_covering_the_run_is_byte_identical_to_unbounded() {
 fn adaptive_splits_never_deadlock_against_a_parked_frontier() {
     use std::time::Duration;
 
-    let run = |threads: usize, budget: u64, adaptive: bool| {
-        let config = CampaignConfig::new(128, 0xADA)
-            .with_threads(threads)
+    let run = |workers: usize, budget: u64, adaptive: bool| {
+        let plan = RunPlan::new(128, 0xADA)
             .with_shards(2)
             .with_chunk(64)
             .with_adaptive(adaptive)
             .with_reorder_budget(budget);
-        run_campaign_with(&config, EarlyStop::never(), move |seed| {
-            std::thread::sleep(Duration::from_micros(300));
-            trial(seed)
-        })
+        run_campaign(
+            &Engine::with_workers(workers),
+            &plan,
+            EarlyStop::never(),
+            move |seed| {
+                std::thread::sleep(Duration::from_micros(300));
+                trial(seed)
+            },
+        )
     };
     let reference = run(1, 0, false);
     for budget in [1u64, 16, 48] {
@@ -425,48 +448,46 @@ fn streaming_and_eager_sources_are_byte_identical_to_the_plan_path() {
             injector: inj.stats(),
         }
     };
-    let config = |threads: usize| {
-        CampaignConfig::new(TRIALS, SEED)
-            .with_threads(threads)
-            .with_shards(9)
-    };
+    let plan = RunPlan::new(TRIALS, SEED).with_shards(9);
 
-    let plan_path = |threads: usize| {
+    let plan_path = |workers: usize| {
         let mut buf: Vec<u8> = Vec::new();
         {
             let sink =
                 JsonlSink::new(&mut buf, CampaignSink::new(EarlyStop::never())).without_footer();
-            run_campaign_sink(&config(threads), sink, |seed| {
-                run_of(seed, descriptor(seed - SEED))
-            });
-        }
-        buf
-    };
-    let streaming = |threads: usize| {
-        let mut buf: Vec<u8> = Vec::new();
-        {
-            let sink =
-                JsonlSink::new(&mut buf, CampaignSink::new(EarlyStop::never())).without_footer();
-            run_campaign_source(
-                &config(threads),
-                &FnSource::new(TRIALS, descriptor),
+            Engine::with_workers(workers).run(
+                &plan,
+                &FnTrial::new(|ctx: &mut TrialCtx| run_of(ctx.seed, descriptor(ctx.seed - SEED))),
                 sink,
-                |extra, seed| run_of(seed, extra),
             );
         }
         buf
     };
-    let eager = |threads: usize| {
+    let streaming = |workers: usize| {
+        let mut buf: Vec<u8> = Vec::new();
+        {
+            let sink =
+                JsonlSink::new(&mut buf, CampaignSink::new(EarlyStop::never())).without_footer();
+            Engine::with_workers(workers).run_source(
+                &plan,
+                &FnSource::new(TRIALS, descriptor),
+                &FnSourcedTrial::new(|extra, ctx: &mut TrialCtx| run_of(ctx.seed, extra)),
+                sink,
+            );
+        }
+        buf
+    };
+    let eager = |workers: usize| {
         let dataset: Vec<u64> = (0..TRIALS).map(descriptor).collect();
         let mut buf: Vec<u8> = Vec::new();
         {
             let sink =
                 JsonlSink::new(&mut buf, CampaignSink::new(EarlyStop::never())).without_footer();
-            run_campaign_source(
-                &config(threads),
+            Engine::with_workers(workers).run_source(
+                &plan,
                 &SliceSource::new(&dataset),
+                &FnSourcedTrial::new(|extra: &u64, ctx: &mut TrialCtx| run_of(ctx.seed, *extra)),
                 sink,
-                |extra: &u64, seed| run_of(seed, *extra),
             );
         }
         buf
@@ -493,14 +514,18 @@ fn streaming_and_eager_sources_are_byte_identical_to_the_plan_path() {
 fn documented_seed_contract_holds() {
     // The campaign docs promise trial `i` sees seed `base_seed + i`.
     let seen = std::sync::Mutex::new(Vec::new());
-    let config = CampaignConfig::new(20, 1000).with_threads(3);
-    run_campaign(&config, |seed| {
-        seen.lock().unwrap().push(seed);
-        TrialResult {
-            outcome: TrialOutcome::Correct,
-            injector: Default::default(),
-        }
-    });
+    run_campaign(
+        &Engine::with_workers(3),
+        &RunPlan::new(20, 1000),
+        EarlyStop::never(),
+        |seed| {
+            seen.lock().unwrap().push(seed);
+            TrialResult {
+                outcome: TrialOutcome::Correct,
+                injector: Default::default(),
+            }
+        },
+    );
     let mut seen = seen.into_inner().unwrap();
     seen.sort_unstable();
     assert_eq!(seen, (1000..1020).collect::<Vec<_>>());

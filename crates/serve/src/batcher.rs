@@ -32,7 +32,7 @@
 //! Entry point: the [`Server`](crate::Server) builder (a virtual-clock
 //! run is the default).
 
-use crate::admission::{Admission, AdmissionQueue};
+use crate::admission::{Admission, AdmissionQueue, QueueWindow};
 use crate::backend::Backend;
 use crate::controller::{ControllerConfig, OverloadController};
 use crate::metrics::ServeMetrics;
@@ -162,165 +162,327 @@ impl ServerConfig {
     }
 }
 
-pub(crate) fn validate_trace(trace: &[Request]) {
-    for (i, r) in trace.iter().enumerate() {
-        assert_eq!(
-            r.id, i as u64,
-            "trace ids must be 0..len in order (request at position {i} has id {})",
-            r.id
+/// The run's admission queue, sized and reserved per `config` and
+/// publishing on `metrics`. Lives outside the [`Dispatcher`] so the
+/// wall-clock load generator can offer against it from its own thread.
+pub(crate) fn admission_queue(config: &ServerConfig, metrics: &ServeMetrics) -> AdmissionQueue {
+    let queue = AdmissionQueue::with_reserve(config.queue_capacity, config.critical_reserve)
+        .observed(metrics);
+    metrics.queue_capacity.set(queue.capacity() as i64);
+    metrics.admit_cap.set(queue.admit_cap() as i64);
+    queue
+}
+
+/// What a serving run owns besides its clock loop: the overload
+/// controller, the single-threaded record of the run and the one
+/// dispatch step. The virtual replay and the wall-clock front-end both
+/// drive this; they differ only in how time passes — who offers arrivals
+/// (the loop itself, or a load-generator thread) and how a batch's
+/// completion time is obtained.
+pub(crate) struct Dispatcher<'a, B: Backend> {
+    config: &'a ServerConfig,
+    queue: &'a AdmissionQueue,
+    backend: &'a B,
+    engine: &'a Engine,
+    metrics: &'a ServeMetrics,
+    /// Flight-recorder track of the batcher, timestamped on the clock
+    /// the run lives on. Write-only side traffic: never read by the run.
+    ring: TraceRing,
+    controller: Option<OverloadController>,
+    outcomes: Vec<Option<Outcome<B::Verdict>>>,
+    report: ServeReport,
+    dispatch: DispatchStats,
+    /// When the server finishes its current batch.
+    free_at: u64,
+    /// Expiry at `free_at` already done?
+    boundary_swept: bool,
+    /// Controller: close the next window as soon as the server frees.
+    early_close: bool,
+}
+
+impl<'a, B: Backend> Dispatcher<'a, B> {
+    /// An idle server about to serve `trace` from `queue`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace's ids are not exactly `0..trace.len()`.
+    pub(crate) fn new(
+        trace: &[Request],
+        config: &'a ServerConfig,
+        queue: &'a AdmissionQueue,
+        backend: &'a B,
+        engine: &'a Engine,
+        metrics: &'a ServeMetrics,
+        flight: &TraceRecorder,
+    ) -> Self {
+        for (i, r) in trace.iter().enumerate() {
+            assert_eq!(
+                r.id, i as u64,
+                "trace ids must be 0..len in order (request at position {i} has id {})",
+                r.id
+            );
+        }
+        Dispatcher {
+            config,
+            queue,
+            backend,
+            engine,
+            metrics,
+            ring: flight.ring("serve"),
+            controller: config
+                .control
+                .map(|c| OverloadController::new(c, queue.capacity(), queue.critical_reserve())),
+            outcomes: vec![None; trace.len()],
+            report: ServeReport::new(),
+            dispatch: DispatchStats::default(),
+            free_at: 0,
+            boundary_swept: true,
+            early_close: false,
+        }
+    }
+
+    /// The size-close threshold. Like the admission queue's capacity, a
+    /// zero close size would make the loops spin on empty batches
+    /// forever; clamp it to 1.
+    pub(crate) fn max_batch(&self) -> usize {
+        self.config.policy.max_batch.max(1)
+    }
+
+    /// When the forming batch closes, seen from `now`: a size close (or a
+    /// controller early close) needs only a free server; a window close
+    /// waits for the tightest lane window among the queued heads, and
+    /// never before the server frees either.
+    pub(crate) fn close_at(&self, window: &QueueWindow, now: u64) -> u64 {
+        let free = now.max(self.free_at);
+        if window.len >= self.max_batch() || self.early_close {
+            return free;
+        }
+        let head_close = self
+            .config
+            .policy
+            .window_close_us(&window.head_arrival_us)
+            .expect("non-empty queue has a head");
+        free.max(head_close)
+    }
+
+    /// Records a request admission rejected.
+    pub(crate) fn record_shed(&mut self, req: &Request) {
+        self.report.shed += 1;
+        self.report.classes[req.class.lane()].shed += 1;
+        self.outcomes[req.id as usize] = Some(Outcome::Shed);
+    }
+
+    /// Offers one request to the queue at `now` on the batcher's own
+    /// thread (the virtual replay; the wall front-end's load generator
+    /// offers from its thread and reports sheds back afterwards).
+    pub(crate) fn admit(&mut self, req: &Request, now: u64) {
+        let shed = self.queue.offer(*req) == Admission::Shed;
+        if shed {
+            self.record_shed(req);
+        }
+        self.ring.instant(
+            if shed { "shed" } else { "admit" },
+            "serve",
+            now,
+            &[Arg::U("id", req.id), Arg::S("class", req.class.label())],
         );
     }
-}
 
-/// Shared end-of-run bookkeeping: per-class offered counts from the
-/// trace, controller summary, conservation checks, outcome unwrapping.
-pub(crate) fn finish_run<V: Clone>(
-    trace: &[Request],
-    queue: &AdmissionQueue,
-    controller: Option<OverloadController>,
-    mut report: ServeReport,
-    outcomes: Vec<Option<Outcome<V>>>,
-    dispatch: DispatchStats,
-) -> ServeRun<V> {
-    report.offered = trace.len() as u64;
-    for r in trace {
-        report.classes[r.class.lane()].offered += 1;
-    }
-    let control = match controller {
-        Some(ctl) => {
-            report.early_closes = ctl.early_closes();
-            report.aimd_clamps = ctl.clamps();
-            report.min_admit_cap = ctl.min_cap_seen();
-            report.final_admit_cap = ctl.cap();
-            ctl.log().to_vec()
+    /// Sweeps requests already past their deadline at `at_us` out of the
+    /// queue — at the previous batch's completion `boundary`, or at
+    /// dispatch time.
+    fn expire(&mut self, at_us: u64, boundary: bool) {
+        for r in self.queue.expire(at_us) {
+            if boundary {
+                self.report.expired_boundary += 1;
+            } else {
+                self.report.expired_pre_dispatch += 1;
+            }
+            self.report.classes[r.class.lane()].expired += 1;
+            self.outcomes[r.id as usize] = Some(Outcome::Expired);
+            self.ring.instant(
+                "expire",
+                "serve",
+                at_us,
+                &[Arg::U("id", r.id), Arg::U("boundary", u64::from(boundary))],
+            );
         }
-        None => {
-            report.min_admit_cap = queue.capacity() as u64;
-            report.final_admit_cap = queue.capacity() as u64;
-            Vec::new()
+    }
+
+    /// Closes and serves one batch at `dispatch_at` (which is at or past
+    /// the boundary `free_at`): boundary sweep, pre-dispatch sweep, take,
+    /// classify on the engine, record every completion, feed the
+    /// controller. `done_at` turns the batch's modelled completion time
+    /// (`dispatch_at` + its [`ServiceModel`] cost) into the observed one —
+    /// the only thing the clock supplies. A window whose requests all
+    /// expired dispatches nothing; the caller re-evaluates.
+    pub(crate) fn dispatch(&mut self, dispatch_at: u64, done_at: impl FnOnce(u64) -> u64) {
+        // Boundary sweep: requests already dead when the server last
+        // freed. Only meaningful once per boundary.
+        if !self.boundary_swept {
+            self.expire(self.free_at, true);
+            self.boundary_swept = true;
         }
-    };
-    if crate::checks::conservation_checks_enabled() {
-        let counters = queue.counters();
-        assert_eq!(counters.offered, report.offered);
-        assert_eq!(counters.shed, report.shed);
-        assert_eq!(counters.expired, report.expired());
-        for class in RequestClass::ALL {
-            let qc = queue.class_counters(class);
-            let rc = report.class(class);
-            assert_eq!(qc.offered, rc.offered, "{} offered", class.label());
-            assert_eq!(qc.shed, rc.shed, "{} shed", class.label());
-            assert_eq!(qc.expired, rc.expired, "{} expired", class.label());
-            assert_eq!(qc.dispatched, rc.completed, "{} dispatched", class.label());
+        // Pre-dispatch sweep: requests that died while the batch was
+        // forming.
+        self.expire(dispatch_at, false);
+        let batch = self.queue.take_batch(self.max_batch());
+        if batch.is_empty() {
+            return;
         }
-        assert!(report.conserved(), "report conservation: {report:?}");
+        let service_us = self.config.service.batch_cost_us(&batch);
+        let reply = self.backend.classify_batch(self.engine, &batch);
+        assert_eq!(
+            reply.verdicts.len(),
+            batch.len(),
+            "backend returned {} verdicts for a batch of {}",
+            reply.verdicts.len(),
+            batch.len()
+        );
+        let done_at = done_at(dispatch_at + service_us);
+        self.ring.span(
+            "batch",
+            "serve",
+            dispatch_at,
+            done_at,
+            &[
+                Arg::U("batch", self.report.batches),
+                Arg::U("fill", batch.len() as u64),
+                Arg::U("service_us", service_us),
+            ],
+        );
+        for (r, verdict) in batch.iter().zip(reply.verdicts) {
+            let latency_us = done_at.saturating_sub(r.arrival_us);
+            let late = done_at > r.deadline_us;
+            self.report.completed += 1;
+            self.report.late += u64::from(late);
+            self.report.latency.record(latency_us);
+            let rc = &mut self.report.classes[r.class.lane()];
+            rc.completed += 1;
+            rc.late += u64::from(late);
+            rc.latency.record(latency_us);
+            let cm = self.metrics.class(r.class);
+            cm.completed.inc();
+            if late {
+                cm.late.inc();
+            }
+            cm.latency_us.record(latency_us);
+            self.outcomes[r.id as usize] = Some(Outcome::Completed {
+                batch: self.report.batches,
+                latency_us,
+                late,
+                verdict,
+            });
+            self.ring.instant(
+                "complete",
+                "serve",
+                done_at,
+                &[
+                    Arg::U("id", r.id),
+                    Arg::U("latency_us", latency_us),
+                    Arg::U("late", u64::from(late)),
+                ],
+            );
+        }
+        self.report.batches += 1;
+        self.report.batched_requests += batch.len() as u64;
+        self.metrics.batches.inc();
+        self.metrics.batch_fill.record(batch.len() as u64);
+        if let Some(stats) = reply.stats {
+            self.dispatch.fold(&stats);
+        }
+        self.free_at = done_at;
+        self.boundary_swept = false;
+        self.early_close = self.control_boundary(done_at);
     }
-    let outcomes: Vec<Outcome<V>> = outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(id, o)| o.unwrap_or_else(|| panic!("request {id} has no terminal outcome")))
-        .collect();
-    ServeRun {
-        report,
-        outcomes,
-        dispatch,
-        control,
-    }
-}
 
-pub(crate) fn record_completion<V>(
-    report: &mut ServeReport,
-    metrics: &ServeMetrics,
-    outcomes: &mut [Option<Outcome<V>>],
-    req: &Request,
-    verdict: V,
-    latency_us: u64,
-    late: bool,
-) {
-    report.completed += 1;
-    report.late += u64::from(late);
-    report.latency.record(latency_us);
-    let rc = &mut report.classes[req.class.lane()];
-    rc.completed += 1;
-    rc.late += u64::from(late);
-    rc.latency.record(latency_us);
-    let cm = metrics.class(req.class);
-    cm.completed.inc();
-    if late {
-        cm.late.inc();
+    /// Feeds one dispatch boundary to the controller (when configured),
+    /// applying the cap to the queue and publishing decision metrics.
+    /// Returns whether the next window closes early.
+    fn control_boundary(&mut self, ts_us: u64) -> bool {
+        let Some(ctl) = self.controller.as_mut() else {
+            return false;
+        };
+        let clamps_before = ctl.clamps();
+        let decision = ctl.observe(self.queue.len() as u64, self.queue.counters().shed);
+        self.queue.set_admit_cap(decision.cap as usize);
+        if ctl.clamps() > clamps_before {
+            self.metrics.aimd_clamps.inc();
+        }
+        if decision.early_close {
+            self.metrics.early_closes.inc();
+        }
+        self.ring.instant(
+            "control",
+            "serve",
+            ts_us,
+            &[
+                Arg::U("cap", decision.cap),
+                Arg::U("early_close", u64::from(decision.early_close)),
+            ],
+        );
+        decision.early_close
     }
-    cm.latency_us.record(latency_us);
-    outcomes[req.id as usize] = Some(Outcome::Completed {
-        batch: report.batches,
-        latency_us,
-        late,
-        verdict,
-    });
-}
 
-/// Offers one request; returns whether admission shed it.
-pub(crate) fn admit<V>(
-    queue: &AdmissionQueue,
-    req: &Request,
-    outcomes: &mut [Option<Outcome<V>>],
-    report: &mut ServeReport,
-) -> bool {
-    if queue.offer(*req) == Admission::Shed {
-        report.shed += 1;
-        report.classes[req.class.lane()].shed += 1;
-        outcomes[req.id as usize] = Some(Outcome::Shed);
-        return true;
+    /// End-of-run bookkeeping at `now`: makespan, per-class offered
+    /// counts from the trace, controller summary, conservation checks,
+    /// outcome unwrapping.
+    pub(crate) fn finish(self, trace: &[Request], now: u64) -> ServeRun<B::Verdict> {
+        let Dispatcher {
+            queue,
+            controller,
+            mut report,
+            outcomes,
+            dispatch,
+            free_at,
+            ..
+        } = self;
+        report.makespan_us = free_at.max(now);
+        report.offered = trace.len() as u64;
+        for r in trace {
+            report.classes[r.class.lane()].offered += 1;
+        }
+        let control = match controller {
+            Some(ctl) => {
+                report.early_closes = ctl.early_closes();
+                report.aimd_clamps = ctl.clamps();
+                report.min_admit_cap = ctl.min_cap_seen();
+                report.final_admit_cap = ctl.cap();
+                ctl.log().to_vec()
+            }
+            None => {
+                report.min_admit_cap = queue.capacity() as u64;
+                report.final_admit_cap = queue.capacity() as u64;
+                Vec::new()
+            }
+        };
+        if crate::checks::conservation_checks_enabled() {
+            let counters = queue.counters();
+            assert_eq!(counters.offered, report.offered);
+            assert_eq!(counters.shed, report.shed);
+            assert_eq!(counters.expired, report.expired());
+            for class in RequestClass::ALL {
+                let qc = queue.class_counters(class);
+                let rc = report.class(class);
+                assert_eq!(qc.offered, rc.offered, "{} offered", class.label());
+                assert_eq!(qc.shed, rc.shed, "{} shed", class.label());
+                assert_eq!(qc.expired, rc.expired, "{} expired", class.label());
+                assert_eq!(qc.dispatched, rc.completed, "{} dispatched", class.label());
+            }
+            assert!(report.conserved(), "report conservation: {report:?}");
+        }
+        let outcomes: Vec<Outcome<B::Verdict>> = outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(id, o)| o.unwrap_or_else(|| panic!("request {id} has no terminal outcome")))
+            .collect();
+        ServeRun {
+            report,
+            outcomes,
+            dispatch,
+            control,
+        }
     }
-    false
-}
-
-pub(crate) fn record_expired<V>(
-    report: &mut ServeReport,
-    outcomes: &mut [Option<Outcome<V>>],
-    req: &Request,
-    boundary: bool,
-) {
-    if boundary {
-        report.expired_boundary += 1;
-    } else {
-        report.expired_pre_dispatch += 1;
-    }
-    report.classes[req.class.lane()].expired += 1;
-    outcomes[req.id as usize] = Some(Outcome::Expired);
-}
-
-/// Feeds one dispatch boundary to the controller (when configured),
-/// applying the cap to the queue and publishing decision metrics.
-/// Returns whether the next window closes early.
-pub(crate) fn control_boundary(
-    controller: &mut Option<OverloadController>,
-    queue: &AdmissionQueue,
-    metrics: &ServeMetrics,
-    ring: &TraceRing,
-    ts_us: u64,
-) -> bool {
-    let Some(ctl) = controller.as_mut() else {
-        return false;
-    };
-    let clamps_before = ctl.clamps();
-    let decision = ctl.observe(queue.len() as u64, queue.counters().shed);
-    queue.set_admit_cap(decision.cap as usize);
-    if ctl.clamps() > clamps_before {
-        metrics.aimd_clamps.inc();
-    }
-    if decision.early_close {
-        metrics.early_closes.inc();
-    }
-    ring.instant(
-        "control",
-        "serve",
-        ts_us,
-        &[
-            Arg::U("cap", decision.cap),
-            Arg::U("early_close", u64::from(decision.early_close)),
-        ],
-    );
-    decision.early_close
 }
 
 /// The virtual-clock serving loop (see the module docs). Reached through
@@ -333,32 +495,12 @@ pub(crate) fn run_virtual<B: Backend>(
     metrics: &ServeMetrics,
     flight: &TraceRecorder,
 ) -> ServeRun<B::Verdict> {
-    validate_trace(trace);
-    // Flight-recorder track for the replay loop. Timestamps below are
-    // the *virtual* clock's — the recorded timeline shares the time
-    // axis of the serving history it narrates. Write-only side traffic:
-    // the replay never reads the ring.
-    let ring = flight.ring("serve");
-    let queue = AdmissionQueue::with_reserve(config.queue_capacity, config.critical_reserve)
-        .observed(metrics);
-    metrics.queue_capacity.set(queue.capacity() as i64);
-    metrics.admit_cap.set(queue.admit_cap() as i64);
-    // Like the admission queue's capacity, a zero close size would make
-    // the loop spin on empty batches forever; clamp it to 1.
-    let max_batch = config.policy.max_batch.max(1);
-    let policy = &config.policy;
-    let mut controller = config
-        .control
-        .map(|c| OverloadController::new(c, queue.capacity(), queue.critical_reserve()));
-    let mut outcomes: Vec<Option<Outcome<B::Verdict>>> = vec![None; trace.len()];
-    let mut report = ServeReport::new();
-    let mut dispatch = DispatchStats::default();
-
+    let queue = admission_queue(config, metrics);
+    // Trace timestamps below are the *virtual* clock's — the recorded
+    // timeline shares the time axis of the serving history it narrates.
+    let mut d = Dispatcher::new(trace, config, &queue, backend, engine, metrics, flight);
     let mut next = 0usize; // next trace index to arrive
     let mut now = 0u64; // virtual clock
-    let mut free_at = 0u64; // when the server finishes its current batch
-    let mut boundary_swept = true; // expiry at `free_at` already done?
-    let mut early_close = false; // controller: close next window at free
 
     loop {
         let next_arrival = trace.get(next).map(|r| r.arrival_us);
@@ -366,145 +508,30 @@ pub(crate) fn run_virtual<B: Backend>(
             // Nothing admitted: the only possible event is an arrival.
             let Some(t) = next_arrival else { break };
             now = now.max(t);
-            let shed = admit(&queue, &trace[next], &mut outcomes, &mut report);
-            ring.instant(
-                if shed { "shed" } else { "admit" },
-                "serve",
-                now,
-                &[
-                    Arg::U("id", trace[next].id),
-                    Arg::S("class", trace[next].class.label()),
-                ],
-            );
+            d.admit(&trace[next], now);
             next += 1;
             continue;
         }
-
-        // When would the forming batch close? Size close (or a
-        // controller early close) needs only a free server; window close
-        // waits for the tightest lane window among the queued heads, and
-        // never before the server frees either.
         let window = queue.window();
-        let close_at = if window.len >= max_batch || early_close {
-            now.max(free_at)
-        } else {
-            let head_close = policy
-                .window_close_us(&window.head_arrival_us)
-                .expect("non-empty queue has a head");
-            now.max(free_at).max(head_close)
-        };
-
+        let close_at = d.close_at(&window, now);
         match next_arrival {
             // Arrivals strictly before the close join the queue first; an
             // arrival exactly at the close joins too unless the batch is
             // already full (fixed tie-break, part of the replay contract).
-            Some(t) if t < close_at || (t == close_at && window.len < max_batch) => {
+            Some(t) if t < close_at || (t == close_at && window.len < d.max_batch()) => {
                 now = now.max(t);
-                let shed = admit(&queue, &trace[next], &mut outcomes, &mut report);
-                ring.instant(
-                    if shed { "shed" } else { "admit" },
-                    "serve",
-                    now,
-                    &[
-                        Arg::U("id", trace[next].id),
-                        Arg::S("class", trace[next].class.label()),
-                    ],
-                );
+                d.admit(&trace[next], now);
                 next += 1;
             }
             _ => {
                 now = close_at;
-                // Boundary sweep: requests already dead when the server
-                // last freed. Only meaningful once per boundary.
-                if !boundary_swept {
-                    // `close_at` includes `max(free_at)`, so `now` is at
-                    // or past the boundary being swept.
-                    for r in queue.expire(free_at) {
-                        record_expired(&mut report, &mut outcomes, &r, true);
-                        ring.instant(
-                            "expire",
-                            "serve",
-                            free_at,
-                            &[Arg::U("id", r.id), Arg::U("boundary", 1)],
-                        );
-                    }
-                    boundary_swept = true;
-                }
-                // Pre-dispatch sweep: requests that died while the batch
-                // was forming.
-                for r in queue.expire(now) {
-                    record_expired(&mut report, &mut outcomes, &r, false);
-                    ring.instant(
-                        "expire",
-                        "serve",
-                        now,
-                        &[Arg::U("id", r.id), Arg::U("boundary", 0)],
-                    );
-                }
-                let batch = queue.take_batch(max_batch);
-                if batch.is_empty() {
-                    continue; // everything expired; re-evaluate
-                }
-                let service_us = config.service.batch_cost_us(&batch);
-                let done_at = now + service_us;
-                ring.span(
-                    "batch",
-                    "serve",
-                    now,
-                    done_at,
-                    &[
-                        Arg::U("batch", report.batches),
-                        Arg::U("fill", batch.len() as u64),
-                        Arg::U("service_us", service_us),
-                    ],
-                );
-                let reply = backend.classify_batch(engine, &batch);
-                assert_eq!(
-                    reply.verdicts.len(),
-                    batch.len(),
-                    "backend returned {} verdicts for a batch of {}",
-                    reply.verdicts.len(),
-                    batch.len()
-                );
-                for (r, verdict) in batch.iter().zip(reply.verdicts) {
-                    let latency_us = done_at - r.arrival_us;
-                    let late = done_at > r.deadline_us;
-                    record_completion(
-                        &mut report,
-                        metrics,
-                        &mut outcomes,
-                        r,
-                        verdict,
-                        latency_us,
-                        late,
-                    );
-                    ring.instant(
-                        "complete",
-                        "serve",
-                        done_at,
-                        &[
-                            Arg::U("id", r.id),
-                            Arg::U("latency_us", latency_us),
-                            Arg::U("late", u64::from(late)),
-                        ],
-                    );
-                }
-                report.batches += 1;
-                report.batched_requests += batch.len() as u64;
-                metrics.batches.inc();
-                metrics.batch_fill.record(batch.len() as u64);
-                if let Some(stats) = reply.stats {
-                    dispatch.fold(&stats);
-                }
-                free_at = done_at;
-                boundary_swept = false;
-                early_close = control_boundary(&mut controller, &queue, metrics, &ring, done_at);
+                // Waiting is free: the batch completes exactly when the
+                // service model says it does.
+                d.dispatch(now, |modelled| modelled);
             }
         }
     }
-
-    report.makespan_us = free_at.max(now);
-    finish_run(trace, &queue, controller, report, outcomes, dispatch)
+    d.finish(trace, now)
 }
 
 #[cfg(test)]

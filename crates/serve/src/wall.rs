@@ -31,15 +31,13 @@
 //! A [`WallClock`](crate::WallClock) budget bounds the whole run: the
 //! loop panics past it rather than hang a CI job.
 
-use crate::admission::{Admission, AdmissionQueue};
+use crate::admission::Admission;
 use crate::backend::Backend;
-use crate::batcher::{
-    control_boundary, finish_run, record_completion, record_expired, validate_trace, ServerConfig,
-};
+use crate::batcher::{admission_queue, Dispatcher, ServerConfig};
 use crate::clock::Clock;
 use crate::metrics::ServeMetrics;
-use crate::report::{DispatchStats, ServeReport, ServeRun};
-use crate::request::{Outcome, Request};
+use crate::report::ServeRun;
+use crate::request::Request;
 use relcnn_obs::trace::{Arg, TraceRecorder};
 use relcnn_obs::{Registry, ScrapeServer};
 use relcnn_runtime::Engine;
@@ -75,11 +73,9 @@ pub(crate) fn run_wall<B: Backend>(
     scrape_notify: Option<&Sender<SocketAddr>>,
     flight: &TraceRecorder,
 ) -> ServeRun<B::Verdict> {
-    validate_trace(trace);
-    // Flight-recorder tracks: the load generator and the batcher each
-    // own a ring, timestamped on the wall clock they actually live on.
+    // The load generator owns its own flight-recorder track, timestamped
+    // on the wall clock like the batcher's.
     let loadgen_ring = flight.ring("loadgen");
-    let ring = flight.ring("serve");
     // A live run gets a live scrape endpoint by default: if the server
     // is observed, its registry is served over GET /metrics for the
     // duration of the run.
@@ -91,22 +87,8 @@ pub(crate) fn run_wall<B: Backend>(
         srv
     });
 
-    let queue = AdmissionQueue::with_reserve(config.queue_capacity, config.critical_reserve)
-        .observed(metrics);
-    metrics.queue_capacity.set(queue.capacity() as i64);
-    metrics.admit_cap.set(queue.admit_cap() as i64);
-    let max_batch = config.policy.max_batch.max(1);
-    let policy = &config.policy;
-    let mut controller = config
-        .control
-        .map(|c| crate::OverloadController::new(c, queue.capacity(), queue.critical_reserve()));
-    let mut outcomes: Vec<Option<Outcome<B::Verdict>>> = vec![None; trace.len()];
-    let mut report = ServeReport::new();
-    let mut dispatch = DispatchStats::default();
-    let mut free_at = 0u64;
-    let mut boundary_swept = true;
-    let mut early_close = false;
-    let mut makespan = 0u64;
+    let queue = admission_queue(config, metrics);
+    let mut d = Dispatcher::new(trace, config, &queue, backend, engine, metrics, flight);
 
     let shed_requests = std::thread::scope(|scope| {
         // Load-generator thread: sleep to each arrival, offer, collect
@@ -143,103 +125,18 @@ pub(crate) fn run_wall<B: Backend>(
                 queue.wait_for_activity(IDLE_WAIT);
                 continue;
             }
-            // Same close rule as the virtual loop, on measured time: size
-            // (or controller early-close) as soon as possible, else the
-            // tightest lane window among the queued heads.
-            let close_at = if window.len >= max_batch || early_close {
-                now
-            } else {
-                policy
-                    .window_close_us(&window.head_arrival_us)
-                    .expect("non-empty queue has a head")
-            };
+            // Same close rule as the virtual loop, on measured time.
+            let close_at = d.close_at(&window, now);
             if close_at > now {
                 // Park until the window closes — or an arrival lands and
                 // the batch may now be full; recompute either way.
                 queue.wait_for_activity(Duration::from_micros(close_at - now));
                 continue;
             }
-            if !boundary_swept {
-                for r in queue.expire(free_at) {
-                    record_expired(&mut report, &mut outcomes, &r, true);
-                    ring.instant(
-                        "expire",
-                        "serve",
-                        free_at,
-                        &[Arg::U("id", r.id), Arg::U("boundary", 1)],
-                    );
-                }
-                boundary_swept = true;
-            }
-            let dispatch_at = clock.now_us();
-            for r in queue.expire(dispatch_at) {
-                record_expired(&mut report, &mut outcomes, &r, false);
-                ring.instant(
-                    "expire",
-                    "serve",
-                    dispatch_at,
-                    &[Arg::U("id", r.id), Arg::U("boundary", 0)],
-                );
-            }
-            let batch = queue.take_batch(max_batch);
-            if batch.is_empty() {
-                continue;
-            }
-            let reply = backend.classify_batch(engine, &batch);
-            assert_eq!(
-                reply.verdicts.len(),
-                batch.len(),
-                "backend returned {} verdicts for a batch of {}",
-                reply.verdicts.len(),
-                batch.len()
-            );
             // The modeled accelerator cost is a *floor* on the batch's
-            // service time: real inference ran above; sleep out the rest.
-            let done_at = clock.wait_until(dispatch_at + config.service.batch_cost_us(&batch));
-            ring.span(
-                "batch",
-                "serve",
-                dispatch_at,
-                done_at,
-                &[
-                    Arg::U("batch", report.batches),
-                    Arg::U("fill", batch.len() as u64),
-                ],
-            );
-            for (r, verdict) in batch.iter().zip(reply.verdicts) {
-                let latency_us = done_at.saturating_sub(r.arrival_us);
-                let late = done_at > r.deadline_us;
-                record_completion(
-                    &mut report,
-                    metrics,
-                    &mut outcomes,
-                    r,
-                    verdict,
-                    latency_us,
-                    late,
-                );
-                ring.instant(
-                    "complete",
-                    "serve",
-                    done_at,
-                    &[
-                        Arg::U("id", r.id),
-                        Arg::U("latency_us", latency_us),
-                        Arg::U("late", u64::from(late)),
-                    ],
-                );
-            }
-            report.batches += 1;
-            report.batched_requests += batch.len() as u64;
-            metrics.batches.inc();
-            metrics.batch_fill.record(batch.len() as u64);
-            if let Some(stats) = reply.stats {
-                dispatch.fold(&stats);
-            }
-            free_at = done_at;
-            makespan = makespan.max(done_at);
-            boundary_swept = false;
-            early_close = control_boundary(&mut controller, &queue, metrics, &ring, done_at);
+            // service time: real inference ran inside the dispatch; sleep
+            // out the rest.
+            d.dispatch(clock.now_us(), |modelled| clock.wait_until(modelled));
         }
 
         producer.join().expect("load-generator thread panicked")
@@ -247,13 +144,10 @@ pub(crate) fn run_wall<B: Backend>(
 
     // Merge the producer's shed verdicts into the single-threaded record.
     for r in &shed_requests {
-        report.shed += 1;
-        report.classes[r.class.lane()].shed += 1;
-        outcomes[r.id as usize] = Some(Outcome::Shed);
+        d.record_shed(r);
     }
-    report.makespan_us = makespan.max(clock.now_us());
     if let Some(srv) = scrape {
         srv.shutdown();
     }
-    finish_run(trace, &queue, controller, report, outcomes, dispatch)
+    d.finish(trace, clock.now_us())
 }

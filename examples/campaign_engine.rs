@@ -10,8 +10,8 @@ use relcnn::core::{HybridCnn, HybridConfig};
 use relcnn::faults::{BerInjector, FaultInjector, FaultSite, OpContext};
 use relcnn::gtsrb::{DatasetConfig, SyntheticGtsrb};
 use relcnn::runtime::{
-    run_campaign, run_campaign_sink, BatchClassify, CampaignConfig, CampaignSink, EarlyStop,
-    Engine, JsonlSink, SliceSource, TrialOutcome, TrialResult,
+    run_campaign, BatchClassify, CampaignSink, EarlyStop, Engine, FnTrial, JsonlSink, RunPlan,
+    SliceSource, TrialCtx, TrialOutcome, TrialResult,
 };
 
 fn seu_trial(seed: u64) -> TrialResult {
@@ -34,10 +34,18 @@ fn seu_trial(seed: u64) -> TrialResult {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- 1. Deterministic campaign: thread count is execution detail. --
-    let config = CampaignConfig::new(5_000, 0xD5EED).with_shards(50);
-    let serial = run_campaign(&config.with_threads(1), seu_trial);
-    let pooled = run_campaign(&config.with_threads(8), seu_trial);
+    // --- 1. Deterministic campaign: worker count is execution detail. --
+    let plan = RunPlan::new(5_000, 0xD5EED).with_shards(50);
+    let report_at = |workers| {
+        run_campaign(
+            &Engine::with_workers(workers),
+            &plan,
+            EarlyStop::never(),
+            seu_trial,
+        )
+        .summary
+    };
+    let (serial, pooled) = (report_at(1), report_at(8));
     assert_eq!(serial, pooled, "aggregates are bit-identical per seed");
     println!(
         "campaign: {} trials — correct {}, recovered {}, aborted {} (1 and 8 workers agree)",
@@ -46,19 +54,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 2. Early abort: stop once the CI on the silent rate is tight. -
     let mut jsonl: Vec<u8> = Vec::new();
-    let outcome = run_campaign_sink(
-        &config,
+    let outcome = Engine::default().run(
+        &plan,
+        &FnTrial::new(|ctx: &mut TrialCtx| seu_trial(ctx.seed)),
         JsonlSink::new(
             &mut jsonl,
             CampaignSink::new(EarlyStop::on_ci_width(0.01, 500)),
         ),
-        seu_trial,
     );
     println!(
         "early stop: aggregated {} of {} planned trials across {} shards \
          ({:.0} trials/s), JSONL artefact {} lines",
         outcome.summary.trials,
-        config.trials,
+        plan.trials,
         outcome.stats.shards,
         outcome.stats.throughput,
         jsonl.iter().filter(|&&b| b == b'\n').count()

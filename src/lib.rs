@@ -48,8 +48,8 @@
 //! # }
 //! ```
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
-//! the paper-vs-measured record of every table and figure.
+//! See the README's *Workspace layout* for the full system inventory and
+//! its *Paper ↔ repo map* for where every table and figure is reproduced.
 
 #![forbid(unsafe_code)]
 

@@ -8,13 +8,13 @@
 //! single-replica faults must be total.
 
 use relcnn::core::guarantee::{conv_layer_guarantee, silent_layer_bound, silent_op_probability};
-use relcnn::faults::campaign::{CampaignConfig, TrialOutcome, TrialResult};
+use relcnn::faults::campaign::{TrialOutcome, TrialResult};
 use relcnn::faults::{BerInjector, FaultInjector, FaultSite};
 use relcnn::relexec::conv::{reliable_conv2d, ConvOutput, ReliableConvConfig};
 use relcnn::relexec::{
     BucketConfig, DmrAlu, ExecError, PlainAlu, RedundancyMode, RetryPolicy, TmrAlu,
 };
-use relcnn::runtime::run_campaign;
+use relcnn::runtime::{run_campaign, EarlyStop, Engine, RunPlan};
 use relcnn::tensor::conv::{conv2d, ConvGeometry};
 use relcnn::tensor::init::{Init, Rand};
 use relcnn::tensor::{Shape, Tensor};
@@ -78,7 +78,8 @@ fn campaign_for(
 ) -> relcnn::faults::campaign::CampaignReport {
     let p = problem();
     let config = lenient_config();
-    run_campaign(&CampaignConfig::new(trials, 0xBEEF), |seed| {
+    let plan = RunPlan::new(trials, 0xBEEF);
+    run_campaign(&Engine::default(), &plan, EarlyStop::never(), |seed| {
         let injector = BerInjector::new(seed, ber)
             .with_sites(vec![FaultSite::Multiplier, FaultSite::Accumulator]);
         let (outcome, stats) = match mode {
@@ -103,6 +104,7 @@ fn campaign_for(
             injector: stats,
         }
     })
+    .summary
 }
 
 #[test]
