@@ -24,6 +24,9 @@
 //!   ROADMAP pins;
 //! * the skewed-workload steal speedup drops below 2x, or more than the
 //!   tolerance below its baseline;
+//! * the same skewed plan left on the *default* chunk rule (no
+//!   `with_chunk`) is less than 2x faster than whole-shard claiming — a
+//!   caller who never tunes chunking must still get the stealing win;
 //! * the skewed steal schedule stops stealing entirely;
 //! * the serving replay's deterministic metrics (from
 //!   `results/serving_latency.json`, run `cargo run --release -p
@@ -71,7 +74,8 @@ use std::process::ExitCode;
 
 /// Hard floor on the latency-bound 8-worker speedup (ROADMAP contract).
 const MIN_LATENCY_SPEEDUP: f64 = 3.0;
-/// Hard floor on the skewed-workload work-stealing speedup.
+/// Hard floor on the skewed-workload speedup over whole-shard claiming,
+/// for single-trial chunks and for the default chunk rule alike.
 const MIN_STEAL_SPEEDUP: f64 = 2.0;
 /// CPU-bound 8x/1x speedup contract on hosts with enough cores to show
 /// it (the partial-aggregation result path's headline number).
@@ -105,7 +109,6 @@ struct ScalingEntry {
     trials_per_s: f64,
     mean_trial_ns: u64,
     steals: u64,
-    splits: u64,
     send_block_us: u64,
     frontier_parks: u64,
     frontier_stall_us: u64,
@@ -176,6 +179,8 @@ struct Skewed {
     steal_speedup: f64,
     steals: u64,
     chunks_stolen: u64,
+    default_wall_us: u64,
+    default_speedup: f64,
 }
 
 /// Regeneration hint for the scaling/steal artefacts.
@@ -281,14 +286,13 @@ fn paired_by_workers<'a>(
 }
 
 /// Informational print of one scaling entry's scheduler counters
-/// (steals, splits, backpressure and the new frontier/reorder fields —
+/// (steals, backpressure and the frontier/reorder fields —
 /// printed, not gated: the scaling benches run unbounded). Shares its
 /// formatting with the serving conservation line via
 /// [`relcnn_bench::counters_line`].
 fn entry_detail(e: &ScalingEntry) -> String {
     relcnn_bench::counters_line(&[
         ("steals", e.steals),
-        ("splits", e.splits),
         ("send_block_us", e.send_block_us),
         ("frontier_parks", e.frontier_parks),
         ("frontier_stall_us", e.frontier_stall_us),
@@ -423,7 +427,7 @@ fn check_skewed(pair: &Baselined<Skewed>, tol: f64, failures: &mut Vec<String>) 
     println!(
         "skewed_steal: {} trials / {} shards / {} workers, skew {:.1}: \
          block {} us vs steal {} us => {:.2}x (baseline {:.2}x), \
-         {} steals / {} chunks moved",
+         {} steals / {} chunks moved; default chunking {} us => {:.2}x",
         fresh.trials,
         fresh.shards,
         fresh.workers,
@@ -433,12 +437,20 @@ fn check_skewed(pair: &Baselined<Skewed>, tol: f64, failures: &mut Vec<String>) 
         fresh.steal_speedup,
         base.steal_speedup,
         fresh.steals,
-        fresh.chunks_stolen
+        fresh.chunks_stolen,
+        fresh.default_wall_us,
+        fresh.default_speedup
     );
     gate_floor(
         failures,
         "skewed_steal: steal speedup",
         fresh.steal_speedup,
+        MIN_STEAL_SPEEDUP,
+    );
+    gate_floor(
+        failures,
+        "skewed_steal: default-chunk speedup",
+        fresh.default_speedup,
         MIN_STEAL_SPEEDUP,
     );
     gate_not_below(

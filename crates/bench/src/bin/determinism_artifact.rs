@@ -22,8 +22,8 @@
 //!   multi-worker runs overlap waits and steal even on a 1-core host;
 //! * `cpu` — trials spin through a skewed number of injector exposures
 //!   with no sleeps, driving the *partial-aggregation* result path the
-//!   way a compute-bound campaign does (send-blocking, coalescing and
-//!   adaptive splits under full CPU contention).
+//!   way a compute-bound campaign does (send-blocking and coalescing
+//!   under full CPU contention).
 //!
 //! Three ingestion paths cover the engine's trial-input plumbing: `plan`
 //! (the classic index-driven path), `eager` (the same per-trial workload
@@ -322,14 +322,13 @@ fn main() {
     };
     eprintln!(
         "{out}: profile={profile_name} source={source_name} workers={workers} chunk={chunk} \
-         budget={reorder_budget} trials={} shards={}/{} aborted={} steals={} splits={} \
+         budget={reorder_budget} trials={} shards={}/{} aborted={} steals={} \
          frontier_parks={} frontier_stall_us={} max_reorder_depth={} safety={:.4}",
         outcome.summary.trials,
         outcome.stats.shards,
         outcome.stats.planned_shards,
         outcome.stats.aborted,
         outcome.stats.steals,
-        outcome.stats.splits,
         outcome.stats.frontier_parks,
         outcome.stats.frontier_stall.as_micros(),
         outcome.stats.max_reorder_depth,

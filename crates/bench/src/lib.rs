@@ -66,7 +66,7 @@ pub fn ascii_plot(series: &[f32], width: usize, height: usize) -> String {
 }
 
 /// Formats a set of named monotonic counters as one comma-separated
-/// line (`"steals 3, splits 1, ..."`). The single formatting shape for
+/// line (`"steals 3, parks 12, ..."`). The single formatting shape for
 /// every counter summary the harness prints — the gate's scheduler
 /// frontier detail and its serve-side conservation line both go through
 /// here, so the two read identically in CI logs.

@@ -294,74 +294,73 @@ struct Seat {
     running: Option<(usize, Instant)>,
 }
 
-fn send_to(seat: &mut Seat, msg: &ToWorker, stats: &mut ClusterStats, cm: &ClusterMetrics) -> bool {
-    let ok = write_frame(&mut seat.stdin, &encode(msg)).is_ok();
-    if ok {
-        stats.frames_sent += 1;
-        cm.frames_sent.inc();
-    }
-    ok
-}
-
-#[allow(clippy::too_many_arguments)]
-fn lose_worker(
-    w: usize,
-    reason: &str,
-    seat: &mut Seat,
-    tasks: &mut [Task],
-    config: &ClusterConfig,
-    stats: &mut ClusterStats,
-    cm: &ClusterMetrics,
-    flight: &Flight,
-) {
-    if !seat.alive {
-        return;
-    }
-    seat.alive = false;
-    stats.workers_lost += 1;
-    stats.degraded = true;
-    cm.workers_lost.inc();
-    cm.workers_live.sub(1);
-    cm.degraded.set(1);
-    flight.ring.instant(
-        "kill",
-        "cluster",
-        flight.rec.now_us(),
-        &[Arg::U("worker", w as u64), Arg::S("reason", reason)],
-    );
-    let _ = seat.child.kill();
-    let _ = seat.child.wait();
-    if let Some((t, _)) = seat.running.take() {
-        if tasks[t].state == TaskState::Running {
-            tasks[t].state = TaskState::Pending;
-            tasks[t].retries += 1;
-            tasks[t].not_before = Instant::now() + config.backoff(tasks[t].retries);
-            stats.tasks_requeued += 1;
-            cm.tasks_requeued.inc();
-            flight.ring.instant(
-                "requeue",
-                "cluster",
-                flight.rec.now_us(),
-                &[
-                    Arg::U("task", t as u64),
-                    Arg::U("retry", u64::from(tasks[t].retries)),
-                ],
-            );
-            eprintln!(
-                "[cluster] worker {w} lost ({reason}); task {t} requeued (retry {})",
-                tasks[t].retries
-            );
-            return;
-        }
-    }
-    eprintln!("[cluster] worker {w} lost ({reason}); nothing in flight");
-}
-
-/// The head's own flight-recorder handles, bundled so `lose_worker` and
-/// the event loop can narrate without another pair of parameters each.
-struct Flight {
+/// The event loop's state: what every loss, requeue and frame write
+/// reads or updates, plus the head's own flight-recorder handles.
+struct Head<'a> {
+    tasks: Vec<Task>,
+    stats: ClusterStats,
+    cm: &'a ClusterMetrics,
+    config: &'a ClusterConfig,
     rec: TraceRecorder,
     ring: relcnn_obs::TraceRing,
+}
+
+impl Head<'_> {
+    fn send(&mut self, seat: &mut Seat, msg: &ToWorker) -> bool {
+        let ok = write_frame(&mut seat.stdin, &encode(msg)).is_ok();
+        if ok {
+            self.stats.frames_sent += 1;
+            self.cm.frames_sent.inc();
+        }
+        ok
+    }
+
+    /// Declares worker `w` lost: kill it, requeue its unacknowledged
+    /// task with backoff, mark the run degraded. Idempotent per seat.
+    fn lose(&mut self, w: usize, seat: &mut Seat, reason: &str) {
+        if !seat.alive {
+            return;
+        }
+        seat.alive = false;
+        self.stats.workers_lost += 1;
+        self.stats.degraded = true;
+        self.cm.workers_lost.inc();
+        self.cm.workers_live.sub(1);
+        self.cm.degraded.set(1);
+        self.ring.instant(
+            "kill",
+            "cluster",
+            self.rec.now_us(),
+            &[Arg::U("worker", w as u64), Arg::S("reason", reason)],
+        );
+        let _ = seat.child.kill();
+        let _ = seat.child.wait();
+        if let Some((t, _)) = seat.running.take() {
+            let task = &mut self.tasks[t];
+            if task.state == TaskState::Running {
+                task.state = TaskState::Pending;
+                task.retries += 1;
+                task.not_before = Instant::now() + self.config.backoff(task.retries);
+                self.stats.tasks_requeued += 1;
+                self.cm.tasks_requeued.inc();
+                self.ring.instant(
+                    "requeue",
+                    "cluster",
+                    self.rec.now_us(),
+                    &[
+                        Arg::U("task", t as u64),
+                        Arg::U("retry", u64::from(task.retries)),
+                    ],
+                );
+                eprintln!(
+                    "[cluster] worker {w} lost ({reason}); task {t} requeued (retry {})",
+                    task.retries
+                );
+                return;
+            }
+        }
+        eprintln!("[cluster] worker {w} lost ({reason}); nothing in flight");
+    }
 }
 
 /// Runs `job` over `config.workers` worker processes. `hooks` carries
@@ -389,17 +388,12 @@ where
         None => ClusterMetrics::unregistered(),
     };
     let started = Instant::now();
-    let mut stats = ClusterStats::default();
     cm.degraded.set(0);
 
     // Head-side flight recorder (off = every record call is a no-op).
     let rec = hooks.trace.cloned().unwrap_or_default();
     let ring = rec.ring("head");
     let run_begin = rec.now_us();
-    let flight = Flight {
-        ring: ring.clone(),
-        rec: rec.clone(),
-    };
 
     // Observed head runs get a live scrape endpoint by default,
     // mirroring the wall-clock serving front-end.
@@ -413,7 +407,7 @@ where
 
     let width = config.task_shards.max(1);
     let now = Instant::now();
-    let mut tasks: Vec<Task> = (0..job.shards)
+    let tasks: Vec<Task> = (0..job.shards)
         .step_by(width)
         .map(|lo| Task {
             lo,
@@ -423,12 +417,20 @@ where
             state: TaskState::Pending,
         })
         .collect();
-    stats.tasks = tasks.len() as u64;
     let mut outputs: Vec<Option<TaskOutput>> = tasks.iter().map(|_| None).collect();
-    let run_local = |i: usize,
-                     tasks: &mut Vec<Task>,
-                     outputs: &mut Vec<Option<TaskOutput>>,
-                     stats: &mut ClusterStats| {
+    let mut head = Head {
+        stats: ClusterStats {
+            tasks: tasks.len() as u64,
+            ..ClusterStats::default()
+        },
+        tasks,
+        cm,
+        config,
+        rec: rec.clone(),
+        ring: ring.clone(),
+    };
+    let run_local = |i: usize, head: &mut Head<'_>, outputs: &mut Vec<Option<TaskOutput>>| {
+        let (tasks, stats) = (&mut head.tasks, &mut head.stats);
         let fallback_begin = rec.now_us();
         let (partial, payload) = task_fn(job, tasks[i].lo, tasks[i].hi);
         ring.span(
@@ -481,11 +483,11 @@ where
 
     if config.workers == 0 {
         // Degenerate local topology: no processes, no pipes, no chaos.
-        for i in 0..tasks.len() {
-            run_local(i, &mut tasks, &mut outputs, &mut stats);
+        for i in 0..head.tasks.len() {
+            run_local(i, &mut head, &mut outputs);
         }
-        stats.wall_us = started.elapsed().as_micros() as u64;
-        finish_trace(&stats);
+        head.stats.wall_us = started.elapsed().as_micros() as u64;
+        finish_trace(&head.stats);
         if let Some(srv) = scrape {
             srv.shutdown();
         }
@@ -494,7 +496,7 @@ where
                 .into_iter()
                 .map(|o| o.expect("local task"))
                 .collect(),
-            stats,
+            stats: head.stats,
             traces: Vec::new(),
         });
     }
@@ -510,7 +512,7 @@ where
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()?;
-        stats.workers_spawned += 1;
+        head.stats.workers_spawned += 1;
         cm.workers_spawned.inc();
         cm.workers_live.add(1);
         ring.instant(
@@ -561,17 +563,8 @@ where
             chaos: config.chaos,
             trace: rec.is_on(),
         };
-        if !send_to(&mut seat, &setup, &mut stats, cm) {
-            lose_worker(
-                w,
-                "setup write failed",
-                &mut seat,
-                &mut tasks,
-                config,
-                &mut stats,
-                cm,
-                &flight,
-            );
+        if !head.send(&mut seat, &setup) {
+            head.lose(w, &mut seat, "setup write failed");
         }
         seats.push(seat);
     }
@@ -582,14 +575,16 @@ where
     let mut worker_traces: Vec<(usize, TraceSnapshot)> = Vec::new();
 
     let tick = Duration::from_millis(config.heartbeat_ms.clamp(5, 50));
-    let mut remaining = tasks.len();
+    let mut remaining = head.tasks.len();
     while remaining > 0 {
         // Retry budget exhausted → the head computes the task itself:
         // guaranteed forward progress no matter what the fleet does.
-        for i in 0..tasks.len() {
-            if tasks[i].state == TaskState::Pending && tasks[i].retries > config.max_retries {
+        for i in 0..head.tasks.len() {
+            if head.tasks[i].state == TaskState::Pending
+                && head.tasks[i].retries > config.max_retries
+            {
                 eprintln!("[cluster] task {i} exhausted retries; computing locally");
-                run_local(i, &mut tasks, &mut outputs, &mut stats);
+                run_local(i, &mut head, &mut outputs);
                 remaining -= 1;
             }
         }
@@ -598,9 +593,9 @@ where
         }
         // No survivors → everything still pending runs locally.
         if seats.iter().all(|s| !s.alive) {
-            for i in 0..tasks.len() {
-                if tasks[i].state != TaskState::Done {
-                    run_local(i, &mut tasks, &mut outputs, &mut stats);
+            for i in 0..head.tasks.len() {
+                if head.tasks[i].state != TaskState::Done {
+                    run_local(i, &mut head, &mut outputs);
                 }
             }
             break;
@@ -611,7 +606,8 @@ where
             if !seat.alive || seat.running.is_some() {
                 continue;
             }
-            let Some(i) = tasks
+            let Some(i) = head
+                .tasks
                 .iter()
                 .position(|t| t.state == TaskState::Pending && t.not_before <= now)
             else {
@@ -619,14 +615,14 @@ where
             };
             let assign = ToWorker::Assign {
                 task: i,
-                shard_lo: tasks[i].lo,
-                shard_hi: tasks[i].hi,
+                shard_lo: head.tasks[i].lo,
+                shard_hi: head.tasks[i].hi,
             };
-            if send_to(seat, &assign, &mut stats, cm) {
-                tasks[i].state = TaskState::Running;
+            if head.send(seat, &assign) {
+                head.tasks[i].state = TaskState::Running;
                 seat.running = Some((i, now));
-                if tasks[i].retries > 0 {
-                    stats.task_retries += 1;
+                if head.tasks[i].retries > 0 {
+                    head.stats.task_retries += 1;
                     cm.task_retries.inc();
                 }
                 ring.instant(
@@ -636,22 +632,13 @@ where
                     &[
                         Arg::U("worker", w as u64),
                         Arg::U("task", i as u64),
-                        Arg::U("shard_lo", tasks[i].lo as u64),
-                        Arg::U("shard_hi", tasks[i].hi as u64),
-                        Arg::U("retry", u64::from(tasks[i].retries)),
+                        Arg::U("shard_lo", head.tasks[i].lo as u64),
+                        Arg::U("shard_hi", head.tasks[i].hi as u64),
+                        Arg::U("retry", u64::from(head.tasks[i].retries)),
                     ],
                 );
             } else {
-                lose_worker(
-                    w,
-                    "assign write failed",
-                    seat,
-                    &mut tasks,
-                    config,
-                    &mut stats,
-                    cm,
-                    &flight,
-                );
+                head.lose(w, seat, "assign write failed");
             }
         }
         // Drain events (or wait one tick).
@@ -672,7 +659,7 @@ where
                 if seats[w].alive {
                     match event {
                         Event::Msg(msg) => {
-                            stats.frames_received += 1;
+                            head.stats.frames_received += 1;
                             cm.frames_received.inc();
                             seats[w].last_seen = Instant::now();
                             if let FromWorker::Done {
@@ -682,33 +669,24 @@ where
                                 ..
                             } = msg
                             {
-                                if task >= tasks.len() {
-                                    stats.corrupt_frames += 1;
+                                if task >= head.tasks.len() {
+                                    head.stats.corrupt_frames += 1;
                                     cm.corrupt_frames.inc();
-                                    lose_worker(
-                                        w,
-                                        "task id out of range",
-                                        &mut seats[w],
-                                        &mut tasks,
-                                        config,
-                                        &mut stats,
-                                        cm,
-                                        &flight,
-                                    );
+                                    head.lose(w, &mut seats[w], "task id out of range");
                                     continue;
                                 }
                                 seats[w].running = None;
                                 if outputs[task].is_none() {
                                     outputs[task] = Some(TaskOutput {
                                         task,
-                                        shard_lo: tasks[task].lo,
-                                        shard_hi: tasks[task].hi,
+                                        shard_lo: head.tasks[task].lo,
+                                        shard_hi: head.tasks[task].hi,
                                         partial,
                                         payload,
                                     });
-                                    tasks[task].state = TaskState::Done;
+                                    head.tasks[task].state = TaskState::Done;
                                     remaining -= 1;
-                                    stats.tasks_completed += 1;
+                                    head.stats.tasks_completed += 1;
                                     cm.tasks_completed.inc();
                                     ring.instant(
                                         "task_done",
@@ -720,8 +698,8 @@ where
                             }
                         }
                         Event::Corrupt(detail) => {
-                            stats.frames_received += 1;
-                            stats.corrupt_frames += 1;
+                            head.stats.frames_received += 1;
+                            head.stats.corrupt_frames += 1;
                             cm.frames_received.inc();
                             cm.corrupt_frames.inc();
                             ring.instant(
@@ -730,28 +708,10 @@ where
                                 rec.now_us(),
                                 &[Arg::U("worker", w as u64)],
                             );
-                            lose_worker(
-                                w,
-                                &format!("corrupt frame: {detail}"),
-                                &mut seats[w],
-                                &mut tasks,
-                                config,
-                                &mut stats,
-                                cm,
-                                &flight,
-                            );
+                            head.lose(w, &mut seats[w], &format!("corrupt frame: {detail}"));
                         }
                         Event::Eof => {
-                            lose_worker(
-                                w,
-                                "pipe closed (crash)",
-                                &mut seats[w],
-                                &mut tasks,
-                                config,
-                                &mut stats,
-                                cm,
-                                &flight,
-                            );
+                            head.lose(w, &mut seats[w], "pipe closed (crash)");
                         }
                     }
                 }
@@ -761,16 +721,7 @@ where
                 // Every reader exited and every event was drained; any
                 // seat still marked alive is unreachable.
                 for (w, seat) in seats.iter_mut().enumerate() {
-                    lose_worker(
-                        w,
-                        "event channel drained",
-                        seat,
-                        &mut tasks,
-                        config,
-                        &mut stats,
-                        cm,
-                        &flight,
-                    );
+                    head.lose(w, seat, "event channel drained");
                 }
             }
         }
@@ -784,7 +735,7 @@ where
             }
             if let Some((t, at)) = seat.running {
                 if now.duration_since(at) > Duration::from_millis(config.task_timeout_ms) {
-                    stats.task_timeouts += 1;
+                    head.stats.task_timeouts += 1;
                     cm.task_timeouts.inc();
                     ring.instant(
                         "task_timeout",
@@ -792,21 +743,12 @@ where
                         rec.now_us(),
                         &[Arg::U("worker", w as u64), Arg::U("task", t as u64)],
                     );
-                    lose_worker(
-                        w,
-                        &format!("task {t} deadline"),
-                        seat,
-                        &mut tasks,
-                        config,
-                        &mut stats,
-                        cm,
-                        &flight,
-                    );
+                    head.lose(w, seat, &format!("task {t} deadline"));
                 }
             } else if now.duration_since(seat.last_seen)
                 > Duration::from_millis(config.liveness_timeout_ms)
             {
-                stats.heartbeat_timeouts += 1;
+                head.stats.heartbeat_timeouts += 1;
                 cm.heartbeat_timeouts.inc();
                 ring.instant(
                     "heartbeat_timeout",
@@ -814,16 +756,7 @@ where
                     rec.now_us(),
                     &[Arg::U("worker", w as u64)],
                 );
-                lose_worker(
-                    w,
-                    "heartbeat silence",
-                    seat,
-                    &mut tasks,
-                    config,
-                    &mut stats,
-                    cm,
-                    &flight,
-                );
+                head.lose(w, seat, "heartbeat silence");
             }
         }
     }
@@ -831,7 +764,7 @@ where
     // Clean shutdown: command, close the pipe, reap.
     for seat in seats.iter_mut() {
         if seat.alive {
-            let _ = send_to(seat, &ToWorker::Shutdown, &mut stats, cm);
+            let _ = head.send(seat, &ToWorker::Shutdown);
             cm.workers_live.sub(1);
         }
     }
@@ -852,8 +785,8 @@ where
     }
     worker_traces.sort_by_key(|(w, _)| *w);
 
-    stats.wall_us = started.elapsed().as_micros() as u64;
-    finish_trace(&stats);
+    head.stats.wall_us = started.elapsed().as_micros() as u64;
+    finish_trace(&head.stats);
     if let Some(srv) = scrape {
         srv.shutdown();
     }
@@ -862,7 +795,7 @@ where
             .into_iter()
             .map(|o| o.expect("every task completed or fell back locally"))
             .collect(),
-        stats,
+        stats: head.stats,
         traces: worker_traces.into_iter().map(|(_, s)| s).collect(),
     })
 }

@@ -10,19 +10,19 @@
 //! structurally inconsistent histogram: `_count` is *defined* as the top
 //! cumulative bucket of the snapshot rather than read separately.
 //!
-//! The histogram uses the exact log-linear bucket layout of
-//! `relcnn_runtime::LatencyHistogram` (8 exact unit buckets below 8,
-//! then 8 sub-buckets per power of two, 496 buckets total) so dense
+//! The histogram's log-linear bucket layout (8 exact unit buckets below
+//! 8, then 8 sub-buckets per power of two, 496 buckets total) is defined
+//! here and imported by `relcnn_runtime::LatencyHistogram`, so dense
 //! bucket counts can be transplanted between the two with
 //! [`Histogram::merge_dense`] — the native-export bridge the Prometheus
-//! encoder rides. The layout equivalence is pinned by a cross-crate test
-//! in `relcnn-runtime`.
+//! encoder rides. A cross-crate test in `relcnn-runtime` pins the bridge
+//! and quantile agreement.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Total bucket count: 8 unit buckets + 8 sub-buckets for each power of
-/// two from 2^3 through 2^63. Must match `LatencyHistogram`.
+/// two from 2^3 through 2^63.
 pub const NUM_BUCKETS: usize = 8 + 61 * 8;
 
 /// Bucket index of a sample: exact below 8, log-linear above (the top

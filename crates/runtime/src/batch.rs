@@ -204,32 +204,30 @@ mod tests {
     }
 
     #[test]
-    fn first_error_contract_survives_steals_and_splits() {
+    fn first_error_contract_survives_steals() {
         // Engine-level pin of the mechanism classify_many relies on
         // (ordered CollectSink stream + first-Err collect), with the
-        // schedule forced adversarial: sleepy trials starve the pool so
-        // chunks are stolen AND adaptively split, and the erroring
-        // trials sit in the back halves that move between workers. The
-        // error returned must still be the lowest-index one.
+        // schedule forced adversarial: single-trial chunks with the
+        // first half of the run 8x slower, so the workers dealt the
+        // fast half run dry and steal the back halves of the slow
+        // deques — where the first erroring trial sits. The error
+        // returned must still be the lowest-index one.
         use crate::sink::CollectSink;
         use crate::trial::FnTrial;
         use std::time::Duration;
 
         let trial = FnTrial::new(|ctx: &mut TrialCtx| -> Result<u64, String> {
-            std::thread::sleep(Duration::from_micros(200));
+            std::thread::sleep(Duration::from_micros(if ctx.index < 64 { 400 } else { 50 }));
             match ctx.index {
                 40 => Err(format!("bad trial {}", ctx.index)),
                 100 => Err(format!("bad trial {}", ctx.index)),
                 i => Ok(i),
             }
         });
-        // Whole-shard chunks at 8 workers: both stealing and adaptive
-        // splitting must redistribute the back halves (the regime the
-        // adaptive_split engine test pins).
-        let plan = RunPlan::new(128, 9).with_shards(2).with_chunk(64);
+        let plan = RunPlan::new(128, 9).with_shards(2).with_chunk(1);
         let outcome = Engine::with_workers(8).run(&plan, &trial, CollectSink::new());
         assert!(
-            outcome.stats.steals > 0 || outcome.stats.splits > 0,
+            outcome.stats.steals > 0,
             "schedule was not adversarial: {:?}",
             outcome.stats
         );

@@ -25,7 +25,7 @@
 //! envelopes to the [`Sink`] strictly in `(shard, in-shard offset)` order
 //! — the *completed-offset watermark*. Aggregation therefore sees exactly
 //! the same stream of results whether the pool has 1 worker or 64,
-//! whether any chunk was stolen, and however chunks were split or
+//! whether any chunk was stolen, and however chunks were sized or
 //! coalesced. The sink's [`checkpoint`](Sink::checkpoint) early-abort
 //! decision is evaluated once per shard, when the watermark crosses a
 //! shard boundary, on the contiguous prefix of completed shards — so a
@@ -42,19 +42,15 @@
 //! hard-caps the out-of-order reorder buffer at `reorder_budget` trials
 //! at every worker count. The chunk at the frontier itself is always
 //! admitted, so the cap degrades to serialized release, never deadlock;
-//! and a worker always flushes its held envelope before parking
-//! (anywhere), because that envelope may contain the very trials the
-//! watermark is waiting on. Flow control is pure scheduling: any budget
-//! produces byte-identical results.
+//! and a worker always flushes its held envelope before parking, because
+//! that envelope may contain the very trials the watermark is waiting on.
+//! Flow control is pure scheduling: any budget produces byte-identical
+//! results.
 //!
-//! When the scheduler's starvation counters show idle workers, an
-//! executing worker *splits* its claimed chunk and requeues the back half
-//! for a thief (adaptive chunk sizing) — provided the frontier would
-//! admit the back half right now (a half nobody may execute feeds no idle
-//! worker). Splitting is sound for the same reason stealing is: a
-//! sub-chunk's RNG is the shard's ChaCha8 stream seeked to the sub-chunk's
-//! own offset, and the offset watermark reassembles any partition of a
-//! shard into the identical result stream.
+//! The chunk schedule is static: it is fixed before the first worker
+//! starts ([`RunPlan::chunk`]), chunks only move between deques by
+//! stealing, and a worker that finds every deque empty retires — whatever
+//! remains is already executing elsewhere.
 
 use crate::agg::{PartialAggregate, ReorderBuffer};
 use crate::hist::LatencyHistogram;
@@ -75,18 +71,10 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_SHARDS: usize = 64;
 
 /// Default chunks per shard when the plan does not pin a chunk size:
-/// enough granularity for stealing to split a skewed shard, coarse enough
-/// that scheduling stays off the profile.
+/// enough granularity for stealing to spread a skewed shard, coarse enough
+/// that scheduling stays off the profile (contiguous chunks coalesce into
+/// one envelope, so a finer chunk costs a deque pop, not a message).
 pub const DEFAULT_CHUNKS_PER_SHARD: u64 = 4;
-
-/// Floor on the *auto* chunk size: an auto chunk is never smaller than
-/// `min(MIN_AUTO_CHUNK, shard length)` trials, so shards of up to
-/// `MIN_AUTO_CHUNK` trials stay whole (per-chunk messaging cost identical
-/// to whole-shard claiming on fine-shard plans) and longer shards split
-/// into at most `len / MIN_AUTO_CHUNK`-ish pieces rather than the full
-/// [`DEFAULT_CHUNKS_PER_SHARD`]. Explicit [`RunPlan::with_chunk`]
-/// overrides ignore this floor.
-pub const MIN_AUTO_CHUNK: u64 = 32;
 
 /// Result-channel capacity per worker: deep enough that a worker never
 /// waits on a briefly busy aggregator, shallow enough that a slow sink
@@ -122,15 +110,11 @@ pub struct RunPlan {
     pub seed: u64,
     /// Shard count (0 = `min(DEFAULT_SHARDS, trials)`).
     pub shards: usize,
-    /// Trials per scheduling chunk (0 = shard length divided by
-    /// [`DEFAULT_CHUNKS_PER_SHARD`], floored at
-    /// `min(`[`MIN_AUTO_CHUNK`]`, shard length)` — so shards of up to
-    /// `MIN_AUTO_CHUNK` trials stay whole).
+    /// Trials per scheduling chunk. 0 = the one auto rule,
+    /// `⌈shard length ÷ `[`DEFAULT_CHUNKS_PER_SHARD`]`⌉`; any other value
+    /// is used as given ([`with_chunk`](RunPlan::with_chunk)). The
+    /// schedule is static — chunks are never resized once a run starts.
     pub chunk: u64,
-    /// Whether workers may split claimed chunks mid-run when the
-    /// starvation counters show idle workers. Pure scheduling (never
-    /// part of the result's identity); defaults to `true`.
-    pub adaptive: bool,
     /// Maximum trials workers may execute ahead of the released
     /// watermark (the aggregator's reorder-buffer cap, in trials);
     /// 0 = unbounded. Pure scheduling flow control: any budget yields
@@ -149,15 +133,14 @@ pub struct RunPlan {
 }
 
 impl RunPlan {
-    /// A plan with the default shard count and chunk size, adaptive
-    /// splitting enabled and an unbounded reorder budget.
+    /// A plan with the default shard count and chunk size and an
+    /// unbounded reorder budget.
     pub fn new(trials: u64, seed: u64) -> Self {
         RunPlan {
             trials,
             seed,
             shards: 0,
             chunk: 0,
-            adaptive: true,
             reorder_budget: 0,
             shard_window: None,
         }
@@ -176,12 +159,6 @@ impl RunPlan {
     /// whole-shard claiming granularity).
     pub fn with_chunk(mut self, chunk: u64) -> Self {
         self.chunk = chunk;
-        self
-    }
-
-    /// Enables or disables mid-run adaptive chunk splitting.
-    pub fn with_adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
         self
     }
 
@@ -213,17 +190,14 @@ impl RunPlan {
         requested.min(self.trials.max(1) as usize)
     }
 
-    /// Chunk size actually used: clamped so every shard yields at least
-    /// one and at most `shard_len` chunks, with the auto default never
-    /// splitting below [`MIN_AUTO_CHUNK`] trials per chunk.
+    /// Chunk size actually used: an explicit [`chunk`](RunPlan::chunk),
+    /// else `⌈shard length ÷ DEFAULT_CHUNKS_PER_SHARD⌉`.
     fn effective_chunk(&self, shards: usize) -> u64 {
         if self.chunk > 0 {
             return self.chunk;
         }
-        let base = (self.trials / shards.max(1) as u64).max(1);
-        base.div_ceil(DEFAULT_CHUNKS_PER_SHARD)
-            .max(MIN_AUTO_CHUNK)
-            .min(base)
+        let shard_len = (self.trials / shards.max(1) as u64).max(1);
+        shard_len.div_ceil(DEFAULT_CHUNKS_PER_SHARD)
     }
 
     /// The effective shard window `[lo, hi)`: the whole plan unless
@@ -315,8 +289,8 @@ pub struct RunStats {
     /// Shards the plan would have run without an early abort.
     pub planned_shards: usize,
     /// Result envelopes (coalesced chunk batches) whose contents reached
-    /// the sink. Coalescing makes this at most — and splitting can make
-    /// it more than — the number of schedule chunks aggregated.
+    /// the sink. Coalescing makes this at most the number of schedule
+    /// chunks aggregated.
     pub chunks: u64,
     /// Chunks the plan would have run without an early abort.
     pub planned_chunks: u64,
@@ -328,7 +302,9 @@ pub struct RunStats {
     pub steals: u64,
     /// Chunks that moved between worker deques via stealing.
     pub chunks_stolen: u64,
-    /// Claimed chunks split mid-run by the adaptive sizing heuristic.
+    /// Always 0: the chunk schedule is static, so no chunk is ever split
+    /// mid-run. Kept only because the frozen `benchmark/` package reads
+    /// it; retired together with its `runtime.splits` metric.
     pub splits: u64,
     /// Sum over workers of time blocked sending on the bounded result
     /// channel (aggregator backpressure).
@@ -407,13 +383,12 @@ impl RunStats {
             .map(|w| {
                 format!(
                     "{{\"worker\":{},\"chunks_run\":{},\"steals\":{},\"chunks_stolen\":{},\
-                     \"splits\":{},\"busy_us\":{},\"idle_us\":{},\"send_block_us\":{},\
+                     \"busy_us\":{},\"idle_us\":{},\"send_block_us\":{},\
                      \"frontier_parks\":{},\"frontier_stall_us\":{}}}",
                     w.worker,
                     w.chunks_run,
                     w.steals,
                     w.chunks_stolen,
-                    w.splits,
                     w.busy.as_micros(),
                     w.idle.as_micros(),
                     w.send_block.as_micros(),
@@ -427,7 +402,7 @@ impl RunStats {
         format!(
             "{{\"trials\":{},\"shards\":{},\"planned_shards\":{},\"chunks\":{},\
              \"planned_chunks\":{},\"workers\":{},\"aborted\":{},\"steals\":{},\
-             \"chunks_stolen\":{},\"splits\":{},\"wall_us\":{},\"busy_us\":{},\"idle_us\":{},\
+             \"chunks_stolen\":{},\"wall_us\":{},\"busy_us\":{},\"idle_us\":{},\
              \"send_block_us\":{},\"frontier_parks\":{},\"frontier_stall_us\":{},\
              \"max_reorder_depth\":{},\"throughput_per_s\":{:.3},\"mean_trial_ns\":{},\
              \"trial_p50_ns\":{p50},\"trial_p95_ns\":{p95},\"trial_p99_ns\":{p99},\
@@ -441,7 +416,6 @@ impl RunStats {
             self.aborted,
             self.steals,
             self.chunks_stolen,
-            self.splits,
             self.wall.as_micros(),
             self.busy.as_micros(),
             self.idle.as_micros(),
@@ -553,8 +527,8 @@ impl Engine {
     }
 
     /// Attaches a flight recorder: subsequent runs record span/instant
-    /// events (run lifecycle, chunk execution, steals, splits, frontier
-    /// parks, envelope flushes, aggregator releases) into `recorder`'s
+    /// events (run lifecycle, chunk execution, steals, frontier parks,
+    /// envelope flushes, aggregator releases) into `recorder`'s
     /// per-worker rings. Off by default; recording is bounded-memory and
     /// never read by the run itself.
     pub fn traced(mut self, recorder: &TraceRecorder) -> Self {
@@ -591,19 +565,11 @@ impl Engine {
         }
     }
 
-    /// Worker threads actually spawned. A static schedule can never feed
+    /// Worker threads actually spawned: a static schedule can never feed
     /// more workers than it has chunks, so the pool clamps to the chunk
-    /// count — but with adaptive splitting enabled, executing workers
-    /// carve new chunks for idle thieves mid-run, so the only hard cap is
-    /// the trial count (a coarse `with_chunk` plan on a big machine must
-    /// not pin the pool to its initial chunk count).
-    fn effective_workers(&self, plan: &RunPlan, chunks: usize) -> usize {
-        let cap = if plan.adaptive {
-            usize::try_from(plan.trials).unwrap_or(usize::MAX)
-        } else {
-            chunks
-        };
-        self.configured_workers().clamp(1, cap.max(1))
+    /// count.
+    fn effective_workers(&self, chunks: usize) -> usize {
+        self.configured_workers().clamp(1, chunks.max(1))
     }
 
     /// Runs `plan.trials` index-driven trials through the worker pool,
@@ -659,7 +625,7 @@ impl Engine {
         } else {
             Vec::new()
         };
-        let workers = self.effective_workers(plan, chunks.len());
+        let workers = self.effective_workers(chunks.len());
         let mut stats = RunStats::new(workers, win_hi - win_lo, chunks.len() as u64);
         let started = Instant::now();
         // Live publication handles. Every update below is a relaxed
@@ -723,45 +689,39 @@ impl Engine {
                         // is resident one chunk per worker at most.
                         let mut items: Vec<Src::Item> = Vec::new();
                         let frontier = queue.frontier();
-                        // Parking backoff for dry scans (reset on every
-                        // successful claim): quick first rescans catch an
-                        // imminent split, the exponential tail keeps a
-                        // crowd of parked workers from stealing cycles
+                        // Sends the envelope in hand, if any; `false`
+                        // means the aggregator hung up and the worker
+                        // should stop.
+                        let flush = |held: &mut Option<Envelope<T::Output, S::Partial>>,
+                                     ws: &mut WorkerStats| {
+                            let Some(full) = held.take() else {
+                                return true;
+                            };
+                            let len = full.len;
+                            let open = send_timed(&tx, full, ws);
+                            if open {
+                                wring.instant(
+                                    "flush",
+                                    "engine",
+                                    tr.now_us(),
+                                    &[Arg::U("len", len)],
+                                );
+                            }
+                            open
+                        };
+                        // Frontier-park backoff: quick first rescans catch
+                        // an imminent release, the exponential tail keeps
+                        // a crowd of parked workers from stealing cycles
                         // out of the executors' timeslices.
                         const PARK_MIN: Duration = Duration::from_micros(20);
                         const PARK_MAX: Duration = Duration::from_micros(500);
-                        let mut park = PARK_MIN;
-                        'work: while !cancel.load(Ordering::Relaxed) {
+                        while !cancel.load(Ordering::Relaxed) {
+                            // Every deque dry: steals move chunks
+                            // atomically, so whatever remains is already
+                            // executing on another worker — retire.
                             let Some(claim) = queue.claim(worker_index) else {
-                                // Every deque is dry; steals move chunks
-                                // atomically, so whatever remains is
-                                // already executing on another worker.
-                                // With adaptive splitting, an executing
-                                // worker may yet split and repopulate the
-                                // deques — park briefly and rescan
-                                // instead of retiring for good (surplus
-                                // workers on coarse plans would otherwise
-                                // race the first split and exit at
-                                // startup). Once nothing is executing, no
-                                // new work can ever appear.
-                                if plan.adaptive && queue.executing() > 0 {
-                                    // Flush the held envelope before
-                                    // sleeping: it may contain the very
-                                    // trials the released watermark — and
-                                    // with it every frontier-parked peer —
-                                    // is waiting on.
-                                    if let Some(full) = held.take() {
-                                        if !send_timed(&tx, full, &mut ws) {
-                                            break;
-                                        }
-                                    }
-                                    std::thread::sleep(park);
-                                    park = (park * 2).min(PARK_MAX);
-                                    continue;
-                                }
                                 break;
                             };
-                            park = PARK_MIN;
                             if let Claim::Stolen { taken, .. } = claim {
                                 ws.steals += 1;
                                 ws.chunks_stolen += taken as u64;
@@ -774,56 +734,33 @@ impl Engine {
                                     &[Arg::U("taken", taken as u64)],
                                 );
                             }
-                            let mut chunk = claim.chunk();
+                            let chunk = claim.chunk();
                             // Run-frontier flow control: a chunk lying
                             // beyond the reorder budget parks (claim
-                            // held, still counted as executing so peers
-                            // neither retire nor split for us) until the
-                            // released watermark catches up. The flush
-                            // first is load-bearing: the held envelope
-                            // may contain the frontier trials themselves,
-                            // and parking on our own unsent results would
-                            // deadlock the run.
+                            // held) until the released watermark catches
+                            // up. The flush first is load-bearing: the
+                            // held envelope may contain the frontier
+                            // trials themselves, and parking on our own
+                            // unsent results would deadlock the run.
                             if !frontier.admits(chunk.start, chunk.len) {
-                                if let Some(full) = held.take() {
-                                    let flush_len = full.len;
-                                    if !send_timed(&tx, full, &mut ws) {
-                                        queue.task_done();
-                                        break 'work;
-                                    }
-                                    wring.instant(
-                                        "flush",
-                                        "engine",
-                                        tr.now_us(),
-                                        &[Arg::U("len", flush_len)],
-                                    );
+                                if !flush(&mut held, &mut ws) {
+                                    break;
                                 }
                                 ws.frontier_parks += 1;
                                 em.frontier_parks.inc();
                                 let stalled = Instant::now();
                                 let park_begin = tr.now_us();
-                                let mut fpark = PARK_MIN;
-                                loop {
+                                let mut park = PARK_MIN;
+                                let admitted = loop {
                                     if cancel.load(Ordering::Relaxed) {
-                                        queue.task_done();
-                                        let stall = stalled.elapsed();
-                                        ws.frontier_stall += stall;
-                                        em.frontier_stall_us.add(stall.as_micros() as u64);
-                                        wring.span(
-                                            "frontier_park",
-                                            "engine",
-                                            park_begin,
-                                            tr.now_us(),
-                                            &[Arg::U("start", chunk.start)],
-                                        );
-                                        break 'work;
+                                        break false;
                                     }
-                                    std::thread::sleep(fpark);
-                                    fpark = (fpark * 2).min(PARK_MAX);
+                                    std::thread::sleep(park);
+                                    park = (park * 2).min(PARK_MAX);
                                     if frontier.admits(chunk.start, chunk.len) {
-                                        break;
+                                        break true;
                                     }
-                                }
+                                };
                                 let stall = stalled.elapsed();
                                 ws.frontier_stall += stall;
                                 em.frontier_stall_us.add(stall.as_micros() as u64);
@@ -834,36 +771,8 @@ impl Engine {
                                     tr.now_us(),
                                     &[Arg::U("start", chunk.start)],
                                 );
-                            }
-                            // Adaptive sizing: with idle workers and a
-                            // divisible chunk in hand, execute the front
-                            // half and requeue the back half for a thief
-                            // — but only when the frontier would admit
-                            // the back half right now: a half nobody may
-                            // execute yet feeds no idle worker, it only
-                            // lines a deque up behind a parked frontier.
-                            if plan.adaptive && chunk.len >= 2 && queue.starving() {
-                                let back = chunk.len / 2;
-                                let front = chunk.len - back;
-                                if frontier.admits(chunk.start + front, back) {
-                                    queue.push_front(
-                                        worker_index,
-                                        Chunk {
-                                            start: chunk.start + front,
-                                            shard_offset: chunk.shard_offset + front,
-                                            len: back,
-                                            ..chunk
-                                        },
-                                    );
-                                    chunk.len = front;
-                                    ws.splits += 1;
-                                    em.splits.inc();
-                                    wring.instant(
-                                        "split",
-                                        "engine",
-                                        tr.now_us(),
-                                        &[Arg::U("at", chunk.start + front), Arg::U("back", back)],
-                                    );
+                                if !admitted {
+                                    break;
                                 }
                             }
                             // Coalesce contiguous same-shard work into the
@@ -873,23 +782,8 @@ impl Engine {
                                     && e.shard_offset + e.len == chunk.shard_offset
                                     && e.len < COALESCE_TRIALS
                             });
-                            if !extends {
-                                if let Some(full) = held.take() {
-                                    let flush_len = full.len;
-                                    if !send_timed(&tx, full, &mut ws) {
-                                        // Claimed but never executed:
-                                        // release the executing mark so
-                                        // parked peers can still retire.
-                                        queue.task_done();
-                                        break 'work;
-                                    }
-                                    wring.instant(
-                                        "flush",
-                                        "engine",
-                                        tr.now_us(),
-                                        &[Arg::U("len", flush_len)],
-                                    );
-                                }
+                            if !extends && !flush(&mut held, &mut ws) {
+                                break;
                             }
                             let t0 = Instant::now();
                             let chunk_begin = tr.now_us();
@@ -960,26 +854,14 @@ impl Engine {
                                     .add((ws.send_block - sb_published).as_micros() as u64);
                                 sb_published = ws.send_block;
                             }
-                            queue.task_done();
                         }
-                        if let Some(full) = held.take() {
-                            if !cancel.load(Ordering::Relaxed) {
-                                let flush_len = full.len;
-                                if send_timed(&tx, full, &mut ws) {
-                                    wring.instant(
-                                        "flush",
-                                        "engine",
-                                        tr.now_us(),
-                                        &[Arg::U("len", flush_len)],
-                                    );
-                                }
-                            }
+                        if !cancel.load(Ordering::Relaxed) {
+                            flush(&mut held, &mut ws);
                         }
                         if ws.send_block > sb_published {
                             em.send_block_us
                                 .add((ws.send_block - sb_published).as_micros() as u64);
                         }
-                        queue.retire();
                         ws.idle = born.elapsed().saturating_sub(ws.busy);
                         (ws, hist)
                     }));
@@ -1111,7 +993,6 @@ impl Engine {
                             stats.trial_hist.merge(&hist);
                             stats.steals += ws.steals;
                             stats.chunks_stolen += ws.chunks_stolen;
-                            stats.splits += ws.splits;
                             stats.send_block += ws.send_block;
                             stats.frontier_parks += ws.frontier_parks;
                             stats.frontier_stall += ws.frontier_stall;
@@ -1346,50 +1227,41 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_split_fires_on_starved_tails_and_keeps_results() {
-        // One whole-shard chunk per shard: once both workers claim their
-        // chunk the deques are empty, so the starvation heuristic must
-        // split the big chunks mid-run and the offset watermark must
-        // reassemble the stream exactly.
-        let plan = RunPlan::new(128, 3).with_shards(2).with_chunk(64);
-        let slow = FnTrial::new(|ctx: &mut TrialCtx| {
-            std::thread::sleep(Duration::from_micros(300));
-            ctx.rng.random::<u64>()
-        });
-        let serial = Engine::with_workers(1)
-            .run(&plan.with_adaptive(false), &slow, CollectSink::new())
-            .summary;
-        let outcome = Engine::with_workers(8).run(&plan, &slow, CollectSink::new());
-        assert_eq!(outcome.summary, serial);
-        assert!(
-            outcome.stats.splits > 0,
-            "expected adaptive splits on a starved pool: {:?}",
-            outcome.stats
-        );
-        assert_eq!(outcome.stats.splits, {
-            outcome
-                .stats
-                .worker_stats
-                .iter()
-                .map(|w| w.splits)
-                .sum::<u64>()
-        });
+    fn auto_chunk_is_a_quarter_shard_and_explicit_chunks_are_kept() {
+        for (trials, shards, chunk) in [
+            (250u64, 64usize, 1u64),
+            (240, 12, 5),
+            (64, 8, 2),
+            (256, 32, 2),
+            (100_000, 64, 391),
+            (8, 8, 1),
+        ] {
+            let plan = RunPlan::new(trials, 0).with_shards(shards);
+            assert_eq!(
+                plan.effective_chunk(shards),
+                chunk,
+                "trials={trials} shards={shards}"
+            );
+            for explicit in [1u64, 7, 1_000] {
+                assert_eq!(plan.with_chunk(explicit).effective_chunk(shards), explicit);
+            }
+        }
     }
 
     #[test]
-    fn adaptive_split_can_be_disabled() {
-        let plan = RunPlan::new(64, 3)
-            .with_shards(2)
-            .with_chunk(32)
-            .with_adaptive(false);
-        assert!(RunPlan::new(64, 3).adaptive, "splitting defaults on");
-        let slow = FnTrial::new(|ctx: &mut TrialCtx| {
-            std::thread::sleep(Duration::from_micros(200));
-            ctx.index
-        });
-        let outcome = Engine::with_workers(8).run(&plan, &slow, CollectSink::new());
-        assert_eq!(outcome.stats.splits, 0);
-        assert_eq!(outcome.summary, (0..64).collect::<Vec<_>>());
+    fn a_two_shard_window_feeds_eight_workers() {
+        // The cluster's in-task parallelism: one task is a two-shard
+        // window, and the auto chunk must cut it finely enough to occupy
+        // every thread of the worker process.
+        let plan = RunPlan::new(240, 31)
+            .with_shards(12)
+            .with_shard_window(0, 2);
+        let trial = FnTrial::new(|ctx: &mut TrialCtx| ctx.rng.random::<u64>());
+        let serial = Engine::with_workers(1).run(&plan, &trial, CollectSink::new());
+        let outcome = Engine::with_workers(8).run(&plan, &trial, CollectSink::new());
+        assert_eq!(outcome.stats.planned_chunks, 8);
+        assert_eq!(outcome.stats.workers, 8);
+        assert_eq!(outcome.summary, serial.summary);
     }
 
     #[test]
@@ -1431,11 +1303,12 @@ mod tests {
 
     #[test]
     fn sourced_run_items_line_up_with_ctx_index() {
-        // Split/steal schedules pull sub-chunks separately; the item
-        // handed to a trial must always be the one for ctx.index.
+        // Steal schedules pull chunks out of order and on any worker;
+        // the item handed to a trial must always be the one for
+        // ctx.index.
         use crate::source::FnSource;
         use crate::trial::FnSourcedTrial;
-        let plan = RunPlan::new(128, 3).with_shards(2).with_chunk(64);
+        let plan = RunPlan::new(128, 3).with_shards(2).with_chunk(4);
         let outcome = Engine::with_workers(8).run_source(
             &plan,
             &FnSource::new(128, |i| i),
@@ -1627,7 +1500,6 @@ mod tests {
         assert!(json.contains("\"trials\":10"));
         assert!(json.contains("throughput_per_s"));
         assert!(json.contains("\"steals\":"));
-        assert!(json.contains("\"splits\":"));
         assert!(json.contains("\"send_block_us\":"));
         assert!(json.contains("\"frontier_parks\":"));
         assert!(json.contains("\"frontier_stall_us\":"));
@@ -1655,7 +1527,6 @@ mod tests {
         assert_eq!(snap.trials_released, outcome.stats.trials);
         assert_eq!(snap.shards_completed, outcome.stats.shards as u64);
         assert_eq!(snap.steals, outcome.stats.steals);
-        assert_eq!(snap.splits, outcome.stats.splits);
         assert_eq!(snap.frontier_parks, outcome.stats.frontier_parks);
         assert_eq!(snap.trials_recorded, outcome.stats.trial_hist.count());
         assert_eq!(snap.workers_live, 0);

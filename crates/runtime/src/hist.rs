@@ -16,11 +16,10 @@
 //! order — which is what lets per-worker histograms from a work-stealing
 //! schedule produce schedule-independent percentiles.
 
-/// Total bucket count: 8 unit buckets + 8 sub-buckets for each power of
-/// two from 2^3 through 2^63. `relcnn-obs` replicates this layout so
-/// histograms export natively to Prometheus; the equivalence is pinned
-/// by a cross-crate test (`tests/metrics_plane.rs`).
-pub const NUM_BUCKETS: usize = 8 + 61 * 8;
+// The bucket layout is `relcnn-obs`'s own, so dense counts transplant
+// into a Prometheus histogram bucket for bucket (`Histogram::merge_dense`).
+pub use relcnn_obs::metric::NUM_BUCKETS;
+use relcnn_obs::metric::{bucket_index, bucket_lo, bucket_width};
 
 /// A mergeable log-linear histogram of `u64` samples (unit-agnostic).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -30,36 +29,6 @@ pub struct LatencyHistogram {
     total: u64,
     sum: u128,
     max: u64,
-}
-
-/// Bucket index of a sample: exact below 8, log-linear above (the top
-/// three bits below the most significant bit select the sub-bucket).
-fn bucket_index(v: u64) -> usize {
-    if v < 8 {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros() as usize;
-    let sub = ((v >> (msb - 3)) & 0b111) as usize;
-    8 + 8 * (msb - 3) + sub
-}
-
-/// Inclusive lower bound of a bucket.
-fn bucket_lo(index: usize) -> u64 {
-    if index < 8 {
-        return index as u64;
-    }
-    let octave = 3 + (index - 8) / 8;
-    let sub = ((index - 8) % 8) as u64;
-    (8 + sub) << (octave - 3)
-}
-
-/// Width of a bucket in sample units.
-fn bucket_width(index: usize) -> u64 {
-    if index < 8 {
-        1
-    } else {
-        1 << ((index - 8) / 8)
-    }
 }
 
 impl LatencyHistogram {

@@ -8,15 +8,15 @@
 //! ## Architecture
 //!
 //! ```text
-//!   RunPlan { trials, seed, shards, chunk, adaptive, reorder_budget, shard_window }
+//!   RunPlan { trials, seed, shards, chunk, reorder_budget, shard_window }
 //!        │  (what runs: the result's identity)       Engine::with_workers(N + 1)
 //!        │             ┌────────────────┐ pop front  ┌─────────┐ pull chunk items
 //!        ├─ shards ────│ deque worker 0 │───────────▶│ worker 0│◀── TrialSource
 //!        │  × chunks   │ deque ...      │ steal back │ ...     │ fold chunk into
 //!        │             │ deque worker N │◀──half────▶│ worker N│ PartialAggregate
-//!        │             └───────▲────────┘            └─┬──┬────┘ (+ results block
-//!        │                     └── adaptive split ─────┤  │       iff sink needs)
-//!        │                         when starving       │  │ park while chunk >
+//!        │             └────────────────┘            └─┬──┬────┘ (+ results block
+//!        │                                             │  │       iff sink needs)
+//!        │                                             │  │ park while chunk >
 //!        │                                             │  │ budget ahead of ──┐
 //!        │              Envelope, coalesced (bounded   │  ▼                   │
 //!        │              channel, backpressure)         │ RunFrontier ◀──┐     │
@@ -33,17 +33,18 @@
 //!   RNG stream is derived from `(campaign_seed, shard_index)` via
 //!   ChaCha8, and a chunk *seeks* that stream to its own offset
 //!   ([`chunk_rng`]), so a trial's inputs never depend on which worker
-//!   ran its chunk. Thread count, chunk size, steal schedule, adaptive
-//!   splits and envelope coalescing are pure execution detail: aggregates
-//!   are **bit-identical** at 1, 2 or 64 workers, chunked coarse or fine,
+//!   ran its chunk. Thread count, chunk size, steal schedule and envelope
+//!   coalescing are pure execution detail: aggregates are
+//!   **bit-identical** at 1, 2 or 64 workers, chunked coarse or fine,
 //!   stolen or not.
-//! * **Work stealing & adaptive sizing** — workers drain their own chunk
-//!   deque and steal the back half of a victim's when dry, so one
-//!   pathologically expensive shard (an escalation-heavy fault-injection
-//!   run) no longer pins its whole cost on a single worker while the rest
-//!   idle; and when the scheduler's starvation counters show idle workers,
-//!   an executing worker splits the chunk in hand and requeues the back
-//!   half for a thief.
+//! * **Work stealing over a static chunk schedule** — the chunk size is
+//!   one rule (`⌈shard ÷ `[`DEFAULT_CHUNKS_PER_SHARD`]`⌉` unless
+//!   [`RunPlan::with_chunk`] pins it), fixed before the run starts;
+//!   workers drain their own chunk deque and steal the back half of a
+//!   victim's when dry, so one pathologically expensive shard (an
+//!   escalation-heavy fault-injection run) no longer pins its whole cost
+//!   on a single worker while the rest idle. A worker that finds every
+//!   deque empty retires.
 //! * **Partial aggregation** — workers fold each chunk's results into a
 //!   chunk-local [`PartialAggregate`] in place; aggregation-only sinks
 //!   (campaigns) receive merged partials and the channel never carries
@@ -75,7 +76,7 @@
 //!   ([`EarlyStop::on_escalations`]). Abort decisions only ever see the
 //!   completed shard *prefix*, so they are scheduling-independent too.
 //! * **Observability** — every run yields [`RunStats`] (throughput,
-//!   busy/idle time, steal/split counts, per-worker send-block time on
+//!   busy/idle time, steal counts, per-worker send-block time on
 //!   the bounded channel via [`WorkerStats`], tail shard latency) and
 //!   results can be teed to a JSONL artefact with [`JsonlSink`]. Runs
 //!   also publish *live*: workers and the aggregator update shared
@@ -147,7 +148,7 @@ pub use campaign::{
 };
 pub use engine::{
     chunk_rng, shard_rng, Engine, RunOutcome, RunPlan, RunStats, WorkerStats,
-    CHANNEL_DEPTH_PER_WORKER, DEFAULT_CHUNKS_PER_SHARD, DEFAULT_SHARDS, MIN_AUTO_CHUNK,
+    CHANNEL_DEPTH_PER_WORKER, DEFAULT_CHUNKS_PER_SHARD, DEFAULT_SHARDS,
 };
 pub use hist::{LatencyHistogram, NUM_BUCKETS};
 pub use metrics::{EngineMetrics, EngineSnapshot};

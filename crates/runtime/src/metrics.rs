@@ -48,8 +48,6 @@ pub struct EngineMetrics {
     /// Chunks moved between deques by steals
     /// (`relcnn_engine_chunks_stolen_total`).
     pub chunks_stolen: Counter,
-    /// Adaptive mid-run chunk splits (`relcnn_engine_splits_total`).
-    pub splits: Counter,
     /// Frontier park episodes (`relcnn_engine_frontier_parks_total`).
     pub frontier_parks: Counter,
     /// Time parked on the run frontier, µs
@@ -105,10 +103,6 @@ impl EngineMetrics {
                 "relcnn_engine_chunks_stolen_total",
                 "Chunks moved between worker deques by steals",
             ),
-            splits: c(
-                "relcnn_engine_splits_total",
-                "Claimed chunks split mid-run by adaptive sizing",
-            ),
             frontier_parks: c(
                 "relcnn_engine_frontier_parks_total",
                 "Park episodes where a chunk lay beyond the reorder budget",
@@ -158,7 +152,6 @@ impl EngineMetrics {
             shards_completed: self.shards_completed.get(),
             steals: self.steals.get(),
             chunks_stolen: self.chunks_stolen.get(),
-            splits: self.splits.get(),
             frontier_parks: self.frontier_parks.get(),
             frontier_stall_us: self.frontier_stall_us.get(),
             send_block_us: self.send_block_us.get(),
@@ -198,8 +191,6 @@ pub struct EngineSnapshot {
     pub steals: u64,
     /// Chunks moved between deques by steals.
     pub chunks_stolen: u64,
-    /// Adaptive mid-run splits.
-    pub splits: u64,
     /// Frontier park episodes.
     pub frontier_parks: u64,
     /// Time parked on the run frontier, µs.

@@ -1,6 +1,6 @@
 //! Work-stealing chunk scheduler.
 //!
-//! The engine splits every shard into fixed-size trial *chunks* and deals
+//! The engine cuts every shard into fixed-size trial *chunks* and deals
 //! them across per-worker deques in `(shard, chunk)` order. A worker
 //! drains its own deque from the front; when it runs dry it scans the
 //! other workers round-robin and steals the *back* half of the first
@@ -22,7 +22,7 @@
 //! executed and can exit without stranding work.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -37,9 +37,9 @@ use std::time::Duration;
 /// budget says how far past it workers may run: a chunk is *admitted* for
 /// execution only while it fits inside the window
 /// `[released, released + reorder_budget)`. Workers that claim a chunk
-/// beyond the window park (exponential-backoff rescan, like the dry-scan
-/// park) until the frontier catches up, instead of executing results the
-/// aggregator would have to buffer out of order.
+/// beyond the window park (exponential-backoff rescan) until the frontier
+/// catches up, instead of executing results the aggregator would have to
+/// buffer out of order.
 ///
 /// Two deliberate asymmetries keep the cap deadlock-free:
 ///
@@ -110,8 +110,8 @@ impl RunFrontier {
 
 /// A contiguous slice of one shard's trials: the unit of scheduling and
 /// of stealing. Identified purely by its trial range — the aggregator's
-/// watermark runs on `(shard, shard_offset)`, so adaptive splits can
-/// carve a chunk into arbitrary sub-ranges without any renumbering.
+/// watermark runs on `(shard, shard_offset)`, so any chunk size partitions
+/// a shard without renumbering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Chunk {
     /// Shard this chunk belongs to.
@@ -151,29 +151,14 @@ impl Claim {
     }
 }
 
-/// Per-worker deques with round-robin half-stealing and the starvation
-/// counters that drive *adaptive chunk splitting*.
-///
-/// `queued` tracks how many chunks currently sit in deques (claimed
-/// chunks leave the count; stolen-but-requeued loot stays in it) and
-/// `live` how many workers have not yet retired. When the live workers
-/// outnumber the queued chunks, at least one worker is scanning dry —
-/// that is the [`starving`](StealQueue::starving) signal an executing
-/// worker uses to split its claimed chunk and
-/// [`push_front`](StealQueue::push_front) the back half for a thief.
+/// Per-worker deques with round-robin half-stealing, plus the run
+/// frontier every claim is admitted against. The chunk set is fixed at
+/// [`deal`](StealQueue::deal): chunks only ever move between deques (under
+/// both locks) or leave one to be executed, so the deques hold no state
+/// beyond the chunks themselves.
 #[derive(Debug)]
 pub(crate) struct StealQueue {
     queues: Vec<Mutex<VecDeque<Chunk>>>,
-    queued: AtomicUsize,
-    live: AtomicUsize,
-    /// Chunks claimed but not yet finished executing. While this is
-    /// non-zero, an adaptive run's dry workers *park* instead of
-    /// retiring: any executing worker may still split its chunk and
-    /// repopulate the deques. A worker parked on the reorder frontier
-    /// keeps its claim counted here — its chunk *will* produce results,
-    /// so peers must neither retire nor treat it as an idle beneficiary
-    /// of an adaptive split.
-    executing: AtomicUsize,
     /// The run frontier every claim is admitted against: scheduler-owned
     /// flow control for the aggregator's reorder buffer.
     frontier: RunFrontier,
@@ -198,15 +183,12 @@ impl StealQueue {
         }
         StealQueue {
             queues: queues.into_iter().map(Mutex::new).collect(),
-            queued: AtomicUsize::new(total),
-            live: AtomicUsize::new(workers),
-            executing: AtomicUsize::new(0),
             frontier: RunFrontier::new(reorder_budget),
         }
     }
 
-    /// The shared run frontier (workers consult it before executing or
-    /// splitting; the aggregator advances it as results release).
+    /// The shared run frontier (workers consult it before executing; the
+    /// aggregator advances it as results release).
     pub fn frontier(&self) -> &RunFrontier {
         &self.frontier
     }
@@ -217,85 +199,10 @@ impl StealQueue {
     /// held), so an all-empty scan proves every remaining chunk is being
     /// executed right now and the worker can retire.
     pub fn claim(&self, worker: usize) -> Option<Claim> {
-        // Conservatively count this claim as executing for the whole
-        // scan: the increment happens *before* any deque lock, so a peer
-        // that observes our pop (through the same mutex) can never also
-        // observe `executing == 0` and retire in the instant before our
-        // split repopulates the deques. A failed claim undoes the count;
-        // the transient over-count merely delays a parked peer's
-        // retirement by one rescan.
-        self.executing.fetch_add(1, Ordering::Relaxed);
-        let claim = if let Some(chunk) = self.pop_local(worker) {
-            Some(Claim::Local(chunk))
-        } else {
-            self.steal(worker)
-        };
-        if claim.is_some() {
-            // The claimed chunk left a deque; stolen extras merely moved
-            // deques and stay counted.
-            let prev = self.queued.fetch_sub(1, Ordering::Relaxed);
-            debug_assert!(
-                prev > 0,
-                "queued counter underflow: a chunk was claimed before its \
-                 push was counted"
-            );
-        } else {
-            self.executing.fetch_sub(1, Ordering::Relaxed);
+        match self.pop_local(worker) {
+            Some(chunk) => Some(Claim::Local(chunk)),
+            None => self.steal(worker),
         }
-        claim
-    }
-
-    /// Hands the back half of a split chunk straight back to `worker`'s
-    /// own deque front: the worker resumes contiguously if nobody wants
-    /// it, and a dry thief steals it from the back otherwise.
-    ///
-    /// `queued` is incremented *before* the chunk becomes visible in the
-    /// deque: a thief can steal it (and `fetch_sub`) the instant the lock
-    /// drops, and counting afterwards would let the counter transiently
-    /// underflow past zero.
-    pub fn push_front(&self, worker: usize, chunk: Chunk) {
-        self.queued.fetch_add(1, Ordering::Relaxed);
-        self.queues[worker]
-            .lock()
-            .expect("scheduler deque poisoned")
-            .push_front(chunk);
-    }
-
-    /// Marks the chunk most recently claimed by this worker as finished
-    /// executing (the counterpart of a successful [`claim`](Self::claim)).
-    pub fn task_done(&self) {
-        let prev = self.executing.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "task_done without a matching claim");
-    }
-
-    /// Chunks currently claimed and executing. While non-zero, adaptive
-    /// splits may still repopulate the deques, so a dry worker should
-    /// park rather than retire.
-    pub fn executing(&self) -> usize {
-        self.executing.load(Ordering::Relaxed)
-    }
-
-    /// Marks one worker as retired (it found every deque empty with
-    /// nothing left executing, or the run was cancelled). Purely
-    /// advisory: only the starvation heuristic reads `live`.
-    pub fn retire(&self) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Whether splitting the chunk in hand would feed an otherwise-idle
-    /// worker: fewer queued chunks than workers that are live but *not*
-    /// executing (the dry scanners / parked thieves). Busy workers are
-    /// not potential beneficiaries — at the tail of a balanced load every
-    /// worker is executing its last chunk, and splitting then is pure
-    /// overhead. Racy by design: a stale answer costs one split (or one
-    /// idle scan), never correctness, because splitting only changes
-    /// scheduling granularity; `saturating_sub` keeps momentarily stale
-    /// counters from overflowing the comparison.
-    pub fn starving(&self) -> bool {
-        let live = self.live.load(Ordering::Relaxed);
-        let executing = self.executing.load(Ordering::Relaxed);
-        let idle = live.saturating_sub(executing);
-        live >= 2 && self.queued.load(Ordering::Relaxed) < idle
     }
 
     fn pop_local(&self, worker: usize) -> Option<Chunk> {
@@ -356,9 +263,6 @@ pub struct WorkerStats {
     pub steals: u64,
     /// Chunks this worker transferred from victims' deques.
     pub chunks_stolen: u64,
-    /// Claimed chunks this worker split because the starvation counters
-    /// showed idle workers (adaptive chunk sizing).
-    pub splits: u64,
     /// Time spent executing trials.
     pub busy: Duration,
     /// Lifetime of the worker minus `busy`: claim/steal scans and
@@ -467,90 +371,6 @@ mod tests {
         }
         assert_eq!(q.claim(3), None, "all deques empty");
         assert_eq!(q.claim(0), None);
-    }
-
-    #[test]
-    fn queued_tracks_claims_and_push_front() {
-        let q = StealQueue::deal(ladder(4), 2, 0);
-        assert_eq!(q.queued.load(Ordering::Relaxed), 4);
-        let first = q.claim(0).expect("local chunk").chunk();
-        assert_eq!(q.queued.load(Ordering::Relaxed), 3);
-        // A split hands the back half straight back to the deque front.
-        q.push_front(0, first);
-        assert_eq!(q.queued.load(Ordering::Relaxed), 4);
-        assert_eq!(q.claim(0), Some(Claim::Local(first)));
-        // A steal moves loot between deques but only the executed chunk
-        // leaves the queued count.
-        q.claim(0);
-        match q.claim(0) {
-            Some(Claim::Stolen { taken, .. }) => assert_eq!(taken, 1),
-            other => panic!("expected a steal, got {other:?}"),
-        }
-        assert_eq!(q.queued.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn starving_needs_idle_scanners_not_just_live_workers() {
-        let q = StealQueue::deal(ladder(2), 4, 0);
-        // 4 live workers, none executing, 2 queued chunks: at least two
-        // workers are scanning dry.
-        assert!(q.starving());
-        // With every other worker retired, splitting feeds nobody.
-        q.retire();
-        q.retire();
-        q.retire();
-        assert!(!q.starving());
-        // A single-worker engine never starves by definition.
-        let solo = StealQueue::deal(ladder(8), 1, 0);
-        assert!(!solo.starving());
-        // Busy workers are not beneficiaries: with every live worker
-        // executing its last chunk, splitting is pure overhead.
-        let busy = StealQueue::deal(ladder(2), 2, 0);
-        assert!(busy.claim(0).is_some());
-        assert!(busy.claim(1).is_some());
-        assert!(!busy.starving(), "all live workers are executing");
-        // Once one finishes, its dry rescan makes it a beneficiary again.
-        busy.task_done();
-        assert!(busy.starving());
-    }
-
-    #[test]
-    fn queued_counter_survives_push_steal_races() {
-        // Regression for a transient underflow: push_front must count the
-        // chunk *before* publishing it, or a thief's claim can decrement
-        // first and wrap the counter (the claim-side debug_assert and the
-        // concurrent starving() probes below trip on the old ordering).
-        let q = StealQueue::deal(ladder(16), 4, 0);
-        std::thread::scope(|scope| {
-            for w in 0..4 {
-                let q = &q;
-                scope.spawn(move || {
-                    let mut held: Vec<Chunk> = Vec::new();
-                    for round in 0..400 {
-                        q.starving();
-                        match q.claim(w) {
-                            Some(claim) => {
-                                held.push(claim.chunk());
-                                // Recycle every other chunk so pushes and
-                                // steals keep racing.
-                                if round % 2 == 0 {
-                                    if let Some(c) = held.pop() {
-                                        q.push_front(w, c);
-                                    }
-                                }
-                            }
-                            None => {
-                                if let Some(c) = held.pop() {
-                                    q.push_front(w, c);
-                                } else {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
     }
 
     #[test]

@@ -20,9 +20,8 @@
 /// Implementations must be pure: `fill(start, len, ..)` yields exactly
 /// the items `start..start + len` of a fixed virtual sequence, however
 /// the calls are interleaved across worker threads. Chunks are pulled at
-/// most once per execution, but an adaptively *split* chunk pulls its
-/// two halves separately — another reason item `i` must not depend on
-/// which other items have been pulled.
+/// most once per execution, in whatever order the steal schedule runs
+/// them — item `i` must not depend on which other items have been pulled.
 pub trait TrialSource: Sync {
     /// The per-trial input item.
     type Item: Send;
@@ -151,7 +150,7 @@ mod tests {
         source.fill(7, 2, &mut out);
         assert_eq!(out, vec![49, 64]);
         // Pulling the same range twice yields the same items: the purity
-        // contract split chunks rely on.
+        // contract every chunking relies on.
         let mut again = Vec::new();
         source.fill(7, 2, &mut again);
         assert_eq!(out, again);

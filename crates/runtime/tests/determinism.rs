@@ -257,24 +257,19 @@ fn matrix_worker_count_agrees_with_serial() {
         .unwrap_or(8);
     for chunk in [1u64, 3, 1_000] {
         let plan = RunPlan::new(300, 0xA11).with_shards(24).with_chunk(chunk);
-        let full = |workers: usize, plan: &RunPlan| {
+        let full = |workers: usize| {
             run_campaign(
                 &Engine::with_workers(workers),
-                plan,
+                &plan,
                 EarlyStop::never(),
                 trial,
             )
             .summary
         };
         assert_eq!(
-            full(workers, &plan),
-            full(1, &plan),
+            full(workers),
+            full(1),
             "full campaign, workers={workers} chunk={chunk}"
-        );
-        assert_eq!(
-            full(workers, &plan.with_adaptive(false)),
-            full(workers, &plan),
-            "adaptive splitting changed the aggregate, workers={workers} chunk={chunk}"
         );
         let stopped = |workers| {
             run_campaign(
@@ -381,20 +376,18 @@ fn reorder_budget_covering_the_run_is_byte_identical_to_unbounded() {
     }
 }
 
-/// Budget × adaptive splitting: a split must never deadlock against a
-/// parked frontier. Whole-shard chunks force mid-run splits (the
-/// adaptive regression regime) while a tight budget forces parking; the
-/// run must complete with the exact aggregate, and the depth cap must
-/// hold even for split sub-chunks.
+/// Budget × whole-shard chunks: every chunk is longer than the budget, so
+/// only the frontier chunk is ever admitted and each other claim parks
+/// until the watermark reaches it. The run must complete (no deadlock)
+/// with the exact aggregate, and the depth cap must hold.
 #[test]
-fn adaptive_splits_never_deadlock_against_a_parked_frontier() {
+fn whole_shard_chunks_wider_than_the_budget_never_deadlock() {
     use std::time::Duration;
 
-    let run = |workers: usize, budget: u64, adaptive: bool| {
+    let run = |workers: usize, budget: u64| {
         let plan = RunPlan::new(128, 0xADA)
             .with_shards(2)
             .with_chunk(64)
-            .with_adaptive(adaptive)
             .with_reorder_budget(budget);
         run_campaign(
             &Engine::with_workers(workers),
@@ -406,9 +399,9 @@ fn adaptive_splits_never_deadlock_against_a_parked_frontier() {
             },
         )
     };
-    let reference = run(1, 0, false);
+    let reference = run(1, 0);
     for budget in [1u64, 16, 48] {
-        let outcome = run(8, budget, true);
+        let outcome = run(8, budget);
         assert_eq!(outcome.summary, reference.summary, "budget={budget}");
         assert!(
             outcome.stats.max_reorder_depth <= budget,

@@ -1,7 +1,8 @@
 //! Cross-crate contract between the runtime and the metrics plane:
-//! `relcnn-obs` replicates `LatencyHistogram`'s log-linear bucket
-//! layout, so histograms export natively. If either side's bucket
-//! arithmetic drifts, these tests fail before any dashboard lies.
+//! `LatencyHistogram` uses `relcnn-obs`'s log-linear bucket layout, so
+//! histograms export natively. If the `merge_dense` bridge or either
+//! side's quantile arithmetic drifts, these tests fail before any
+//! dashboard lies.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
