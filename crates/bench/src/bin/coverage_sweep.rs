@@ -19,8 +19,8 @@
 use relcnn_bench::{quick_mode, results_dir, write_csv};
 use relcnn_core::guarantee::{silent_layer_bound, silent_layer_probability};
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite};
-use relcnn_relexec::conv::{reliable_conv2d, ReliableConvConfig};
-use relcnn_relexec::{BucketConfig, DmrAlu, PlainAlu, RedundancyMode, RetryPolicy, TmrAlu};
+use relcnn_relexec::conv::{reliable_partition, ReliableConvConfig};
+use relcnn_relexec::{BucketConfig, RedundancyMode, RetryPolicy};
 use relcnn_runtime::{
     CampaignSink, EarlyStop, Engine, FnTrial, JsonlSink, RunPlan, TrialCtx, TrialOutcome,
     TrialResult,
@@ -81,52 +81,37 @@ fn main() {
             let policy = EarlyStop::on_ci_width(0.02, trials / 4);
             let sink = JsonlSink::new(&mut jsonl, CampaignSink::new(policy));
             let trial = FnTrial::new(|ctx: &mut TrialCtx| {
-                let injector = BerInjector::new(ctx.seed, ber)
+                let mut injector = BerInjector::new(ctx.seed, ber)
                     .with_sites(vec![FaultSite::Multiplier, FaultSite::Accumulator]);
-                let run = |out: Result<relcnn_relexec::conv::ConvOutput, _>| match out {
-                    Err(_) => (TrialOutcome::DetectedAborted, Default::default()),
+                let outcome = match reliable_partition(
+                    mode,
+                    &input,
+                    &weights,
+                    None,
+                    &geom,
+                    false, // no ReLU stage
+                    &mut injector,
+                    &config,
+                ) {
+                    Err(_) => TrialOutcome::DetectedAborted,
                     Ok(out) => {
                         let silent = out
                             .output
                             .iter()
                             .zip(golden.iter())
                             .any(|(a, b)| (a - b).abs() > 1e-4);
-                        let outcome = if silent {
+                        if silent {
                             TrialOutcome::SilentCorruption
                         } else if out.stats.retries > 0 {
                             TrialOutcome::DetectedRecovered
                         } else {
                             TrialOutcome::Correct
-                        };
-                        (outcome, out.stats)
-                    }
-                };
-                let (outcome, _stats, injector_stats) = match mode {
-                    RedundancyMode::Plain => {
-                        let mut alu = PlainAlu::new(injector);
-                        let r = run(reliable_conv2d(
-                            &input, &weights, None, &geom, &mut alu, &config,
-                        ));
-                        (r.0, r.1, alu.into_injector().stats())
-                    }
-                    RedundancyMode::Dmr => {
-                        let mut alu = DmrAlu::new(injector);
-                        let r = run(reliable_conv2d(
-                            &input, &weights, None, &geom, &mut alu, &config,
-                        ));
-                        (r.0, r.1, alu.into_injector().stats())
-                    }
-                    RedundancyMode::Tmr => {
-                        let mut alu = TmrAlu::new(injector);
-                        let r = run(reliable_conv2d(
-                            &input, &weights, None, &geom, &mut alu, &config,
-                        ));
-                        (r.0, r.1, alu.into_injector().stats())
+                        }
                     }
                 };
                 TrialResult {
                     outcome,
-                    injector: injector_stats,
+                    injector: injector.stats(),
                 }
             });
             let outcome = Engine::default().run(&plan, &trial, sink);

@@ -7,8 +7,8 @@ use relcnn_nn::freeze::{FilterPin, FreezePolicy};
 use relcnn_nn::metrics::ConfusionMatrix;
 use relcnn_nn::train::{evaluate, train, TrainConfig};
 use relcnn_nn::{alexnet, InferScratch, Network};
-use relcnn_relexec::conv::{reliable_conv2d, reliable_relu, ExecStats, ReliableConvConfig};
-use relcnn_relexec::{DmrAlu, PlainAlu, QualifiedAlu, RedundancyMode, TmrAlu};
+use relcnn_relexec::conv::{reliable_partition, ReliableConvConfig};
+use relcnn_relexec::RedundancyMode;
 use relcnn_tensor::conv::ConvGeometry;
 use relcnn_tensor::init::Rand;
 use relcnn_tensor::ops::argmax_slice;
@@ -387,7 +387,7 @@ impl HybridCnn {
     ///
     /// As for [`HybridCnn::classify`]; persistent injected faults surface
     /// as [`HybridError::ReliablePathFailed`].
-    pub fn classify_under_faults<I: FaultInjector + Clone>(
+    pub fn classify_under_faults<I: FaultInjector>(
         &mut self,
         image: &Tensor,
         injector: &mut I,
@@ -404,10 +404,16 @@ impl HybridCnn {
     /// through one `&HybridCnn`, each with its own arena. The verdict
     /// does not depend on what the arena held before.
     ///
+    /// The reliable partition's ALUs are built around a borrow of
+    /// `injector`, so its fault stream and counters advance in place:
+    /// consecutive classifications draw fresh randomness, and after an
+    /// abort the injector stands where the abort happened — its counters
+    /// include the exposures and the faults of the failing stage.
+    ///
     /// # Errors
     ///
     /// As for [`HybridCnn::classify_under_faults`].
-    pub fn classify_with<I: FaultInjector + Clone>(
+    pub fn classify_with<I: FaultInjector>(
         &self,
         image: &Tensor,
         injector: &mut I,
@@ -420,20 +426,30 @@ impl HybridCnn {
         }
 
         // --- Reliable partition: conv-1 (and optionally its ReLU) under
-        // qualified operations. ------------------------------------------
-        let (conv_out, stats) = match self.config.redundancy {
-            RedundancyMode::Plain => {
-                self.reliable_partition(image, injector, PlainAlu::new, PlainAlu::into_injector)
-            }
-            RedundancyMode::Dmr => {
-                self.reliable_partition(image, injector, DmrAlu::new, DmrAlu::into_injector)
-            }
-            RedundancyMode::Tmr => {
-                self.reliable_partition(image, injector, TmrAlu::new, TmrAlu::into_injector)
-            }
-        }?;
+        // qualified operations. Filters and bias are borrowed straight
+        // from the layer. -------------------------------------------------
+        let conv = self.net.conv2d_at(0).expect("validated at construction");
+        let geom = ConvGeometry::new(
+            image.shape().dim(1),
+            image.shape().dim(2),
+            conv.kernel_size(),
+            conv.kernel_size(),
+            conv.stride(),
+            conv.padding(),
+        )?;
+        let partition = reliable_partition(
+            self.config.redundancy,
+            image,
+            conv.filters(),
+            Some(conv.bias()),
+            &geom,
+            self.config.reliable_relu,
+            injector,
+            &self.config.conv,
+        )?;
+        let conv_out = partition.output;
         let tail_start = if self.config.reliable_relu { 2 } else { 1 };
-        let guarantee = GuaranteeReport::from_stats(self.config.redundancy, &stats);
+        let guarantee = GuaranteeReport::from_stats(self.config.redundancy, &partition.stats);
 
         // --- Unprotected remainder of the CNN. ---------------------------
         // Allocation-free after the first image warms the arena.
@@ -473,59 +489,6 @@ impl HybridCnn {
             qualifier,
             guarantee,
         })
-    }
-
-    /// Runs conv-1 — and, when the partition is extended, the ReLU after
-    /// it — on one redundancy mode's ALU, returning the feature maps and
-    /// the merged execution statistics.
-    ///
-    /// Each stage's ALU takes ownership of a clone of the injector; the
-    /// evolved injector state is copied back afterwards so callers can
-    /// read its counters and so consecutive classifications draw fresh
-    /// randomness. On an abort the injector is left at the failing
-    /// stage's pre-call state (the error itself carries the diagnosis).
-    fn reliable_partition<I: FaultInjector + Clone, A: QualifiedAlu>(
-        &self,
-        image: &Tensor,
-        injector: &mut I,
-        new_alu: fn(I) -> A,
-        into_injector: fn(A) -> I,
-    ) -> Result<(Tensor, ExecStats), HybridError> {
-        // Filters and bias are borrowed straight from the layer.
-        let conv = self.net.conv2d_at(0).expect("validated at construction");
-        let geom = ConvGeometry::new(
-            image.shape().dim(1),
-            image.shape().dim(2),
-            conv.kernel_size(),
-            conv.kernel_size(),
-            conv.stride(),
-            conv.padding(),
-        )?;
-        let mut alu = new_alu(injector.clone());
-        let conv_out = reliable_conv2d(
-            image,
-            conv.filters(),
-            Some(conv.bias()),
-            &geom,
-            &mut alu,
-            &self.config.conv,
-        )?;
-        *injector = into_injector(alu);
-        if !self.config.reliable_relu {
-            return Ok((conv_out.output, conv_out.stats));
-        }
-        // Qualified comparator ops share the bucket semantics.
-        let mut alu = new_alu(injector.clone());
-        let relu_out = reliable_relu(&conv_out.output, &mut alu, &self.config.conv)?;
-        *injector = into_injector(alu);
-        let mut stats = conv_out.stats;
-        stats.acc_ops += relu_out.stats.acc_ops;
-        stats.failed_ops += relu_out.stats.failed_ops;
-        stats.retries += relu_out.stats.retries;
-        stats.recovered += relu_out.stats.recovered;
-        stats.cycles += relu_out.stats.cycles;
-        stats.bucket_peak = stats.bucket_peak.max(relu_out.stats.bucket_peak);
-        Ok((relu_out.output, stats))
     }
 
     /// Runs the qualifier on the configured evidence source.
@@ -694,6 +657,10 @@ mod tests {
             .permanent()]);
         let err = hybrid.classify_under_faults(&img, &mut inj);
         assert!(matches!(err, Err(HybridError::ReliablePathFailed(_))));
+        // The injector stands where the abort happened: a campaign summing
+        // `InjectorStats` over its trials counts the faults that aborted one.
+        assert!(inj.stats().injected >= 1, "{:?}", inj.stats());
+        assert!(inj.stats().exposures > 0);
     }
 
     #[test]

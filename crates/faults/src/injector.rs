@@ -45,6 +45,23 @@ pub trait FaultInjector: Send {
     fn reset_stats(&mut self);
 }
 
+/// A borrowed injector is an injector: whatever is built around `&mut I`
+/// (an ALU, say) advances the caller's own fault stream and counters, so
+/// they stand where execution stopped — also when it stopped on an abort.
+impl<I: FaultInjector + ?Sized> FaultInjector for &mut I {
+    fn perturb(&mut self, ctx: OpContext, value: f32) -> f32 {
+        (**self).perturb(ctx, value)
+    }
+
+    fn stats(&self) -> InjectorStats {
+        (**self).stats()
+    }
+
+    fn reset_stats(&mut self) {
+        (**self).reset_stats();
+    }
+}
+
 /// The no-fault injector: passes every value through untouched.
 ///
 /// Used for baseline timing runs (Table 1 is measured fault-free).

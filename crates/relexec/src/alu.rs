@@ -57,9 +57,23 @@ pub trait QualifiedAlu {
     fn injector_stats(&self) -> InjectorStats;
 }
 
-/// State shared by all ALU implementations.
+/// The qualified ALU: every operation executes on `N` replicas through the
+/// fault injector `I`, and the replica count picks the qualifier rule —
+/// see the three aliases [`PlainAlu`], [`DmrAlu`] and [`TmrAlu`]. Any
+/// other `N` fails to compile.
+///
+/// `I` is an injector or a `&mut` borrow of one: an ALU built on
+/// `&mut injector` advances the caller's own fault stream and counters.
+///
+/// ```compile_fail
+/// use relcnn_faults::NoFaults;
+/// use relcnn_relexec::{Alu, QualifiedAlu};
+///
+/// // No redundancy mode has four replicas.
+/// Alu::<_, 4>::new(NoFaults::new()).mul(1.0, 1.0);
+/// ```
 #[derive(Debug, Clone)]
-struct AluCore<I> {
+pub struct Alu<I, const N: usize> {
     injector: I,
     op_index: u64,
     pe: u32,
@@ -75,9 +89,44 @@ struct AluCore<I> {
     cost: OpCost,
 }
 
-impl<I: FaultInjector> AluCore<I> {
-    fn new(injector: I) -> Self {
-        AluCore {
+/// **Algorithm 1**: non-redundant execution. "This operation simply returns
+/// a product and a predefined qualifier, set to True. We use operations
+/// like this to determine baseline performance characteristics."
+///
+/// Note the safety implication the paper builds on: a fault striking a
+/// plain operation is *silent* — the constant-true qualifier waves the
+/// corrupted value straight through.
+pub type PlainAlu<I> = Alu<I, 1>;
+
+/// **Algorithm 2**: dual modular redundant execution. "Here the qualifier
+/// is set to True should the two products be the same."
+///
+/// Comparison is bit-exact, matching a hardware comparator on the result
+/// bus; both replicas compute from the *same latched operands*, so
+/// identical inputs must yield identical bits on a healthy unit.
+pub type DmrAlu<I> = Alu<I, 2>;
+
+/// Triple modular redundancy with bitwise 2-of-3 majority vote: the
+/// paper's "in the case of triple modular redundancy, agreed upon by
+/// execution of the algorithm three times and voting on the result".
+///
+/// A fault confined to one replica is *corrected* in place (qualifier
+/// true, no retry needed); three-way disagreement fails the qualifier.
+pub type TmrAlu<I> = Alu<I, 3>;
+
+impl<I: FaultInjector, const N: usize> Alu<I, N> {
+    /// The mode `N` replicas implement. Every qualified operation names
+    /// it, so an ALU with any other replica count does not compile.
+    const MODE: RedundancyMode = match N {
+        1 => RedundancyMode::Plain,
+        2 => RedundancyMode::Dmr,
+        3 => RedundancyMode::Tmr,
+        _ => panic!("an ALU has 1 (plain), 2 (DMR) or 3 (TMR) replicas"),
+    };
+
+    /// Creates the ALU around a fault injector (or a borrow of one).
+    pub fn new(injector: I) -> Self {
+        Alu {
             injector,
             op_index: 0,
             pe: 0,
@@ -85,6 +134,15 @@ impl<I: FaultInjector> AluCore<I> {
             cycles: 0,
             cost: OpCost::default(),
         }
+    }
+
+    /// Places redundant replicas on spatially distinct processing
+    /// elements `spacing` apart (0 = temporal redundancy on one PE, the
+    /// default). Spatial placement is what lets comparison detect
+    /// *permanent* PE defects.
+    pub fn with_spatial_replicas(mut self, spacing: u32) -> Self {
+        self.replica_spacing = spacing;
+        self
     }
 
     fn ctx(&self, site: FaultSite, replica: u8) -> OpContext {
@@ -101,8 +159,8 @@ impl<I: FaultInjector> AluCore<I> {
         self.injector.perturb(ctx, value)
     }
 
-    /// Executes `compute` once per replica through the injector at `site`,
-    /// returning the per-replica results.
+    /// Executes `compute` once per replica through the injector at `site`
+    /// and qualifies the per-replica results.
     ///
     /// Each replica's computation is wrapped in [`std::hint::black_box`]:
     /// the replicas model physically distinct execution units, so the
@@ -110,274 +168,78 @@ impl<I: FaultInjector> AluCore<I> {
     /// multiply — that would silently turn Algorithm 2 back into
     /// Algorithm 1 (and falsify every timing comparison against the
     /// paper's Table 1).
-    fn replicate<const N: usize>(
-        &mut self,
-        site: FaultSite,
-        compute: impl Fn() -> f32,
-    ) -> [f32; N] {
-        let mut out = [0.0f32; N];
-        for (r, slot) in out.iter_mut().enumerate() {
-            let ctx = self.ctx(site, r as u8);
+    fn replicate(&mut self, site: FaultSite, compute: impl Fn() -> f32) -> Qualified<f32> {
+        let mut r = [0.0f32; N];
+        for (replica, slot) in r.iter_mut().enumerate() {
+            let ctx = self.ctx(site, replica as u8);
             *slot = self.injector.perturb(ctx, std::hint::black_box(compute()));
         }
         self.op_index += 1;
-        out
+        let same = |a: usize, b: usize| r[a].to_bits() == r[b].to_bits();
+        match Self::MODE {
+            RedundancyMode::Plain => Qualified::passed(r[0]),
+            RedundancyMode::Dmr => Qualified::new(r[0], same(0, 1)),
+            RedundancyMode::Tmr => {
+                if same(0, 1) || same(0, 2) {
+                    Qualified::passed(r[0])
+                } else if same(1, 2) {
+                    Qualified::passed(r[1])
+                } else {
+                    Qualified::failed(r[0])
+                }
+            }
+        }
     }
 }
 
-macro_rules! forward_common {
-    () => {
-        fn load_weight(&mut self, value: f32) -> f32 {
-            self.core.load(FaultSite::WeightLoad, value)
-        }
-
-        fn load_activation(&mut self, value: f32) -> f32 {
-            self.core.load(FaultSite::ActivationLoad, value)
-        }
-
-        fn rollback_op(&mut self) {
-            self.core.op_index = self.core.op_index.saturating_sub(1);
-            self.core.cycles += self.core.cost.rollback;
-        }
-
-        fn set_pe(&mut self, pe: u32) {
-            self.core.pe = pe;
-        }
-
-        fn op_count(&self) -> u64 {
-            self.core.op_index
-        }
-
-        fn cycles(&self) -> u64 {
-            self.core.cycles
-        }
-
-        fn injector_stats(&self) -> InjectorStats {
-            self.core.injector.stats()
-        }
-    };
-}
-
-/// **Algorithm 1**: non-redundant execution. "This operation simply returns
-/// a product and a predefined qualifier, set to True. We use operations
-/// like this to determine baseline performance characteristics."
-///
-/// Note the safety implication the paper builds on: a fault striking a
-/// plain operation is *silent* — the constant-true qualifier waves the
-/// corrupted value straight through.
-#[derive(Debug, Clone)]
-pub struct PlainAlu<I> {
-    core: AluCore<I>,
-}
-
-impl<I: FaultInjector> PlainAlu<I> {
-    /// Creates the ALU around a fault injector.
-    pub fn new(injector: I) -> Self {
-        PlainAlu {
-            core: AluCore::new(injector),
-        }
-    }
-
-    /// Overrides the cycle-cost table.
-    pub fn with_cost(mut self, cost: OpCost) -> Self {
-        self.core.cost = cost;
-        self
-    }
-
-    /// Places redundant replicas on spatially distinct processing
-    /// elements `spacing` apart (0 = temporal redundancy on one PE, the
-    /// default). Spatial placement is what lets comparison detect
-    /// *permanent* PE defects — see `AluCore::replica_spacing`.
-    pub fn with_spatial_replicas(mut self, spacing: u32) -> Self {
-        self.core.replica_spacing = spacing;
-        self
-    }
-
-    /// Consumes the ALU, returning its injector (for post-run inspection).
-    pub fn into_injector(self) -> I {
-        self.core.injector
-    }
-}
-
-impl<I: FaultInjector> QualifiedAlu for PlainAlu<I> {
+impl<I: FaultInjector, const N: usize> QualifiedAlu for Alu<I, N> {
     fn mode(&self) -> RedundancyMode {
-        RedundancyMode::Plain
+        Self::MODE
+    }
+
+    fn load_weight(&mut self, value: f32) -> f32 {
+        self.load(FaultSite::WeightLoad, value)
+    }
+
+    fn load_activation(&mut self, value: f32) -> f32 {
+        self.load(FaultSite::ActivationLoad, value)
     }
 
     fn mul(&mut self, a: f32, b: f32) -> Qualified<f32> {
-        self.core.cycles += self.core.cost.mul_op(RedundancyMode::Plain);
-        let [r] = self.core.replicate::<1>(FaultSite::Multiplier, || a * b);
-        Qualified::passed(r)
+        self.cycles += self.cost.mul_op(Self::MODE);
+        self.replicate(FaultSite::Multiplier, || a * b)
     }
 
     fn acc(&mut self, acc: f32, addend: f32) -> Qualified<f32> {
-        self.core.cycles += self.core.cost.acc_op(RedundancyMode::Plain);
-        let [r] = self
-            .core
-            .replicate::<1>(FaultSite::Accumulator, || acc + addend);
-        Qualified::passed(r)
+        self.cycles += self.cost.acc_op(Self::MODE);
+        self.replicate(FaultSite::Accumulator, || acc + addend)
     }
 
     fn max_zero(&mut self, a: f32) -> Qualified<f32> {
-        self.core.cycles += self.core.cost.acc_op(RedundancyMode::Plain);
-        let [r] = self
-            .core
-            .replicate::<1>(FaultSite::Comparator, || a.max(0.0));
-        Qualified::passed(r)
+        self.cycles += self.cost.acc_op(Self::MODE);
+        self.replicate(FaultSite::Comparator, || a.max(0.0))
     }
 
-    forward_common!();
-}
-
-/// **Algorithm 2**: dual modular redundant execution. "Here the qualifier
-/// is set to True should the two products be the same."
-///
-/// Comparison is bit-exact, matching a hardware comparator on the result
-/// bus; both replicas compute from the *same latched operands*, so
-/// identical inputs must yield identical bits on a healthy unit.
-#[derive(Debug, Clone)]
-pub struct DmrAlu<I> {
-    core: AluCore<I>,
-}
-
-impl<I: FaultInjector> DmrAlu<I> {
-    /// Creates the ALU around a fault injector.
-    pub fn new(injector: I) -> Self {
-        DmrAlu {
-            core: AluCore::new(injector),
-        }
+    fn rollback_op(&mut self) {
+        self.op_index = self.op_index.saturating_sub(1);
+        self.cycles += self.cost.rollback;
     }
 
-    /// Overrides the cycle-cost table.
-    pub fn with_cost(mut self, cost: OpCost) -> Self {
-        self.core.cost = cost;
-        self
+    fn set_pe(&mut self, pe: u32) {
+        self.pe = pe;
     }
 
-    /// Places redundant replicas on spatially distinct processing
-    /// elements `spacing` apart (0 = temporal redundancy on one PE, the
-    /// default). Spatial placement is what lets comparison detect
-    /// *permanent* PE defects — see `AluCore::replica_spacing`.
-    pub fn with_spatial_replicas(mut self, spacing: u32) -> Self {
-        self.core.replica_spacing = spacing;
-        self
+    fn op_count(&self) -> u64 {
+        self.op_index
     }
 
-    /// Consumes the ALU, returning its injector.
-    pub fn into_injector(self) -> I {
-        self.core.injector
-    }
-}
-
-impl<I: FaultInjector> QualifiedAlu for DmrAlu<I> {
-    fn mode(&self) -> RedundancyMode {
-        RedundancyMode::Dmr
+    fn cycles(&self) -> u64 {
+        self.cycles
     }
 
-    fn mul(&mut self, a: f32, b: f32) -> Qualified<f32> {
-        self.core.cycles += self.core.cost.mul_op(RedundancyMode::Dmr);
-        let [r0, r1] = self.core.replicate::<2>(FaultSite::Multiplier, || a * b);
-        Qualified::new(r0, r0.to_bits() == r1.to_bits())
+    fn injector_stats(&self) -> InjectorStats {
+        self.injector.stats()
     }
-
-    fn acc(&mut self, acc: f32, addend: f32) -> Qualified<f32> {
-        self.core.cycles += self.core.cost.acc_op(RedundancyMode::Dmr);
-        let [r0, r1] = self
-            .core
-            .replicate::<2>(FaultSite::Accumulator, || acc + addend);
-        Qualified::new(r0, r0.to_bits() == r1.to_bits())
-    }
-
-    fn max_zero(&mut self, a: f32) -> Qualified<f32> {
-        self.core.cycles += self.core.cost.acc_op(RedundancyMode::Dmr);
-        let [r0, r1] = self
-            .core
-            .replicate::<2>(FaultSite::Comparator, || a.max(0.0));
-        Qualified::new(r0, r0.to_bits() == r1.to_bits())
-    }
-
-    forward_common!();
-}
-
-/// Triple modular redundancy with bitwise 2-of-3 majority vote: the
-/// paper's "in the case of triple modular redundancy, agreed upon by
-/// execution of the algorithm three times and voting on the result".
-///
-/// A fault confined to one replica is *corrected* in place (qualifier
-/// true, no retry needed); three-way disagreement fails the qualifier.
-#[derive(Debug, Clone)]
-pub struct TmrAlu<I> {
-    core: AluCore<I>,
-}
-
-impl<I: FaultInjector> TmrAlu<I> {
-    /// Creates the ALU around a fault injector.
-    pub fn new(injector: I) -> Self {
-        TmrAlu {
-            core: AluCore::new(injector),
-        }
-    }
-
-    /// Overrides the cycle-cost table.
-    pub fn with_cost(mut self, cost: OpCost) -> Self {
-        self.core.cost = cost;
-        self
-    }
-
-    /// Places redundant replicas on spatially distinct processing
-    /// elements `spacing` apart (0 = temporal redundancy on one PE, the
-    /// default). Spatial placement is what lets comparison detect
-    /// *permanent* PE defects — see `AluCore::replica_spacing`.
-    pub fn with_spatial_replicas(mut self, spacing: u32) -> Self {
-        self.core.replica_spacing = spacing;
-        self
-    }
-
-    /// Consumes the ALU, returning its injector.
-    pub fn into_injector(self) -> I {
-        self.core.injector
-    }
-
-    fn vote(r: [f32; 3]) -> Qualified<f32> {
-        let [a, b, c] = r;
-        if a.to_bits() == b.to_bits() || a.to_bits() == c.to_bits() {
-            Qualified::passed(a)
-        } else if b.to_bits() == c.to_bits() {
-            Qualified::passed(b)
-        } else {
-            Qualified::failed(a)
-        }
-    }
-}
-
-impl<I: FaultInjector> QualifiedAlu for TmrAlu<I> {
-    fn mode(&self) -> RedundancyMode {
-        RedundancyMode::Tmr
-    }
-
-    fn mul(&mut self, a: f32, b: f32) -> Qualified<f32> {
-        self.core.cycles += self.core.cost.mul_op(RedundancyMode::Tmr);
-        let r = self.core.replicate::<3>(FaultSite::Multiplier, || a * b);
-        Self::vote(r)
-    }
-
-    fn acc(&mut self, acc: f32, addend: f32) -> Qualified<f32> {
-        self.core.cycles += self.core.cost.acc_op(RedundancyMode::Tmr);
-        let r = self
-            .core
-            .replicate::<3>(FaultSite::Accumulator, || acc + addend);
-        Self::vote(r)
-    }
-
-    fn max_zero(&mut self, a: f32) -> Qualified<f32> {
-        self.core.cycles += self.core.cost.acc_op(RedundancyMode::Tmr);
-        let r = self
-            .core
-            .replicate::<3>(FaultSite::Comparator, || a.max(0.0));
-        Self::vote(r)
-    }
-
-    forward_common!();
 }
 
 #[cfg(test)]
@@ -549,8 +411,7 @@ mod tests {
         assert_eq!(dmr.op_count(), 2, "loads do not consume op indices");
         // 2 loads + 2 replicas * 2 ops = 6 exposures.
         assert_eq!(dmr.injector_stats().exposures, 6);
-        let inj = dmr.into_injector();
-        assert_eq!(inj.stats().injected, 0);
+        assert_eq!(dmr.injector_stats().injected, 0);
     }
 
     #[test]

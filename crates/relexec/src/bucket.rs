@@ -112,6 +112,12 @@ impl LeakyBucket {
 
     /// Records a failed operation: level rises by `factor` (saturating) and
     /// is checked against the ceiling.
+    ///
+    /// `#[inline]`, like [`record_success`](Self::record_success): an
+    /// out-of-line call from the reliable kernels would take the address of
+    /// the Algorithm-3 regime that owns the bucket and so force the regime's
+    /// ALU pointer and counters through memory on every operation.
+    #[inline]
     pub fn record_error(&mut self) -> BucketState {
         self.errors += 1;
         self.level = self.level.saturating_add(self.config.factor);
@@ -125,6 +131,7 @@ impl LeakyBucket {
 
     /// Records a correct operation: level drains by one, floored at zero
     /// (Algorithm 3 lines 18–19).
+    #[inline]
     pub fn record_success(&mut self) {
         self.successes += 1;
         self.level = self.level.saturating_sub(1);

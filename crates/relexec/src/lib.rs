@@ -6,12 +6,14 @@
 //!
 //! * [`Qualified`] — every basic operation "returns a value … \[and\] a
 //!   qualifier indicating whether the operation was carried out correctly";
-//! * [`PlainAlu`] — **Algorithm 1**: non-redundant execution, qualifier
-//!   constantly `true` (baseline);
-//! * [`DmrAlu`] — **Algorithm 2**: the operation executes twice and the
-//!   qualifier asserts both results are equal;
-//! * [`TmrAlu`] — triple modular redundancy with majority vote (mentioned
-//!   in §IV as the agreed-upon-by-voting variant);
+//! * [`Alu<I, N>`](Alu) — the one qualified ALU: every operation executes
+//!   on `N` replicas and `N` picks the qualifier rule, under three aliases:
+//!   * [`PlainAlu`] (`N = 1`) — **Algorithm 1**: non-redundant execution,
+//!     qualifier constantly `true` (baseline);
+//!   * [`DmrAlu`] (`N = 2`) — **Algorithm 2**: the operation executes twice
+//!     and the qualifier asserts both results are equal;
+//!   * [`TmrAlu`] (`N = 3`) — triple modular redundancy with majority vote
+//!     (mentioned in §IV as the agreed-upon-by-voting variant);
 //! * [`LeakyBucket`] — the error counter of **Algorithm 3**: increment by
 //!   `factor` on error, check against a ceiling, decrement by one (floor
 //!   zero) on every correct operation;
@@ -19,11 +21,16 @@
 //!   a convolution that assumes every operation failed unless asserted
 //!   otherwise, retries failed operations once (checkpoint/rollback with a
 //!   rollback distance of a single operation) and aborts on persistent
-//!   failure.
+//!   failure;
+//! * [`reliable_partition`](conv::reliable_partition) — the same kernel
+//!   (and optionally the ReLU after it) for a [`RedundancyMode`] known only
+//!   at run time: the one place a mode becomes an ALU type.
 //!
-//! Faults enter through the [`relcnn_faults::FaultInjector`] every ALU
-//! owns; with [`relcnn_faults::NoFaults`] the operators run fault-free,
-//! which is how Table 1 is measured.
+//! Faults enter through the [`relcnn_faults::FaultInjector`] an ALU is
+//! built around — an injector of its own, or a `&mut` borrow of the
+//! caller's, whose fault stream and counters then advance in place. With
+//! [`relcnn_faults::NoFaults`] the operators run fault-free, which is how
+//! Table 1 is measured.
 //!
 //! # Example
 //!
@@ -49,7 +56,7 @@ mod error;
 mod policy;
 mod qualified;
 
-pub use alu::{DmrAlu, PlainAlu, QualifiedAlu, TmrAlu};
+pub use alu::{Alu, DmrAlu, PlainAlu, QualifiedAlu, TmrAlu};
 pub use bucket::{BucketConfig, BucketState, LeakyBucket};
 pub use error::ExecError;
 pub use policy::{RedundancyMode, RetryPolicy};

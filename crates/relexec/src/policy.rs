@@ -61,8 +61,7 @@ impl RetryPolicy {
         RetryPolicy { max_retries: 1 }
     }
 
-    /// No retries: a failed operation immediately counts as unrecoverable
-    /// (used by the ablation comparing rollback granularities).
+    /// No retries: a failed operation immediately counts as unrecoverable.
     pub fn none() -> Self {
         RetryPolicy { max_retries: 0 }
     }

@@ -9,10 +9,13 @@
 //!  * fault-free reliable convolution is exactly direct convolution.
 
 use proptest::prelude::*;
-use relcnn_faults::{FaultSite, NoFaults, ScriptedFault, ScriptedInjector};
-use relcnn_relexec::conv::{reliable_conv2d, ReliableConvConfig};
+use relcnn_faults::{
+    BerInjector, FaultInjector, FaultSite, InjectorStats, NoFaults, ScriptedFault, ScriptedInjector,
+};
+use relcnn_relexec::conv::{reliable_conv2d, reliable_partition, ConvOutput, ReliableConvConfig};
 use relcnn_relexec::{
-    BucketConfig, BucketState, DmrAlu, LeakyBucket, PlainAlu, QualifiedAlu, TmrAlu,
+    BucketConfig, BucketState, DmrAlu, ExecError, LeakyBucket, PlainAlu, QualifiedAlu,
+    RedundancyMode, TmrAlu,
 };
 use relcnn_tensor::conv::{conv2d, ConvGeometry};
 use relcnn_tensor::{Shape, Tensor};
@@ -24,8 +27,75 @@ fn arb_operands() -> impl Strategy<Value = (f32, f32)> {
     )
 }
 
+/// A bias-free `reliable_conv2d` on a directly typed ALU, with what the
+/// ALU said of its injector before giving it up.
+fn conv_on<A: QualifiedAlu>(
+    mut alu: A,
+    input: &Tensor,
+    filters: &Tensor,
+    geom: &ConvGeometry,
+) -> (Result<ConvOutput, ExecError>, InjectorStats) {
+    let config = ReliableConvConfig::default();
+    let result = reliable_conv2d(input, filters, None, geom, &mut alu, &config);
+    (result, alu.injector_stats())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The mode-taking entry point is the directly typed call: same output
+    /// bits, same `ExecStats` (or the same abort) and the same injector
+    /// counters, per mode, over random geometries and seeded BER streams —
+    /// and an ALU built on `&mut injector` leaves the injector with exactly
+    /// the counters the ALU reported.
+    #[test]
+    fn mode_entry_point_is_the_typed_alu_on_a_borrowed_injector(
+        in_c in 1usize..3,
+        out_c in 1usize..4,
+        size in 3usize..8,
+        k in 1usize..4,
+        stride in 1usize..3,
+        pad in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        prop_assume!(k <= size);
+        let geom = ConvGeometry::new(size, size, k, k, stride, pad).unwrap();
+        let mut rng = relcnn_tensor::init::Rand::seeded(seed);
+        let uniform = relcnn_tensor::init::Init::Uniform { lo: -2.0, hi: 2.0 };
+        let input = rng.tensor(Shape::d3(in_c, size, size), uniform);
+        let filters = rng.tensor(Shape::d4(out_c, in_c, k, k), uniform);
+        let injector = || {
+            BerInjector::new(seed, 1e-3)
+                .with_sites(vec![FaultSite::Multiplier, FaultSite::Accumulator])
+        };
+        for mode in RedundancyMode::ALL {
+            let mut typed_inj = injector();
+            let (typed, reported) = match mode {
+                RedundancyMode::Plain => {
+                    conv_on(PlainAlu::new(&mut typed_inj), &input, &filters, &geom)
+                }
+                RedundancyMode::Dmr => conv_on(DmrAlu::new(&mut typed_inj), &input, &filters, &geom),
+                RedundancyMode::Tmr => conv_on(TmrAlu::new(&mut typed_inj), &input, &filters, &geom),
+            };
+            prop_assert_eq!(typed_inj.stats(), reported);
+
+            let mut inj = injector();
+            let config = ReliableConvConfig::default();
+            // `false`: no ReLU stage after the convolution.
+            let by_mode =
+                reliable_partition(mode, &input, &filters, None, &geom, false, &mut inj, &config);
+            prop_assert_eq!(inj.stats(), reported);
+            match (by_mode, typed) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.stats, b.stats);
+                    for (x, y) in a.output.iter().zip(b.output.iter()) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits());
+                    }
+                }
+                (a, b) => prop_assert_eq!(a, b),
+            }
+        }
+    }
 
     /// Any single-bit corruption of one replica's multiply is detected by
     /// DMR — the per-operation guarantee everything else builds on.

@@ -129,10 +129,19 @@ impl ConvGeometry {
     }
 }
 
-/// Validates that `input` is CHW and `filters` OIHW with matching channels.
-fn validate_conv_shapes(
+/// Validates a convolution's operands against `geom` — `input` CHW,
+/// `filters` OIHW with matching channels, `bias` (when given) one value
+/// per filter — and returns `(in_c, out_c)`. Every convolution kernel in
+/// the workspace, the reliable one in `relcnn-relexec` included, admits
+/// its operands through this one check.
+///
+/// # Errors
+///
+/// Returns a rank, shape or length error naming the offending operand.
+pub fn validate_conv_shapes(
     input: &Tensor,
     filters: &Tensor,
+    bias: Option<&Tensor>,
     geom: &ConvGeometry,
 ) -> Result<(usize, usize), TensorError> {
     if input.shape().rank() != 3 {
@@ -174,6 +183,14 @@ fn validate_conv_shapes(
             op: "conv2d(filters)",
         });
     }
+    if let Some(b) = bias {
+        if b.len() != out_c {
+            return Err(TensorError::LengthMismatch {
+                expected: out_c,
+                actual: b.len(),
+            });
+        }
+    }
     Ok((in_c, out_c))
 }
 
@@ -194,15 +211,7 @@ pub fn conv2d(
     bias: Option<&Tensor>,
     geom: &ConvGeometry,
 ) -> Result<Tensor, TensorError> {
-    let (in_c, out_c) = validate_conv_shapes(input, filters, geom)?;
-    if let Some(b) = bias {
-        if b.len() != out_c {
-            return Err(TensorError::LengthMismatch {
-                expected: out_c,
-                actual: b.len(),
-            });
-        }
-    }
+    let (in_c, out_c) = validate_conv_shapes(input, filters, bias, geom)?;
     let (out_h, out_w) = (geom.out_h(), geom.out_w());
     let (k_h, k_w) = (geom.k_h(), geom.k_w());
     let (in_h, in_w) = (geom.in_h(), geom.in_w());
@@ -464,15 +473,7 @@ pub fn conv2d_im2col(
     bias: Option<&Tensor>,
     geom: &ConvGeometry,
 ) -> Result<Tensor, TensorError> {
-    let (in_c, out_c) = validate_conv_shapes(input, filters, geom)?;
-    if let Some(b) = bias {
-        if b.len() != out_c {
-            return Err(TensorError::LengthMismatch {
-                expected: out_c,
-                actual: b.len(),
-            });
-        }
-    }
+    let (in_c, out_c) = validate_conv_shapes(input, filters, bias, geom)?;
     let cols = im2col(input, geom)?;
     let w = filters
         .reshape(vec![out_c, in_c * geom.k_h() * geom.k_w()])

@@ -10,10 +10,8 @@
 use relcnn::core::guarantee::{conv_layer_guarantee, silent_layer_bound, silent_op_probability};
 use relcnn::faults::campaign::{TrialOutcome, TrialResult};
 use relcnn::faults::{BerInjector, FaultInjector, FaultSite};
-use relcnn::relexec::conv::{reliable_conv2d, ConvOutput, ReliableConvConfig};
-use relcnn::relexec::{
-    BucketConfig, DmrAlu, ExecError, PlainAlu, RedundancyMode, RetryPolicy, TmrAlu,
-};
+use relcnn::relexec::conv::{reliable_partition, ConvOutput, ReliableConvConfig};
+use relcnn::relexec::{BucketConfig, ExecError, RedundancyMode, RetryPolicy};
 use relcnn::runtime::{run_campaign, EarlyStop, Engine, RunPlan};
 use relcnn::tensor::conv::{conv2d, ConvGeometry};
 use relcnn::tensor::init::{Init, Rand};
@@ -80,28 +78,21 @@ fn campaign_for(
     let config = lenient_config();
     let plan = RunPlan::new(trials, 0xBEEF);
     run_campaign(&Engine::default(), &plan, EarlyStop::never(), |seed| {
-        let injector = BerInjector::new(seed, ber)
+        let mut injector = BerInjector::new(seed, ber)
             .with_sites(vec![FaultSite::Multiplier, FaultSite::Accumulator]);
-        let (outcome, stats) = match mode {
-            RedundancyMode::Plain => {
-                let mut alu = PlainAlu::new(injector);
-                let r = reliable_conv2d(&p.input, &p.weights, None, &p.geom, &mut alu, &config);
-                (classify_outcome(r, &p.golden), alu.into_injector().stats())
-            }
-            RedundancyMode::Dmr => {
-                let mut alu = DmrAlu::new(injector);
-                let r = reliable_conv2d(&p.input, &p.weights, None, &p.geom, &mut alu, &config);
-                (classify_outcome(r, &p.golden), alu.into_injector().stats())
-            }
-            RedundancyMode::Tmr => {
-                let mut alu = TmrAlu::new(injector);
-                let r = reliable_conv2d(&p.input, &p.weights, None, &p.geom, &mut alu, &config);
-                (classify_outcome(r, &p.golden), alu.into_injector().stats())
-            }
-        };
+        let result = reliable_partition(
+            mode,
+            &p.input,
+            &p.weights,
+            None,
+            &p.geom,
+            false, // no ReLU stage
+            &mut injector,
+            &config,
+        );
         TrialResult {
-            outcome,
-            injector: stats,
+            outcome: classify_outcome(result, &p.golden),
+            injector: injector.stats(),
         }
     })
     .summary
