@@ -10,12 +10,11 @@
 //!   count on any host, because the pool overlaps the waits; this is the
 //!   scaling headroom a serving deployment cares about.
 //!
-//! Besides the criterion timings, the bench writes
-//! `results/runtime_scaling.json` with trials/s per worker count and the
-//! 8-vs-1 speedups, so later PRs have a machine-readable trajectory to
-//! beat.
+//! The bench writes `results/runtime_scaling.json` with trials/s per
+//! worker count and the 8-vs-1 speedups; `bench_gate` holds it to
+//! `results/baseline/runtime_scaling.json` and owns every floor, so a
+//! regressed run still publishes its artefact for diagnosis.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite, OpContext};
 use relcnn_runtime::{
     run_campaign, EarlyStop, Engine, RunPlan, RunStats, TrialOutcome, TrialResult,
@@ -73,42 +72,7 @@ fn campaign_stats(workers: usize, trials: u64, f: fn(u64) -> TrialResult) -> Run
         .expect("three samples")
 }
 
-fn bench_runtime_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("runtime_scaling");
-    group.sample_size(3);
-    for workers in WORKER_COUNTS {
-        group.bench_with_input(
-            BenchmarkId::new("cpu_bound_campaign", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    run_campaign(
-                        &Engine::with_workers(workers),
-                        &RunPlan::new(256, 7).with_shards(32),
-                        EarlyStop::never(),
-                        cpu_bound_trial,
-                    )
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("latency_bound_campaign", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    run_campaign(
-                        &Engine::with_workers(workers),
-                        &RunPlan::new(128, 7).with_shards(32),
-                        EarlyStop::never(),
-                        latency_bound_trial,
-                    )
-                })
-            },
-        );
-    }
-    group.finish();
-
-    // Direct throughput measurement for the JSON trajectory artefact.
+fn main() {
     let mut cpu = Vec::new();
     let mut lat = Vec::new();
     for workers in WORKER_COUNTS {
@@ -168,11 +132,4 @@ fn bench_runtime_scaling(c: &mut Criterion) {
             .unwrap_or(1)
     );
     println!("wrote {}", path.display());
-    assert!(
-        lat_speedup >= 3.0,
-        "worker pool must overlap latency-bound trials ≥3x at 8 workers (got {lat_speedup:.2}x)"
-    );
 }
-
-criterion_group!(benches, bench_runtime_scaling);
-criterion_main!(benches);

@@ -20,7 +20,6 @@
 //! steal and default speedups over block mode; the CI bench gate compares
 //! it against `results/baseline/skewed_steal.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use relcnn_faults::SkewedCost;
 use relcnn_runtime::{
     run_campaign, EarlyStop, Engine, RunOutcome, RunPlan, TrialOutcome, TrialResult,
@@ -92,20 +91,7 @@ fn median_run(chunk: Option<u64>, samples: usize) -> (Duration, u64, u64) {
     runs[runs.len() / 2]
 }
 
-fn bench_skewed_steal(c: &mut Criterion) {
-    let mut group = c.benchmark_group("skewed_steal");
-    group.sample_size(3);
-    for (label, chunk) in [
-        ("block_whole_shard", BLOCK),
-        ("steal_chunk_1", STEAL),
-        ("default_chunk", DEFAULT),
-    ] {
-        group.bench_with_input(BenchmarkId::new(label, WORKERS), &chunk, |b, &chunk| {
-            b.iter(|| run_mode(chunk))
-        });
-    }
-    group.finish();
-
+fn main() {
     // Scheduling must not change the science: every mode aggregates
     // bit-identically.
     let block = run_mode(BLOCK);
@@ -153,6 +139,3 @@ fn bench_skewed_steal(c: &mut Criterion) {
     // ≥2x / steals>0 floors — so a regressed run still publishes its
     // artefact for the gate (and a human) to diagnose.
 }
-
-criterion_group!(benches, bench_skewed_steal);
-criterion_main!(benches);

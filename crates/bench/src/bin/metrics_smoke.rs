@@ -27,12 +27,13 @@
 //! Exits non-zero (panics) on any violation. `--quick` shrinks the
 //! workloads.
 
+use relcnn_bench::workload::{bench_load, bench_server, cnn_backend, BENCH_REQUESTS};
 use relcnn_faults::SkewedCost;
 use relcnn_obs::{scrape_once, Registry, ScrapeServer};
 use relcnn_runtime::{CollectSink, Engine, FnTrial, RunPlan, TrialCtx};
 use relcnn_serve::{
-    BatchPolicy, CnnBackend, ControllerConfig, LoadGen, LoadGenConfig, RequestClass, ServeMetrics,
-    Server, ServerConfig, ServiceModel, WallClock,
+    BatchPolicy, ControllerConfig, LoadGen, LoadGenConfig, RequestClass, ServeMetrics, Server,
+    ServerConfig, ServiceModel, WallClock,
 };
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -118,30 +119,14 @@ fn main() {
 
     // --- 2. serving replay, scraped live ----------------------------
     let offered_probe = ServeMetrics::registered(&registry);
-    let requests = if quick { 120 } else { 480 };
-    let serve_config = ServerConfig::new(
-        24,
-        BatchPolicy::new(8, 1_000).with_critical_delay(400),
-        ServiceModel {
-            batch_overhead_us: 150,
-            cost: SkewedCost::periodic(200, 2_800, 13),
-        },
-    )
-    .with_critical_reserve(4)
-    .with_control(ControllerConfig::default());
+    let requests = if quick { 120 } else { BENCH_REQUESTS };
     let serve = std::thread::spawn({
         let engine = watcher.clone();
         let registry = registry.clone();
         move || {
-            let trace = LoadGen::new(
-                LoadGenConfig::poisson(requests, 0x5E12F, 320, 15_000)
-                    .with_deadline_jitter(9_000)
-                    .with_class_mix([1, 3, 2])
-                    .with_class_deadlines([4_000, 0, 45_000]),
-            )
-            .generate();
-            let backend = CnnBackend::tiny(0xC1A55).unwrap_or_else(|e| panic!("backend: {e}"));
-            Server::new(serve_config)
+            let trace = LoadGen::new(bench_load(requests)).generate();
+            let backend = cnn_backend();
+            Server::new(bench_server())
                 .backend(&backend)
                 .engine(&engine)
                 .observed(&registry)
@@ -237,7 +222,7 @@ fn main() {
                     .with_class_deadlines([6_000, 0, 60_000]),
             )
             .generate();
-            let backend = CnnBackend::tiny(0xC1A55).unwrap_or_else(|e| panic!("backend: {e}"));
+            let backend = cnn_backend();
             Server::new(
                 ServerConfig::new(
                     24,

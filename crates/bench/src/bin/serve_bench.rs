@@ -20,50 +20,25 @@
 //! `--quick` (or `RELCNN_QUICK=1`) runs a quarter-size trace for smoke
 //! coverage.
 
-use relcnn_faults::SkewedCost;
+use relcnn_bench::workload::{bench_load, bench_server, cnn_backend, BENCH_REQUESTS};
 use relcnn_runtime::Engine;
-use relcnn_serve::{
-    BatchPolicy, CnnBackend, ControllerConfig, LoadGen, LoadGenConfig, RequestClass, Server,
-    ServerConfig, ServiceModel,
-};
+use relcnn_serve::{LoadGen, RequestClass, Server};
 use std::time::Instant;
 
-const REQUESTS: u64 = 480;
-const SEED: u64 = 0x5E12F;
-const DEADLINE_US: u64 = 15_000;
 const WORKERS: usize = 8;
-
-fn server_config() -> ServerConfig {
-    ServerConfig::new(
-        24,
-        BatchPolicy::new(8, 1_000).with_critical_delay(400),
-        ServiceModel {
-            batch_overhead_us: 150,
-            cost: SkewedCost::periodic(200, 2_800, 13),
-        },
-    )
-    .with_critical_reserve(4)
-    .with_control(ControllerConfig::default())
-}
 
 fn main() {
     let requests = if relcnn_bench::quick_mode() {
-        REQUESTS / 4
+        BENCH_REQUESTS / 4
     } else {
-        REQUESTS
+        BENCH_REQUESTS
     };
-    let trace = LoadGen::new(
-        LoadGenConfig::poisson(requests, SEED, 320, DEADLINE_US)
-            .with_deadline_jitter(9_000)
-            .with_class_mix([1, 3, 2])
-            .with_class_deadlines([4_000, 0, 45_000]),
-    )
-    .generate();
-    let backend = CnnBackend::tiny(0xC1A55).unwrap_or_else(|e| panic!("backend: {e}"));
+    let trace = LoadGen::new(bench_load(requests)).generate();
+    let backend = cnn_backend();
     let engine = Engine::with_workers(WORKERS);
 
     let t0 = Instant::now();
-    let run = Server::new(server_config())
+    let run = Server::new(bench_server())
         .backend(&backend)
         .engine(&engine)
         .run(&trace);

@@ -17,54 +17,10 @@
 //! serving_artifact --workers 2 --seed 202 --arrival burst --out /tmp/b.jsonl
 //! ```
 
-use relcnn_faults::SkewedCost;
+use relcnn_bench::workload::{artifact_load, artifact_server, cnn_backend};
 use relcnn_runtime::Engine;
-use relcnn_serve::{
-    BatchPolicy, CnnBackend, ControllerConfig, LoadGen, LoadGenConfig, Outcome, Server,
-    ServerConfig, ServiceModel,
-};
+use relcnn_serve::{LoadGen, Outcome, Server};
 use std::io::Write;
-
-const REQUESTS: u64 = 240;
-const DEADLINE_US: u64 = 5_500;
-
-/// The fixed serving configuration of the determinism artefact: enough
-/// overload (heavy-tail service vs. arrival rate, a 16-slot queue) that
-/// completions, shedding, boundary/pre-dispatch expiry, late service,
-/// AIMD clamps and early-closed windows all appear in the artefact.
-fn server_config() -> ServerConfig {
-    ServerConfig::new(
-        16,
-        BatchPolicy::new(6, 2_000).with_critical_delay(500),
-        ServiceModel {
-            batch_overhead_us: 150,
-            // Every 13th request takes an escalation-grade service hit.
-            cost: SkewedCost::periodic(180, 3_000, 13),
-        },
-    )
-    .with_critical_reserve(3)
-    .with_control(ControllerConfig::default())
-}
-
-fn load_config(seed: u64, arrival: &str) -> LoadGenConfig {
-    // Jittered deadline budgets (0.7–5.5 ms) make the *pre-dispatch*
-    // expiry sweep reachable, not just the batch-boundary one — with
-    // uniform budgets the FIFO head always dies first and the boundary
-    // sweep shadows it. The class mix gives critical a tight budget and
-    // bulk a loose one, so priority dispatch and the reservation both
-    // leave visible marks on the artefact.
-    let base = match arrival {
-        "poisson" => LoadGenConfig::poisson(REQUESTS, seed, 300, DEADLINE_US),
-        "burst" => LoadGenConfig::burst(REQUESTS, seed, 24, 20, 9_000, DEADLINE_US),
-        other => {
-            eprintln!("unknown arrival process `{other}`");
-            usage()
-        }
-    };
-    base.with_deadline_jitter(4_800)
-        .with_class_mix([1, 3, 2])
-        .with_class_deadlines([2_500, 0, 30_000])
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -101,10 +57,14 @@ fn main() {
     }
     let Some(out) = out else { usage() };
 
-    let trace = LoadGen::new(load_config(seed, &arrival)).generate();
-    let backend = CnnBackend::tiny(0xC1A55).unwrap_or_else(|e| panic!("backend: {e}"));
+    let Some(load) = artifact_load(seed, &arrival) else {
+        eprintln!("unknown arrival process `{arrival}`");
+        usage()
+    };
+    let trace = LoadGen::new(load).generate();
+    let backend = cnn_backend();
     let engine = Engine::with_workers(workers);
-    let run = Server::new(server_config())
+    let run = Server::new(artifact_server())
         .backend(&backend)
         .engine(&engine)
         .run(&trace);

@@ -23,16 +23,13 @@
 //! events survived). Exits non-zero on any violation.
 
 use relcnn_bench::workload::{
-    cluster_job, cluster_task, merge_cluster_outputs, Profile, BASE_SEED, SHARDS, TRIALS,
+    artifact_load, artifact_server, cluster_job, cluster_task, cnn_backend, merge_cluster_outputs,
+    Profile, BASE_SEED, SHARDS, TRIALS,
 };
 use relcnn_cluster::{run_cluster, run_worker_if_spawned, ChaosPlan, ClusterConfig, ClusterHooks};
-use relcnn_faults::SkewedCost;
 use relcnn_obs::trace::{export_chrome, validate, ParsedTrace, TraceRecorder, TraceSnapshot};
 use relcnn_runtime::{CampaignSink, EarlyStop, Engine, FnTrial, JsonlSink, RunPlan, TrialCtx};
-use relcnn_serve::{
-    BatchPolicy, CnnBackend, ControllerConfig, LoadGen, LoadGenConfig, Server, ServerConfig,
-    ServiceModel,
-};
+use relcnn_serve::{LoadGen, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -85,24 +82,11 @@ fn campaign_artifact(recorder: &TraceRecorder) -> String {
 /// Serving leg: the virtual-clock replay's byte surface on a traced
 /// server and engine.
 fn serving_artifact(recorder: &TraceRecorder) -> String {
-    let config = ServerConfig::new(
-        16,
-        BatchPolicy::new(6, 2_000).with_critical_delay(500),
-        ServiceModel {
-            batch_overhead_us: 150,
-            cost: SkewedCost::periodic(180, 3_000, 13),
-        },
-    )
-    .with_critical_reserve(3)
-    .with_control(ControllerConfig::default());
-    let load = LoadGenConfig::poisson(240, 201, 300, 5_500)
-        .with_deadline_jitter(4_800)
-        .with_class_mix([1, 3, 2])
-        .with_class_deadlines([2_500, 0, 30_000]);
+    let load = artifact_load(201, "poisson").expect("poisson is an arrival process");
     let trace = LoadGen::new(load).generate();
-    let backend = CnnBackend::tiny(0xC1A55).unwrap_or_else(|e| panic!("backend: {e}"));
+    let backend = cnn_backend();
     let engine = Engine::with_workers(2).traced(recorder);
-    let run = Server::new(config)
+    let run = Server::new(artifact_server())
         .backend(&backend)
         .engine(&engine)
         .traced(recorder)

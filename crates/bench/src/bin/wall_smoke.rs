@@ -26,8 +26,8 @@
 use relcnn_faults::SkewedCost;
 use relcnn_runtime::Engine;
 use relcnn_serve::{
-    BatchPolicy, CnnBackend, ControllerConfig, LoadGen, LoadGenConfig, OverloadController,
-    RequestClass, Server, ServerConfig, ServiceModel, WallClock,
+    BatchPolicy, ControllerConfig, LoadGen, LoadGenConfig, OverloadController, RequestClass,
+    Server, ServerConfig, ServiceModel, WallClock,
 };
 
 const SEED: u64 = 0x3A11;
@@ -61,7 +61,7 @@ fn main() {
     let requests = if relcnn_bench::quick_mode() { 120 } else { 360 };
     let trace = trace(requests);
     let config = server_config();
-    let backend = CnnBackend::tiny(0xC1A55).unwrap_or_else(|e| panic!("backend: {e}"));
+    let backend = relcnn_bench::workload::cnn_backend();
 
     // --- 1. wall run under a hard budget ----------------------------
     let wall = Server::new(config)

@@ -1,10 +1,13 @@
 //! Shared plumbing for the `relcnn` benchmark harness.
 //!
 //! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper (see the README's *Paper ↔ repo map* for the experiment index);
-//! the Criterion benches in `benches/` provide statistically robust
-//! timing for the quantities Table 1 reports. This library holds the
-//! small amount of shared output plumbing.
+//! paper (see the README's *Paper ↔ repo map* for the experiment index),
+//! write the byte-diffed determinism artefacts, run the CI smokes, and
+//! gate the committed baselines (`bench_gate`). The two benches in
+//! `benches/` (`runtime_scaling`, `skewed_steal`) are plain `main`s that
+//! write the scaling artefacts `bench_gate` reads. Per-image and per-layer
+//! timing lives in the standalone `benchmark/` package. This library
+//! holds the shared output plumbing and the canonical [`workload`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

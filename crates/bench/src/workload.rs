@@ -1,4 +1,4 @@
-//! The canonical deterministic campaign workload the artefact binaries
+//! The canonical deterministic workloads the artefact and smoke binaries
 //! share.
 //!
 //! `determinism_artifact` (single process, worker/chunk/budget matrix)
@@ -8,12 +8,22 @@
 //! the per-trial work itself — lives here exactly once. Drift between
 //! the binaries would silently turn every cross-artefact diff into a
 //! guaranteed mismatch.
+//!
+//! The two serving workloads live here for the same reason: the
+//! *artefact* workload ([`artifact_server`] + [`artifact_load`]) is what
+//! `serving_artifact` byte-diffs and `trace_smoke` replays traced, and
+//! the *bench* workload ([`bench_server`] + [`bench_load`]) is what
+//! `serve_bench` gates and `metrics_smoke` scrapes. Every serving binary
+//! classifies with [`cnn_backend`].
 
 use relcnn_cluster::{JobSpec, TaskOutput};
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite, OpContext, SkewedCost};
 use relcnn_runtime::{
     merge_in_order, CampaignReport, CampaignSink, EarlyStop, Engine, FnTrial, JsonlSink, RunPlan,
     TrialCtx, TrialOutcome, TrialResult,
+};
+use relcnn_serve::{
+    BatchPolicy, CnnBackend, ControllerConfig, LoadGenConfig, ServerConfig, ServiceModel,
 };
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -173,6 +183,87 @@ pub fn merge_cluster_outputs(outputs: &[TaskOutput]) -> (CampaignReport, String)
         })
         .collect();
     (merge_in_order::<TrialResult, _>(parts), payload)
+}
+
+/// Seed of the untrained tiny hybrid CNN every serving binary serves.
+const BACKEND_SEED: u64 = 0xC1A55;
+
+/// The serving binaries' CNN backend: `CnnBackend::tiny(BACKEND_SEED)`.
+pub fn cnn_backend() -> CnnBackend {
+    CnnBackend::tiny(BACKEND_SEED).unwrap_or_else(|e| panic!("backend: {e}"))
+}
+
+/// Requests in one serving-artefact trace.
+const ARTIFACT_REQUESTS: u64 = 240;
+/// Base deadline budget of the serving-artefact trace, µs.
+const ARTIFACT_DEADLINE_US: u64 = 5_500;
+
+/// The serving artefact's server: enough overload (heavy-tail service
+/// vs. arrival rate, a 16-slot queue) that completions, shedding,
+/// boundary/pre-dispatch expiry, late service, AIMD clamps and
+/// early-closed windows all appear in the artefact.
+pub fn artifact_server() -> ServerConfig {
+    ServerConfig::new(
+        16,
+        BatchPolicy::new(6, 2_000).with_critical_delay(500),
+        ServiceModel {
+            batch_overhead_us: 150,
+            // Every 13th request takes an escalation-grade service hit.
+            cost: SkewedCost::periodic(180, 3_000, 13),
+        },
+    )
+    .with_critical_reserve(3)
+    .with_control(ControllerConfig::default())
+}
+
+/// The serving artefact's three-class trace at `seed` for the
+/// `poisson` or `burst` arrival process; `None` for any other name.
+pub fn artifact_load(seed: u64, arrival: &str) -> Option<LoadGenConfig> {
+    // Jittered deadline budgets (0.7–5.5 ms) make the *pre-dispatch*
+    // expiry sweep reachable, not just the batch-boundary one — with
+    // uniform budgets the FIFO head always dies first and the boundary
+    // sweep shadows it. The class mix gives critical a tight budget and
+    // bulk a loose one, so priority dispatch and the reservation both
+    // leave visible marks on the artefact.
+    let base = match arrival {
+        "poisson" => LoadGenConfig::poisson(ARTIFACT_REQUESTS, seed, 300, ARTIFACT_DEADLINE_US),
+        "burst" => {
+            LoadGenConfig::burst(ARTIFACT_REQUESTS, seed, 24, 20, 9_000, ARTIFACT_DEADLINE_US)
+        }
+        _ => return None,
+    };
+    Some(
+        base.with_deadline_jitter(4_800)
+            .with_class_mix([1, 3, 2])
+            .with_class_deadlines([2_500, 0, 30_000]),
+    )
+}
+
+/// Requests in the full-scale serving-bench trace.
+pub const BENCH_REQUESTS: u64 = 480;
+
+/// The serving bench's server: a 24-slot queue with a four-slot
+/// critical reservation under AIMD control.
+pub fn bench_server() -> ServerConfig {
+    ServerConfig::new(
+        24,
+        BatchPolicy::new(8, 1_000).with_critical_delay(400),
+        ServiceModel {
+            batch_overhead_us: 150,
+            cost: SkewedCost::periodic(200, 2_800, 13),
+        },
+    )
+    .with_critical_reserve(4)
+    .with_control(ControllerConfig::default())
+}
+
+/// The serving bench's overloaded three-class Poisson trace, cut to
+/// `requests` arrivals.
+pub fn bench_load(requests: u64) -> LoadGenConfig {
+    LoadGenConfig::poisson(requests, 0x5E12F, 320, 15_000)
+        .with_deadline_jitter(9_000)
+        .with_class_mix([1, 3, 2])
+        .with_class_deadlines([4_000, 0, 45_000])
 }
 
 /// `Write` handle into a shared buffer — lets the task function keep the

@@ -24,7 +24,7 @@ use crate::chaos::ChaosPlan;
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::metrics::ClusterMetrics;
 use crate::proto::{decode, encode, FromWorker, JobSpec, ToWorker};
-use crate::worker::WORKER_ENV;
+use crate::worker::{HEARTBEAT_MS, WORKER_ENV};
 use relcnn_obs::trace::{Arg, TraceRecorder, TraceSnapshot};
 use relcnn_obs::{Registry, ScrapeServer};
 use std::io;
@@ -43,37 +43,39 @@ pub struct ClusterConfig {
     /// Shards per task: the fixed distribution width. Must not depend
     /// on `workers`, or topologies would compute different task sets.
     pub task_shards: usize,
-    /// Worker heartbeat period.
-    pub heartbeat_ms: u64,
     /// A task unacknowledged this long after assignment means the worker
     /// is hung (it may well still be heartbeating).
     pub task_timeout_ms: u64,
-    /// Heartbeat silence after which an *idle* worker is presumed dead.
-    pub liveness_timeout_ms: u64,
-    /// Requeue attempts per task before the head computes it locally.
-    pub max_retries: u32,
-    /// Base of the requeue backoff: retry `n` waits
-    /// `backoff_base_ms << (n-1)`, capped at `backoff_cap_ms`.
-    pub backoff_base_ms: u64,
-    /// Cap on the exponential requeue backoff.
-    pub backoff_cap_ms: u64,
     /// Deterministic fault schedule shipped to every worker.
     pub chaos: ChaosPlan,
 }
 
+/// Heartbeat silence after which an *idle* worker is presumed dead:
+/// twenty heartbeat periods.
+const LIVENESS_TIMEOUT: Duration = Duration::from_millis(20 * HEARTBEAT_MS);
+/// Requeue attempts per task before the head computes it locally.
+const MAX_RETRIES: u32 = 2;
+/// Base of the requeue backoff: retry `n` waits `BACKOFF_BASE_MS << (n-1)`,
+/// capped at [`BACKOFF_CAP_MS`].
+const BACKOFF_BASE_MS: u64 = 10;
+/// Cap on the exponential requeue backoff.
+const BACKOFF_CAP_MS: u64 = 500;
+
+fn backoff(retries: u32) -> Duration {
+    let exp = retries.saturating_sub(1).min(16);
+    Duration::from_millis((BACKOFF_BASE_MS << exp).min(BACKOFF_CAP_MS))
+}
+
 impl ClusterConfig {
-    /// Defaults tuned for campaign-scale tasks: 50 ms heartbeats, a 30 s
-    /// task deadline, two retries with 10 ms → 500 ms backoff.
+    /// Defaults tuned for campaign-scale tasks: one shard per task, a
+    /// 30 s task deadline, no chaos. Workers heartbeat every 50 ms, an
+    /// idle worker silent for 1 s is lost, and a task is retried twice
+    /// (10 ms → 500 ms backoff) before the head computes it.
     pub fn new(workers: usize) -> Self {
         ClusterConfig {
             workers,
             task_shards: 1,
-            heartbeat_ms: 50,
             task_timeout_ms: 30_000,
-            liveness_timeout_ms: 1_000,
-            max_retries: 2,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 500,
             chaos: ChaosPlan::none(),
         }
     }
@@ -90,36 +92,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the heartbeat period and scales the liveness deadline to
-    /// twenty periods.
-    pub fn with_heartbeat_ms(mut self, ms: u64) -> Self {
-        self.heartbeat_ms = ms.max(1);
-        self.liveness_timeout_ms = self.heartbeat_ms * 20;
-        self
-    }
-
-    /// Sets the retry budget per task.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Sets the requeue backoff base and cap.
-    pub fn with_backoff_ms(mut self, base: u64, cap: u64) -> Self {
-        self.backoff_base_ms = base.max(1);
-        self.backoff_cap_ms = cap.max(base.max(1));
-        self
-    }
-
     /// Installs a chaos schedule.
     pub fn with_chaos(mut self, chaos: ChaosPlan) -> Self {
         self.chaos = chaos;
         self
-    }
-
-    fn backoff(&self, retries: u32) -> Duration {
-        let exp = retries.saturating_sub(1).min(16);
-        Duration::from_millis((self.backoff_base_ms << exp).min(self.backoff_cap_ms))
     }
 }
 
@@ -300,7 +276,6 @@ struct Head<'a> {
     tasks: Vec<Task>,
     stats: ClusterStats,
     cm: &'a ClusterMetrics,
-    config: &'a ClusterConfig,
     rec: TraceRecorder,
     ring: relcnn_obs::TraceRing,
 }
@@ -340,7 +315,7 @@ impl Head<'_> {
             if task.state == TaskState::Running {
                 task.state = TaskState::Pending;
                 task.retries += 1;
-                task.not_before = Instant::now() + self.config.backoff(task.retries);
+                task.not_before = Instant::now() + backoff(task.retries);
                 self.stats.tasks_requeued += 1;
                 self.cm.tasks_requeued.inc();
                 self.ring.instant(
@@ -425,7 +400,6 @@ where
         },
         tasks,
         cm,
-        config,
         rec: rec.clone(),
         ring: ring.clone(),
     };
@@ -559,7 +533,6 @@ where
         let setup = ToWorker::Setup {
             worker: w,
             job: job.clone(),
-            heartbeat_ms: config.heartbeat_ms,
             chaos: config.chaos,
             trace: rec.is_on(),
         };
@@ -574,15 +547,13 @@ where
     // sorted by worker index into the outcome's merged timeline.
     let mut worker_traces: Vec<(usize, TraceSnapshot)> = Vec::new();
 
-    let tick = Duration::from_millis(config.heartbeat_ms.clamp(5, 50));
+    let tick = Duration::from_millis(HEARTBEAT_MS);
     let mut remaining = head.tasks.len();
     while remaining > 0 {
         // Retry budget exhausted → the head computes the task itself:
         // guaranteed forward progress no matter what the fleet does.
         for i in 0..head.tasks.len() {
-            if head.tasks[i].state == TaskState::Pending
-                && head.tasks[i].retries > config.max_retries
-            {
+            if head.tasks[i].state == TaskState::Pending && head.tasks[i].retries > MAX_RETRIES {
                 eprintln!("[cluster] task {i} exhausted retries; computing locally");
                 run_local(i, &mut head, &mut outputs);
                 remaining -= 1;
@@ -745,9 +716,7 @@ where
                     );
                     head.lose(w, seat, &format!("task {t} deadline"));
                 }
-            } else if now.duration_since(seat.last_seen)
-                > Duration::from_millis(config.liveness_timeout_ms)
-            {
+            } else if now.duration_since(seat.last_seen) > LIVENESS_TIMEOUT {
                 head.stats.heartbeat_timeouts += 1;
                 cm.heartbeat_timeouts.inc();
                 ring.instant(

@@ -49,9 +49,9 @@
 //! | hang           | heartbeats, but no result        | per-task deadline       | kill + requeue |
 //! | corrupt frame  | checksum mismatch on the pipe    | codec `FrameError`      | kill + requeue |
 //!
-//! Requeues use bounded exponential backoff; a task that exhausts
-//! [`ClusterConfig::max_retries`] — or outlives the last worker — is
-//! computed in-process by the head. Any loss marks the run **degraded**
+//! Requeues use bounded exponential backoff; a task that exhausts its
+//! two retries — or outlives the last worker — is computed in-process by
+//! the head. Any loss marks the run **degraded**
 //! ([`ClusterStats::degraded`], `relcnn_cluster_degraded`), with the
 //! same byte-identical aggregate. The [`ChaosPlan`] layer injects all
 //! three failures deterministically from the campaign seed, so CI can

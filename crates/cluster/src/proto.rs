@@ -41,8 +41,6 @@ pub enum ToWorker {
         worker: usize,
         /// The campaign to run windows of.
         job: JobSpec,
-        /// Heartbeat period the worker must hold.
-        heartbeat_ms: u64,
         /// Deterministic fault schedule (often [`ChaosPlan::none`]).
         chaos: ChaosPlan,
         /// Whether the worker should flight-record its task timeline
@@ -135,7 +133,6 @@ mod tests {
             ToWorker::Setup {
                 worker: 2,
                 job: job(),
-                heartbeat_ms: 100,
                 chaos: ChaosPlan::kill_one(9, 4),
                 trace: true,
             },

@@ -7,7 +7,7 @@
 //! Frames arrive on stdin and leave on stdout; stderr stays inherited
 //! for diagnostics.
 //!
-//! The first frame must be `Setup` (job, heartbeat period, chaos plan).
+//! The first frame must be `Setup` (job, chaos plan, tracing switch).
 //! After `Hello`, the worker loops `Assign` → compute → `Done` until
 //! `Shutdown` or a clean pipe close. A heartbeat thread beats through
 //! the same mutex-guarded stdout for the whole lifetime — including
@@ -25,6 +25,10 @@ use std::time::Duration;
 /// Environment variable marking a process as a cluster worker; the value
 /// is the worker's index.
 pub const WORKER_ENV: &str = "RELCNN_CLUSTER_WORKER";
+
+/// Heartbeat period every worker holds; the head's liveness deadline is
+/// a multiple of it.
+pub(crate) const HEARTBEAT_MS: u64 = 50;
 
 /// Exit code of a chaos-plan kill (distinguishable from a real crash in
 /// worker stderr traces).
@@ -70,7 +74,6 @@ where
     let ToWorker::Setup {
         worker,
         job,
-        heartbeat_ms,
         chaos,
         trace,
     } = setup
@@ -93,7 +96,7 @@ where
     {
         let output = Arc::clone(&output);
         std::thread::spawn(move || loop {
-            std::thread::sleep(Duration::from_millis(heartbeat_ms.max(1)));
+            std::thread::sleep(Duration::from_millis(HEARTBEAT_MS));
             let mut out = output.lock().expect("worker stdout poisoned");
             if write_frame(&mut *out, &encode(&FromWorker::Heartbeat { worker: me })).is_err() {
                 return; // head is gone; the main loop will see the close

@@ -19,7 +19,7 @@
 //!  Histogram::record ┘                     (brief lock, copy)   (no lock)
 //!                                              │
 //!                              ScrapeServer GET /metrics
-//!                              IntervalDumper → sink
+//!                              Registry::render → text page
 //! ```
 //!
 //! Histograms share `relcnn-runtime`'s log-linear bucket layout, so
@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dump;
 pub mod encode;
 pub mod http;
 pub mod metric;
@@ -37,7 +36,6 @@ pub mod parse;
 pub mod registry;
 pub mod trace;
 
-pub use dump::IntervalDumper;
 pub use http::{scrape_once, ScrapeServer};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use registry::{FamilySnapshot, MetricKind, Registry, SeriesSnapshot, Snapshot, ValueSnapshot};

@@ -120,7 +120,7 @@ proptest! {
         }
     }
 
-    /// The acceptance criterion of the runtime subsystem: identical
+    /// The acceptance test of the runtime subsystem: identical
     /// `TrialOutcome` aggregates at 1, 2 and 8 worker threads, for any
     /// trial count, seed, shard layout and work-stealing chunk size
     /// (0 = auto, 1 = finest, large = whole-shard claiming).

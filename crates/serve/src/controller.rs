@@ -26,6 +26,14 @@
 //! wall-clock run — reproduces the same decision log bit for bit.
 //! [`OverloadController::replay`] re-derives a log from its recorded
 //! observations and is the oracle check the wall-clock smoke runs.
+//!
+//! Kept on measurement. `serve_bench`'s trace (480 three-class Poisson
+//! requests) replayed with `.with_control(..)` removed — virtual-clock,
+//! so the numbers reproduce exactly on any machine: critical-lane
+//! goodput falls 30.2 % → 2.1 % and aggregate virtual p99 rises
+//! 19 456 → 21 504 µs, while aggregate goodput rises 17.7 % → 65.6 %.
+//! The controller gives up total goodput to protect the critical lane:
+//! the min-max-across-classes trade, not a throughput optimisation.
 
 /// AIMD + window-feedback tuning. All integer arithmetic, so decisions
 /// replay bit-identically.

@@ -8,8 +8,10 @@
 # modules; `cfg(test)` = everything from a file's top-level `#[cfg(test)]`
 # to its end (this repo keeps unit tests in one trailing module);
 # `tests` = the crate's tests/ and benches/ directories. crates/vendor
-# (offline stand-ins for published crates) is not counted. A "comment"
-# is a line whose first non-blank characters are `//`.
+# (offline stand-ins for published crates) is printed as its own row
+# below `total` and not added to it, so adding or deleting a stand-in
+# shows without moving the workspace total. A "comment" is a line whose
+# first non-blank characters are `//`.
 set -euo pipefail
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 cd "$root"
@@ -48,3 +50,6 @@ done
 row '(root)' src tests
 row examples /nonexistent examples
 printf '%-12s %8d %10d %8d\n' total "$total_src" "$total_unit" "$total_tests"
+read -r src unit < <(count crates/vendor/*/src)
+read -r tests _ < <(count crates/vendor/*/tests crates/vendor/*/benches)
+printf '%-12s %8d %10d %8d\n' vendor "$src" "$unit" "$tests"
