@@ -1,5 +1,5 @@
 //! CI bench-regression gate: one rule table over the artefacts the
-//! scaling benches and the smoke binaries write.
+//! scaling benches and `serve_bench` write.
 //!
 //! Every check is a row of [`RULES`]: a file under `results/`, a path
 //! into its JSON and a [`Rule`]. A path is dot-separated keys; a
@@ -9,17 +9,13 @@
 //! the only owner of its schema. Rules that compare against a baseline
 //! read the same path in `results/baseline/<file>`.
 //!
-//! Artefacts and how to regenerate them:
+//! Artefacts and how to regenerate them (each has a committed baseline;
+//! a missing or unparsable one is a failure):
 //!
 //! * `runtime_scaling.json`, `skewed_steal.json` — `cargo bench -p
 //!   relcnn-bench --bench runtime_scaling --bench skewed_steal`;
 //! * `serving_latency.json` — `cargo run --release -p relcnn-bench --bin
-//!   serve_bench`;
-//! * `cluster_smoke.json`, `trace_smoke.json` — the `cluster_smoke` and
-//!   `trace_smoke` binaries. These two have no baseline: their counters
-//!   are products of seeded chaos plans, held to hard invariants. A
-//!   missing one is skipped with a note, so the other checks stay usable
-//!   on their own; a missing required artefact is a failure.
+//!   serve_bench`.
 //!
 //! `RELCNN_GATE_TOLERANCE` (default `0.10`) is the relative tolerance of
 //! every baseline comparison. Counter lines ([`COUNTERS`]) are printed,
@@ -47,22 +43,15 @@ const SHED_RATE_SLACK: f64 = 0.01;
 const SCALING: &str = "runtime_scaling.json";
 const SKEWED: &str = "skewed_steal.json";
 const SERVING: &str = "serving_latency.json";
-const CLUSTER: &str = "cluster_smoke.json";
-const TRACE: &str = "trace_smoke.json";
 
 const BENCH_HINT: &str = "cargo bench -p relcnn-bench --bench runtime_scaling --bench skewed_steal";
 const SERVE_HINT: &str = "cargo run --release -p relcnn-bench --bin serve_bench";
-const CLUSTER_HINT: &str = "cargo run --release -p relcnn-bench --bin cluster_smoke";
-const TRACE_HINT: &str = "cargo run --release -p relcnn-bench --bin trace_smoke";
 
-/// Every artefact the gate reads: file, regeneration command, and
-/// whether it is required (and baselined) or optional.
-const ARTEFACTS: [(&str, &str, bool); 5] = [
-    (SCALING, BENCH_HINT, true),
-    (SKEWED, BENCH_HINT, true),
-    (SERVING, SERVE_HINT, true),
-    (CLUSTER, CLUSTER_HINT, false),
-    (TRACE, TRACE_HINT, false),
+/// Every artefact the gate reads, with its regeneration command.
+const ARTEFACTS: [(&str, &str); 3] = [
+    (SCALING, BENCH_HINT),
+    (SKEWED, BENCH_HINT),
+    (SERVING, SERVE_HINT),
 ];
 
 /// What a row demands of the fresh value at its path.
@@ -83,8 +72,6 @@ enum Rule {
     Shape,
     /// Equal to the sum of these sibling keys: a conservation identity.
     SumOf(&'static [&'static str]),
-    /// Each of these sibling keys is at least the value at the path.
-    EachAtLeast(&'static [&'static str]),
 }
 
 use Rule::*;
@@ -111,7 +98,7 @@ const SHED: Rule = NotAbove(SHED_RATE_SLACK);
 /// an intended one ships a refreshed baseline. Each priority class holds
 /// its own baseline block, so a regression in one lane can't hide inside
 /// a healthy aggregate.
-const RULES: [Row; 32] = [
+const RULES: [Row; 29] = [
     // cpu-bound trials/s are raw hardware speed and would false-alarm on
     // any runner slower than the baseline machine, so only the shape is
     // held to the baseline.
@@ -148,40 +135,25 @@ const RULES: [Row; 32] = [
     row(SERVING, "classes.bulk.p99_us", P99),
     row(SERVING, "classes.bulk.shed_rate", SHED),
     row(SERVING, "classes.bulk.goodput_rate", NotBelow),
-    // Every seeded chaos leg must finish degraded, having lost a worker
-    // and requeued its task.
-    row(CLUSTER, "degraded_runs", SumOf(&["chaos_legs"])),
-    row(
-        CLUSTER,
-        "chaos_legs",
-        EachAtLeast(&["workers_lost", "tasks_requeued"]),
-    ),
-    // The kill -> requeue recovery story must reach the merged timeline.
-    row(TRACE, "requeue_events", Floor(1.0)),
 ];
 
 /// Informational counter lines: every integer field of the object at
 /// `(file, path)`, one line per element when it is an array. The
 /// scaling benches run with an unbounded reorder budget, so their
-/// frontier counters describe observed pressure, not a contract; ring
-/// sizing varies with the workload, so the trace counts are not one
-/// either.
-const COUNTERS: [(&str, &str); 8] = [
+/// frontier counters describe observed pressure, not a contract.
+const COUNTERS: [(&str, &str); 6] = [
     (SCALING, "cpu_bound"),
     (SCALING, "latency_bound"),
     (SERVING, ""),
     (SERVING, "classes.critical"),
     (SERVING, "classes.interactive"),
     (SERVING, "classes.bulk"),
-    (CLUSTER, ""),
-    (TRACE, ""),
 ];
 
-/// One loaded artefact: the fresh file and, when required, its
-/// committed baseline.
+/// One loaded artefact: the fresh file and its committed baseline.
 struct Doc {
     fresh: Value,
-    base: Option<Value>,
+    base: Value,
 }
 
 type Docs = BTreeMap<&'static str, Doc>;
@@ -268,12 +240,6 @@ fn ratio_to_one_worker(doc: &Value, path: &str) -> Result<f64, String> {
 fn check(row: &Row, doc: &Doc, tol: f64, cpu_floor: f64) -> Result<(bool, String), String> {
     let path = row.path;
     let value = number(&doc.fresh, path)?;
-    let base = || doc.base.as_ref().ok_or_else(|| "no baseline".to_string());
-    let siblings = |keys: &[&str]| -> Result<Vec<f64>, String> {
-        keys.iter()
-            .map(|k| number(&doc.fresh, &sibling(path, k)))
-            .collect()
-    };
     let pct = tol * 100.0;
     Ok(match row.rule {
         Floor(floor) => (value >= floor, format!("{value:.3}, floor {floor:.3}")),
@@ -282,13 +248,13 @@ fn check(row: &Row, doc: &Doc, tol: f64, cpu_floor: f64) -> Result<(bool, String
             format!("{value:.3}, host floor {cpu_floor:.3}"),
         ),
         NotBelow => {
-            let b = number(base()?, path)?;
+            let b = number(&doc.base, path)?;
             let limit = b * (1.0 - tol);
             let line = format!("{value:.3}, at least {limit:.3} (baseline {b:.3} - {pct:.0}%)");
             (value >= limit, line)
         }
         NotAbove(slack) => {
-            let b = number(base()?, path)?;
+            let b = number(&doc.base, path)?;
             let limit = b * (1.0 + tol) + slack;
             let line =
                 format!("{value:.3}, at most {limit:.3} (baseline {b:.3} + {pct:.0}% + {slack})");
@@ -296,7 +262,7 @@ fn check(row: &Row, doc: &Doc, tol: f64, cpu_floor: f64) -> Result<(bool, String
         }
         Shape => {
             let now = ratio_to_one_worker(&doc.fresh, path)?;
-            let b = ratio_to_one_worker(base()?, path)?;
+            let b = ratio_to_one_worker(&doc.base, path)?;
             let limit = b * (1.0 - tol);
             let line = format!(
                 "{now:.3}x of 1-worker, at least {limit:.3}x (baseline {b:.3}x - {pct:.0}%)"
@@ -304,36 +270,31 @@ fn check(row: &Row, doc: &Doc, tol: f64, cpu_floor: f64) -> Result<(bool, String
             (now >= limit, line)
         }
         SumOf(keys) => {
-            let sum: f64 = siblings(keys)?.iter().sum();
+            let sum = keys
+                .iter()
+                .map(|k| number(&doc.fresh, &sibling(path, k)))
+                .sum::<Result<f64, String>>()?;
             let line = format!("{value} vs {} = {sum}", keys.join(" + "));
             (value == sum, line)
-        }
-        EachAtLeast(keys) => {
-            let values = siblings(keys)?;
-            let line = format!("{} = {values:?}, each at least {value}", keys.join(", "));
-            (values.iter().all(|&v| v >= value), line)
         }
     })
 }
 
 /// Loads every artefact under `results`. Returns what loaded plus one
-/// failure per required artefact (or baseline) that is missing or does
-/// not parse; a missing optional artefact is skipped with a note.
+/// failure per artefact (or baseline) that is missing or does not parse.
 fn load(results: &Path) -> (Docs, Vec<String>) {
     let (mut docs, mut failures) = (Docs::new(), Vec::new());
-    for (file, hint, required) in ARTEFACTS {
-        if !required && !results.join(file).exists() {
-            println!("{file}: not generated — skipped (generate it with `{hint}`)");
-            continue;
-        }
+    for (file, hint) in ARTEFACTS {
         let read = |path: PathBuf| -> Result<Value, String> {
             let shown = path.display();
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("{shown}: {e} (generate it with `{hint}`)"))?;
             serde_json::from_str(&text).map_err(|e| format!("{shown}: parse error: {e}"))
         };
-        let base = required.then(|| read(results.join("baseline").join(file)));
-        match (read(results.join(file)), base.transpose()) {
+        match (
+            read(results.join(file)),
+            read(results.join("baseline").join(file)),
+        ) {
             (Ok(fresh), Ok(base)) => {
                 docs.insert(file, Doc { fresh, base });
             }
@@ -429,25 +390,13 @@ mod tests {
         serde_json::from_str(text).expect("test artefact parses")
     }
 
-    /// Every committed baseline as its own fresh run, plus the two
-    /// unbaselined smoke summaries in the shape their binaries write.
+    /// Every committed baseline as its own fresh run.
     fn docs() -> Docs {
         let mut docs = Docs::new();
-        for (file, _, _) in ARTEFACTS.iter().filter(|a| a.2) {
+        for (file, _) in ARTEFACTS {
             let text = std::fs::read_to_string(baseline_dir().join(file)).expect("baseline");
-            let (fresh, base) = (parse(&text), Some(parse(&text)));
+            let (fresh, base) = (parse(&text), parse(&text));
             docs.insert(file, Doc { fresh, base });
-        }
-        let cluster = r#"{"topology_legs":6,"chaos_legs":3,"workers_spawned":30,
-            "workers_lost":3,"tasks_requeued":3,"task_retries":3,"corrupt_frames":1,
-            "task_timeouts":1,"local_fallbacks":0,"degraded_runs":3}"#;
-        let trace = r#"{"campaign_events":900,"campaign_dropped":0,"serving_events":700,
-            "serving_dropped":0,"cluster_events":120,"cluster_dropped":0,
-            "cluster_pid_tracks":4,"kill_events":1,"requeue_events":1,
-            "degraded_completion_events":1,"byte_identical_legs":3}"#;
-        for (file, text) in [(CLUSTER, cluster), (TRACE, trace)] {
-            let fresh = parse(text);
-            docs.insert(file, Doc { fresh, base: None });
         }
         docs
     }
@@ -481,7 +430,7 @@ mod tests {
         let doc = docs.get_mut(row.file).expect("loaded");
         let eps = if past { 1e-9 } else { -1e-9 };
         let fresh = |p: &str| number(&doc.fresh, p).expect("fresh");
-        let base = |p: &str| number(doc.base.as_ref().expect("baseline"), p).expect("base");
+        let base = |p: &str| number(&doc.base, p).expect("base");
         let (path, value) = match row.rule {
             Floor(floor) => (row.path.to_string(), floor - eps),
             CpuFloor => (row.path.to_string(), floor() - eps),
@@ -491,35 +440,27 @@ mod tests {
                 base(row.path) * (1.0 + TOL) + slack + eps,
             ),
             Shape => {
-                let limit = ratio_to_one_worker(doc.base.as_ref().unwrap(), row.path).unwrap()
-                    * (1.0 - TOL);
+                let limit = ratio_to_one_worker(&doc.base, row.path).unwrap() * (1.0 - TOL);
                 let one = fresh(row.path) / ratio_to_one_worker(&doc.fresh, row.path).unwrap();
                 (row.path.to_string(), (limit - eps) * one)
             }
             SumOf(_) => (row.path.to_string(), fresh(row.path) + past as u8 as f64),
-            EachAtLeast(keys) => {
-                let key = sibling(row.path, keys[0]);
-                (key, fresh(row.path) - past as u8 as f64)
-            }
         };
         *get_mut(&mut doc.fresh, &path) = Value::Float(value);
-        if let (Floor(_) | CpuFloor, Some(base)) = (row.rule, doc.base.as_mut()) {
-            *get_mut(base, &path) = Value::Float(value);
+        if let Floor(_) | CpuFloor = row.rule {
+            *get_mut(&mut doc.base, &path) = Value::Float(value);
         }
     }
 
     #[test]
     fn committed_baselines_compared_with_themselves_pass() {
-        let mut docs = docs();
-        docs.retain(|_, d| d.base.is_some());
-        let (checked, failures) = evaluate(&docs, TOL, floor());
+        let (checked, failures) = evaluate(&docs(), TOL, floor());
         assert_eq!(failures, Vec::<String>::new());
         assert_eq!(checked, 9 + 4 + 16);
     }
 
     #[test]
     fn every_row_fails_alone_just_past_its_threshold() {
-        assert_eq!(evaluate(&docs(), TOL, floor()), (RULES.len(), vec![]));
         for row in &RULES {
             let mut inside = docs();
             push(&mut inside, row, false);
@@ -529,7 +470,7 @@ mod tests {
             let mut past = docs();
             push(&mut past, row, true);
             let (checked, failures) = evaluate(&past, TOL, floor());
-            assert_eq!(checked, 32);
+            assert_eq!(checked, RULES.len());
             assert_eq!(failures.len(), 1, "{row:?}: {failures:?}");
             let metric = format!("{} {}:", row.file, row.path);
             assert!(failures[0].starts_with(&metric), "{failures:?}");
@@ -537,24 +478,17 @@ mod tests {
     }
 
     #[test]
-    fn missing_optional_artefacts_are_skipped_and_required_ones_fail() {
+    fn a_missing_artefact_fails_with_its_regeneration_hint() {
         let dir = std::env::temp_dir().join(format!("relcnn_bench_gate_{}", std::process::id()));
         std::fs::create_dir_all(dir.join("baseline")).unwrap();
-        for (file, _, _) in ARTEFACTS.iter().filter(|a| a.2) {
-            for to in [dir.join(file), dir.join("baseline").join(file)] {
-                std::fs::copy(baseline_dir().join(file), to).unwrap();
+        for (file, _) in ARTEFACTS {
+            std::fs::copy(baseline_dir().join(file), dir.join("baseline").join(file)).unwrap();
+            if file != SERVING {
+                std::fs::copy(baseline_dir().join(file), dir.join(file)).unwrap();
             }
         }
         let (docs, failures) = load(&dir);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(
-            docs.keys().copied().collect::<Vec<_>>(),
-            [SCALING, SERVING, SKEWED]
-        );
-
-        std::fs::remove_file(dir.join(SERVING)).unwrap();
-        let (docs, failures) = load(&dir);
-        assert_eq!(docs.len(), 2);
+        assert_eq!(docs.keys().copied().collect::<Vec<_>>(), [SCALING, SKEWED]);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains(SERVING) && failures[0].contains("serve_bench"));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -16,10 +16,19 @@
 //! cluster_artifact --procs 3 --threads 2 --chaos kill --out /tmp/chaos.jsonl
 //! ```
 //!
-//! `--chaos kill|corrupt|hang` injects the named deterministic fault
-//! (victim derived from the campaign seed); the run must then finish
-//! *degraded* — nonzero loss/requeue counters in the stats line — with
-//! the same bytes.
+//! The binary asserts its run's outcome in-process after writing the
+//! artefact:
+//!
+//! * without `--chaos`, the run finishes clean: not degraded, no worker
+//!   lost, no task requeued;
+//! * `--chaos kill|corrupt|hang` injects the named deterministic fault
+//!   (victim derived from the campaign seed); the run must then finish
+//!   *degraded* — nonzero loss/requeue counters — with the same bytes,
+//!   and the fault's detector must have fired (`corrupt_frames` for
+//!   corrupt, `task_timeouts` for hang);
+//! * with `--trace` and a chaos plan, the merged timeline must carry at
+//!   least `--procs` pid tracks and `requeue` and `degraded_completion`
+//!   instants (plus a `kill` instant under `--chaos kill`).
 
 use relcnn_bench::workload::{cluster_job, cluster_task, merge_cluster_outputs, Profile, SHARDS};
 use relcnn_cluster::ClusterHooks;
@@ -134,9 +143,9 @@ fn main() {
     let artefact = format!("{payload}{{\"partial_aggregate\":{report}}}\n");
     std::fs::write(&out, artefact).unwrap_or_else(|e| panic!("write {out}: {e}"));
 
-    if let Some(trace_path) = trace_out {
-        // Merged multi-process timeline: head drain first (pid 1), then
-        // every worker snapshot that made it home, in worker order.
+    // Merged multi-process timeline: head drain first (pid 1), then
+    // every worker snapshot that made it home, in worker order.
+    let timeline = trace_out.map(|trace_path| {
         let mut snapshots = vec![recorder.drain()];
         snapshots.extend(outcome.traces.iter().cloned());
         let chrome = export_chrome(&snapshots);
@@ -150,7 +159,8 @@ fn main() {
             snapshots.iter().map(|s| s.recorded_events()).sum::<u64>(),
             snapshots.iter().map(|s| s.dropped_events()).sum::<u64>(),
         );
-    }
+        parsed
+    });
 
     let s = &outcome.stats;
     eprintln!(
@@ -160,11 +170,41 @@ fn main() {
         s.degraded,
         s.to_json(),
     );
-    if !chaos.is_none() {
+    if chaos.is_none() {
         assert!(
-            s.degraded && s.workers_lost > 0 && s.tasks_requeued > 0,
-            "chaos run must finish degraded with loss/requeue counters: {}",
+            !s.degraded && s.workers_lost == 0 && s.tasks_requeued == 0,
+            "a chaos-free run must finish clean: {}",
             s.to_json()
+        );
+        return;
+    }
+    // A chaos run finishes degraded, and the fault's own detector fired
+    // (a kill is detected as pipe EOF, which has no dedicated counter).
+    let detected = match chaos_name.as_str() {
+        "corrupt" => s.corrupt_frames >= 1,
+        "hang" => s.task_timeouts >= 1,
+        _ => true,
+    };
+    assert!(
+        s.degraded && s.workers_lost > 0 && s.tasks_requeued > 0 && detected,
+        "chaos {chaos_name} must finish degraded with loss/requeue counters and its \
+         detector fired: {}",
+        s.to_json()
+    );
+    // The recovery story reaches the merged timeline: every process that
+    // shipped a ring home has a pid track, and the head narrates the
+    // loss, the requeue and the degraded completion.
+    if let Some(t) = timeline {
+        let (pids, kills, requeues, degraded) = (
+            t.pids().len(),
+            t.count('i', "kill"),
+            t.count('i', "requeue"),
+            t.count('i', "degraded_completion"),
+        );
+        assert!(
+            pids >= procs && requeues >= 1 && degraded >= 1 && (kills >= 1 || chaos_name != "kill"),
+            "chaos {chaos_name} timeline: {pids} pid tracks (need >= {procs}), \
+             {kills} kill, {requeues} requeue, {degraded} degraded_completion instants"
         );
     }
 }

@@ -1,13 +1,15 @@
 //! Shared plumbing for the `relcnn` benchmark harness.
 //!
-//! The binaries in `src/bin/` regenerate every table and figure of the
-//! paper (see the README's *Paper ↔ repo map* for the experiment index),
-//! write the byte-diffed determinism artefacts, run the CI smokes, and
-//! gate the committed baselines (`bench_gate`). The two benches in
-//! `benches/` (`runtime_scaling`, `skewed_steal`) are plain `main`s that
-//! write the scaling artefacts `bench_gate` reads. Per-image and per-layer
-//! timing lives in the standalone `benchmark/` package. This library
-//! holds the shared output plumbing and the canonical [`workload`]s.
+//! The binaries in `src/bin/` serve three purposes: they regenerate
+//! every table and figure of the paper (see the README's *Paper ↔ repo
+//! map* for the experiment index), write the byte-diffed determinism
+//! artefacts (`*_artifact`, each asserting its own invariants
+//! in-process), and gate the committed baselines (`bench_gate`). The
+//! two benches in `benches/` (`runtime_scaling`, `skewed_steal`) are
+//! plain `main`s that write the scaling artefacts `bench_gate` reads.
+//! Per-image and per-layer timing lives in the standalone `benchmark/`
+//! package. This library holds the shared output plumbing and the
+//! canonical [`workload`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,27 +81,6 @@ pub fn counters_line(pairs: &[(&str, u64)]) -> String {
         .map(|(name, value)| format!("{name} {value}"))
         .collect::<Vec<_>>()
         .join(", ")
-}
-
-/// Default hard wall budget for the smoke binaries, in microseconds.
-pub const DEFAULT_WALL_BUDGET_US: u64 = 60_000_000;
-
-/// Hard wall budget for smoke binaries: `RELCNN_WALL_BUDGET_US`
-/// (microseconds) when set, else [`DEFAULT_WALL_BUDGET_US`]. The CI
-/// knob for slow or instrumented runners — a hung run trips the budget
-/// panic instead of timing out the job.
-///
-/// # Panics
-///
-/// Panics when the variable is set but not a number — a silently
-/// ignored budget override would defeat the point of setting one.
-pub fn wall_budget_us() -> u64 {
-    match std::env::var("RELCNN_WALL_BUDGET_US") {
-        Ok(v) => v.parse().unwrap_or_else(|_| {
-            panic!("RELCNN_WALL_BUDGET_US must be a microsecond count, got {v:?}")
-        }),
-        Err(_) => DEFAULT_WALL_BUDGET_US,
-    }
 }
 
 /// Returns true when the binary should run at smoke scale

@@ -1,20 +1,17 @@
-//! The canonical deterministic workloads the artefact and smoke binaries
-//! share.
+//! The canonical deterministic workloads the artefact binaries share.
 //!
 //! `determinism_artifact` (single process, worker/chunk/budget matrix)
-//! and the cluster binaries (`cluster_artifact`, `cluster_smoke` —
-//! multi-process topology and chaos matrix) must byte-diff against each
-//! other, so the campaign identity — trial count, seed, shard count and
-//! the per-trial work itself — lives here exactly once. Drift between
-//! the binaries would silently turn every cross-artefact diff into a
-//! guaranteed mismatch.
+//! and `cluster_artifact` (multi-process topology and chaos matrix) must
+//! byte-diff against each other, so the campaign identity — trial count,
+//! seed, shard count and the per-trial work itself — lives here exactly
+//! once. Drift between the binaries would silently turn every
+//! cross-artefact diff into a guaranteed mismatch.
 //!
 //! The two serving workloads live here for the same reason: the
 //! *artefact* workload ([`artifact_server`] + [`artifact_load`]) is what
-//! `serving_artifact` byte-diffs and `trace_smoke` replays traced, and
-//! the *bench* workload ([`bench_server`] + [`bench_load`]) is what
-//! `serve_bench` gates and `metrics_smoke` scrapes. Every serving binary
-//! classifies with [`cnn_backend`].
+//! `serving_artifact` byte-diffs, and the *bench* workload
+//! ([`bench_server`] + [`bench_load`]) is what `serve_bench` gates.
+//! Every serving binary classifies with [`cnn_backend`].
 
 use relcnn_cluster::{JobSpec, TaskOutput};
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite, OpContext, SkewedCost};

@@ -4,8 +4,8 @@
 //! verdict survives; a [`ChaosPlan`] applies the same discipline to the
 //! fabric that runs the campaigns. A plan is derived from the campaign
 //! seed — same seed, same victim, same trigger point — so a chaos run is
-//! exactly as reproducible as the campaign it perturbs, and the smoke
-//! oracle can assert the *byte-identical* aggregate after the fault.
+//! exactly as reproducible as the campaign it perturbs, and CI's chaos
+//! legs can assert the *byte-identical* aggregate after the fault.
 //!
 //! Three failure modes, matching the head's three detection paths:
 //!

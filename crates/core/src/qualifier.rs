@@ -65,10 +65,11 @@ impl QualifierConfig {
         QualifierConfig {
             angles: 256,
             sax: SaxConfig::default(), // 16 segments, 8 letters
-            // Calibrated on rendered signs at >= 96 px (see the
-            // calibration sweep in EXPERIMENTS.md): genuine octagons
-            // measure <= 4.9; every impostor class is already rejected by
-            // the ratio/corner geometry checks before MINDIST binds.
+            // Calibrated on rendered signs at >= 96 px (held by the
+            // umbrella crate's `tests/qualifier_separation.rs`): genuine
+            // octagons measure <= 4.9; every impostor class is already
+            // rejected by the ratio/corner geometry checks before
+            // MINDIST binds.
             max_mindist: 6.5,
             ratio_window: (1.0, 1.22),
             corner_window: Some((6, 10)),

@@ -1537,7 +1537,8 @@ mod tests {
     fn stats_snapshot_observes_a_run_in_flight() {
         // A cloned engine shares the metric handles, so a monitor thread
         // can watch the run progress without waiting for RunOutcome.
-        let engine = Engine::with_workers(2);
+        let registry = relcnn_obs::Registry::new();
+        let engine = Engine::with_workers(2).observed(&registry);
         let monitor = engine.clone();
         let done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -1546,7 +1547,22 @@ mod tests {
                 let mut last_executed = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     let snap = monitor.stats_snapshot();
-                    saw_in_flight |= snap.in_flight() && snap.trials_executed > 0;
+                    if snap.in_flight() && snap.trials_executed > 0 && !saw_in_flight {
+                        // The observed registry's page is valid mid-run
+                        // and already carries the engine families.
+                        let page = registry.render();
+                        let parsed = relcnn_obs::parse::validate(&page)
+                            .unwrap_or_else(|e| panic!("mid-run page invalid: {e}\n{page}"));
+                        for family in [
+                            "relcnn_engine_trials_executed_total",
+                            "relcnn_engine_workers_live",
+                            "relcnn_engine_reorder_resident_trials",
+                            "relcnn_engine_trial_duration_nanoseconds_count",
+                        ] {
+                            assert!(parsed.has(family), "mid-run page missing {family}:\n{page}");
+                        }
+                        saw_in_flight = true;
+                    }
                     assert!(
                         snap.trials_executed >= last_executed,
                         "executed-trials counter must be monotone"

@@ -14,7 +14,7 @@
 //! offered == shed + expired + dispatched + len()
 //! ```
 //!
-//! checked by a `debug_assert` after every mutation and hammered by
+//! asserted after every mutation, in every build, and hammered by
 //! `tests/hammer.rs` racing three classes of admission against expiry,
 //! dispatch and live cap changes at `--test-threads 8`.
 //!
@@ -107,10 +107,9 @@ impl Inner {
         self.lanes.iter().map(|l| l.len()).sum()
     }
 
+    /// The per-class conservation audit: three integer identities under
+    /// the lock the caller already holds, so it runs in every build.
     fn check(&self) {
-        if !crate::checks::conservation_checks_enabled() {
-            return;
-        }
         for (lane, c) in self.by_class.iter().enumerate() {
             assert_eq!(
                 c.offered,
@@ -589,6 +588,20 @@ mod tests {
         // then owns the window again.
         q.take_batch(1);
         assert_eq!(q.head_arrival_us(), Some(17));
+    }
+
+    #[test]
+    #[should_panic(expected = "admission-queue conservation violated for class bulk")]
+    fn check_panics_when_counters_do_not_add_up() {
+        let mut inner = Inner {
+            lanes: Default::default(),
+            by_class: Default::default(),
+            admit_cap: 4,
+            closed: false,
+        };
+        // One offer that was never shed, expired, dispatched or queued.
+        inner.by_class[RequestClass::Bulk.lane()].offered = 1;
+        inner.check();
     }
 
     #[test]

@@ -456,21 +456,19 @@ impl<'a, B: Backend> Dispatcher<'a, B> {
                 Vec::new()
             }
         };
-        if crate::checks::conservation_checks_enabled() {
-            let counters = queue.counters();
-            assert_eq!(counters.offered, report.offered);
-            assert_eq!(counters.shed, report.shed);
-            assert_eq!(counters.expired, report.expired());
-            for class in RequestClass::ALL {
-                let qc = queue.class_counters(class);
-                let rc = report.class(class);
-                assert_eq!(qc.offered, rc.offered, "{} offered", class.label());
-                assert_eq!(qc.shed, rc.shed, "{} shed", class.label());
-                assert_eq!(qc.expired, rc.expired, "{} expired", class.label());
-                assert_eq!(qc.dispatched, rc.completed, "{} dispatched", class.label());
-            }
-            assert!(report.conserved(), "report conservation: {report:?}");
+        let counters = queue.counters();
+        assert_eq!(counters.offered, report.offered);
+        assert_eq!(counters.shed, report.shed);
+        assert_eq!(counters.expired, report.expired());
+        for class in RequestClass::ALL {
+            let qc = queue.class_counters(class);
+            let rc = report.class(class);
+            assert_eq!(qc.offered, rc.offered, "{} offered", class.label());
+            assert_eq!(qc.shed, rc.shed, "{} shed", class.label());
+            assert_eq!(qc.expired, rc.expired, "{} expired", class.label());
+            assert_eq!(qc.dispatched, rc.completed, "{} dispatched", class.label());
         }
+        assert!(report.conserved(), "report conservation: {report:?}");
         let outcomes: Vec<Outcome<B::Verdict>> = outcomes
             .into_iter()
             .enumerate()

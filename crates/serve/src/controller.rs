@@ -25,7 +25,8 @@
 //! whether it came from the deterministic virtual replay or a live
 //! wall-clock run — reproduces the same decision log bit for bit.
 //! [`OverloadController::replay`] re-derives a log from its recorded
-//! observations and is the oracle check the wall-clock smoke runs.
+//! observations and is the oracle check the wall-clock tests run
+//! (`tests/wall.rs`).
 //!
 //! Kept on measurement. `serve_bench`'s trace (480 three-class Poisson
 //! requests) replayed with `.with_control(..)` removed — virtual-clock,

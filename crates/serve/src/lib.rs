@@ -58,8 +58,9 @@
 //!   windows close early. Decisions are integer-pure functions of the
 //!   observed queue history.
 //! * **Conservation** — `offered == shed + expired + completed`, per
-//!   class *and* aggregate, `debug_assert`-checked after every queue
-//!   operation and hammered by a three-class race test.
+//!   class *and* aggregate, asserted after every queue operation and
+//!   reconciled against the report at the end of every run, in every
+//!   build, and hammered by a three-class race test.
 //! * **Live metrics** ([`Server::observed`] + [`ServeMetrics`]) —
 //!   per-request families carry a `class` label; wall-clock runs serve
 //!   the registry over `GET /metrics` while they run.
@@ -116,7 +117,6 @@
 mod admission;
 mod backend;
 mod batcher;
-mod checks;
 mod clock;
 mod controller;
 mod loadgen;
@@ -129,7 +129,6 @@ mod wall;
 pub use admission::{Admission, AdmissionCounters, AdmissionQueue, QueueWindow};
 pub use backend::{Backend, BatchReply, CnnBackend, CnnVerdict, EchoBackend};
 pub use batcher::{BatchPolicy, ServerConfig, ServiceModel};
-pub use checks::{conservation_checks_enabled, CHECK_CONSERVATION_ENV};
 pub use clock::{Clock, VirtualClock, WallClock};
 pub use controller::{ControlRecord, ControllerConfig, Decision, OverloadController};
 pub use loadgen::{Arrival, LoadGen, LoadGenConfig};

@@ -134,8 +134,8 @@ impl<'a, B: Backend> Server<'a, B> {
     ///
     /// Panics if the trace's ids are not exactly `0..trace.len()` in
     /// order, if the backend returns a wrong-sized verdict vector, if a
-    /// wall run exceeds its clock's hard budget, or (debug builds) if a
-    /// conservation invariant breaks.
+    /// wall run exceeds its clock's hard budget, or if a conservation
+    /// invariant breaks.
     pub fn run(&self, trace: &[Request]) -> ServeRun<B::Verdict> {
         let default_engine;
         let engine = match self.engine {

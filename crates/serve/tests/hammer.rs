@@ -6,9 +6,9 @@
 //! races batch dispatch races admission from multiple threads — across
 //! all three priority lanes, with the AIMD admission cap twitching live
 //! underneath — with the conservation invariant (`offered == shed +
-//! expired + dispatched + queued`) `debug_assert`-checked **per class
-//! and in aggregate** inside every queue operation: a lost or
-//! double-counted request trips it immediately in debug builds.
+//! expired + dispatched + queued`) asserted **per class and in
+//! aggregate** inside every queue operation: a lost or double-counted
+//! request trips it immediately.
 //!
 //! Reproduce the hunt with:
 //!
@@ -173,7 +173,7 @@ fn shedding_stays_conserved_at_capacity() {
 
 /// Three priority classes race admission against expiry, dispatch and a
 /// live-twitching AIMD cap. Conservation must hold *per class* (the
-/// per-class `debug_assert` inside every queue operation) and the
+/// per-class assertion inside every queue operation) and the
 /// critical reservation must do its job: with bulk/interactive pressure
 /// clamped to the floor, critical traffic still gets through.
 #[test]
@@ -258,7 +258,7 @@ fn three_classes_race_with_a_twitching_admission_cap() {
     });
 
     // Per-class and aggregate conservation, on top of the per-operation
-    // debug_asserts that ran throughout.
+    // assertions that ran throughout.
     let mut offered_sum = 0;
     for class in RequestClass::ALL {
         let c = queue.class_counters(class);
