@@ -96,14 +96,11 @@ fn main() {
                 format!(
                     "{{\"workers\":{w},\"trials_per_s\":{:.3},\"mean_trial_ns\":{},\
                      \"trial_p50_ns\":{p50},\"trial_p95_ns\":{p95},\"trial_p99_ns\":{p99},\
-                     \"steals\":{},\"send_block_us\":{},\
-                     \"frontier_parks\":{},\"frontier_stall_us\":{},\"max_reorder_depth\":{}}}",
+                     \"steals\":{},\"send_block_us\":{},\"max_reorder_depth\":{}}}",
                     s.throughput,
                     s.mean_trial.as_nanos(),
                     s.steals,
                     s.send_block.as_micros(),
-                    s.frontier_parks,
-                    s.frontier_stall.as_micros(),
                     s.max_reorder_depth
                 )
             })

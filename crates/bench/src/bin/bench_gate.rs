@@ -138,9 +138,9 @@ const RULES: [Row; 29] = [
 ];
 
 /// Informational counter lines: every integer field of the object at
-/// `(file, path)`, one line per element when it is an array. The
-/// scaling benches run with an unbounded reorder budget, so their
-/// frontier counters describe observed pressure, not a contract.
+/// `(file, path)`, one line per element when it is an array. They
+/// describe observed pressure (steals, send blocking, reorder depth),
+/// not a contract.
 const COUNTERS: [(&str, &str); 6] = [
     (SCALING, "cpu_bound"),
     (SCALING, "latency_bound"),

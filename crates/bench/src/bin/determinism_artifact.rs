@@ -4,15 +4,13 @@
 //! chosen worker count / chunk size and writes the engine's footerless
 //! JSONL result stream to a file. The stream is a pure function of the
 //! campaign identity `(trials, seed, shards)` — *not* of the worker
-//! count, the chunk size, the steal schedule, the reorder budget or the
-//! ingestion path — so CI runs this binary at workers 1/2/8 (and
-//! different chunkings, budgets and sources) and diffs the artefacts
-//! byte for byte.
+//! count, the chunk size, the steal schedule or the ingestion path — so
+//! CI runs this binary at workers 1/2/8 (and different chunkings and
+//! sources) and diffs the artefacts byte for byte.
 //!
 //! ```text
 //! determinism_artifact --workers 8 --chunk 1 --out /tmp/w8.jsonl
 //! determinism_artifact --workers 8 --profile cpu --out /tmp/w8_cpu.jsonl
-//! determinism_artifact --workers 8 --reorder-budget 24 --out /tmp/w8_b24.jsonl
 //! determinism_artifact --workers 8 --source streaming --out /tmp/w8_s.jsonl
 //! ```
 //!
@@ -32,12 +30,6 @@
 //! chunk at a time, through an `FnSource`). All three must produce
 //! byte-identical artefacts — the streaming leg of the CI matrix.
 //!
-//! `--reorder-budget N` engages the scheduler's run-frontier flow
-//! control; the binary then asserts in-process that the observed
-//! out-of-order residency never exceeded the budget (the satellite
-//! contract that makes the reorder cap testable) while the bytes still
-//! match the unbounded reference.
-//!
 //! `--metrics` runs the same campaign on a registry-observed engine
 //! (live `relcnn-obs` publication on). The artefact must still be
 //! byte-identical to the metrics-off reference — the CI matrix leg that
@@ -45,7 +37,7 @@
 //! deterministic path.
 //!
 //! `--trace` runs the same campaign on a flight-recorded engine (ring
-//! buffers on, spans recorded for every chunk, steal, park and release).
+//! buffers on, spans recorded for every chunk, steal and release).
 //! The exported Chrome-trace JSON is validated in-process and the
 //! artefact must again be byte-identical to the trace-off reference —
 //! the matrix leg that proves tracing is equally off the deterministic
@@ -112,8 +104,7 @@ fn run_one<S: Sink<TrialResult>>(
 fn usage() -> ! {
     eprintln!(
         "usage: determinism_artifact --workers N --out PATH [--chunk C] [--no-abort] \
-         [--profile latency|cpu] [--source plan|eager|streaming] [--reorder-budget B] \
-         [--metrics] [--trace]\n\
+         [--profile latency|cpu] [--source plan|eager|streaming] [--metrics] [--trace]\n\
          Writes the footerless JSONL result stream of a fixed skewed campaign.\n\
          --metrics runs the campaign on a registry-observed engine (live metrics \
          publication on); --trace runs it on a flight-recorded engine (span rings \
@@ -126,7 +117,6 @@ fn usage() -> ! {
 fn main() {
     let mut workers = 1usize;
     let mut chunk = 0u64;
-    let mut reorder_budget = 0u64;
     let mut out: Option<String> = None;
     let mut early_stop = true;
     let mut metrics = false;
@@ -146,12 +136,6 @@ fn main() {
             }
             "--chunk" => {
                 chunk = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--reorder-budget" => {
-                reorder_budget = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
@@ -180,8 +164,7 @@ fn main() {
 
     let plan = RunPlan::new(TRIALS, BASE_SEED)
         .with_shards(SHARDS)
-        .with_chunk(chunk)
-        .with_reorder_budget(reorder_budget);
+        .with_chunk(chunk);
     let policy = if early_stop {
         // Fires deep into the shard prefix on this workload — past the
         // skewed tail's onset — so the artefact witnesses both heavy
@@ -230,18 +213,6 @@ fn main() {
         "partial-aggregation path diverged from the raw-replay path"
     );
     assert_eq!(partial.stats.shards, outcome.stats.shards);
-    // The satellite contract that makes the reorder cap testable: with a
-    // finite budget set, the out-of-order buffer's steady-state depth
-    // must never have exceeded it, on either result path.
-    if reorder_budget > 0 {
-        for (path, stats) in [("replay", &outcome.stats), ("partial", &partial.stats)] {
-            assert!(
-                stats.max_reorder_depth <= reorder_budget,
-                "{path} path: reorder depth {} exceeded the budget {reorder_budget}",
-                stats.max_reorder_depth
-            );
-        }
-    }
     {
         use std::io::Write;
         let mut file = std::fs::OpenOptions::new()
@@ -322,15 +293,12 @@ fn main() {
     };
     eprintln!(
         "{out}: profile={profile_name} source={source_name} workers={workers} chunk={chunk} \
-         budget={reorder_budget} trials={} shards={}/{} aborted={} steals={} \
-         frontier_parks={} frontier_stall_us={} max_reorder_depth={} safety={:.4}",
+         trials={} shards={}/{} aborted={} steals={} max_reorder_depth={} safety={:.4}",
         outcome.summary.trials,
         outcome.stats.shards,
         outcome.stats.planned_shards,
         outcome.stats.aborted,
         outcome.stats.steals,
-        outcome.stats.frontier_parks,
-        outcome.stats.frontier_stall.as_micros(),
         outcome.stats.max_reorder_depth,
         outcome.summary.safety_rate()
     );

@@ -71,10 +71,8 @@ pub fn ascii_plot(series: &[f32], width: usize, height: usize) -> String {
 }
 
 /// Formats a set of named monotonic counters as one comma-separated
-/// line (`"steals 3, parks 12, ..."`). The single formatting shape for
-/// every counter summary the harness prints — the gate's scheduler
-/// frontier detail and its serve-side conservation line both go through
-/// here, so the two read identically in CI logs.
+/// line (`"steals 3, send_block_us 12, ..."`). Its one caller is
+/// `bench_gate`'s informational counter lines (`print_counters`).
 pub fn counters_line(pairs: &[(&str, u64)]) -> String {
     pairs
         .iter()

@@ -1,6 +1,6 @@
 //! The canonical deterministic workloads the artefact binaries share.
 //!
-//! `determinism_artifact` (single process, worker/chunk/budget matrix)
+//! `determinism_artifact` (single process, worker/chunk/source matrix)
 //! and `cluster_artifact` (multi-process topology and chaos matrix) must
 //! byte-diff against each other, so the campaign identity — trial count,
 //! seed, shard count and the per-trial work itself — lives here exactly

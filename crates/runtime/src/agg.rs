@@ -29,8 +29,7 @@
 /// Envelopes arrive in arbitrary schedule order and are released in
 /// `(shard, in-shard offset)` watermark order; whatever arrived ahead of
 /// the watermark waits here. The buffer tracks its residency in *trials*
-/// (the sum of buffered envelope lengths — the unit the run frontier's
-/// `reorder_budget` is denominated in) and records the maximum observed
+/// (the sum of buffered envelope lengths) and records the maximum observed
 /// at each steady state: [`observe`](ReorderBuffer::observe) is called
 /// after every drain-to-frontier pass, so the recorded depth is what the
 /// buffer actually holds while waiting on a stalled frontier, not the

@@ -8,23 +8,20 @@
 //! ## Architecture
 //!
 //! ```text
-//!   RunPlan { trials, seed, shards, chunk, reorder_budget, shard_window }
+//!   RunPlan { trials, seed, shards, chunk, shard_window }
 //!        │  (what runs: the result's identity)       Engine::with_workers(N + 1)
 //!        │             ┌────────────────┐ pop front  ┌─────────┐ pull chunk items
 //!        ├─ shards ────│ deque worker 0 │───────────▶│ worker 0│◀── TrialSource
 //!        │  × chunks   │ deque ...      │ steal back │ ...     │ fold chunk into
 //!        │             │ deque worker N │◀──half────▶│ worker N│ PartialAggregate
-//!        │             └────────────────┘            └─┬──┬────┘ (+ results block
-//!        │                                             │  │       iff sink needs)
-//!        │                                             │  │ park while chunk >
-//!        │                                             │  │ budget ahead of ──┐
-//!        │              Envelope, coalesced (bounded   │  ▼                   │
-//!        │              channel, backpressure)         │ RunFrontier ◀──┐     │
-//!        │                                             ▼   released ───┴─────┘
+//!        │             └────────────────┘            └────┬────┘ (+ results block
+//!        │                                                │       iff sink needs)
+//!        │              Envelope, coalesced (bounded      │
+//!        │              channel, backpressure)            ▼
 //!        │     (shard, offset)-watermark release  ┌──────────────────────┐
 //!        └───────────────────────────────────────▶│ aggregator  ──▶ Sink │
-//!               shard-boundary checkpoint/abort   │ (reorder buffer ≤    │
-//!                                                 │  reorder_budget)     │
+//!               shard-boundary checkpoint/abort   │ (reorder buffer:     │
+//!                                                 │  depth measured)     │
 //!                recycled results blocks ◀────────└──────────────────────┘
 //! ```
 //!
@@ -51,16 +48,6 @@
 //!   raw trials, so the serial consumer merges a few integers per batch
 //!   instead of replaying every result. Raw-result sinks get recycled
 //!   result blocks through the same bounded, backpressured channel.
-//! * **Frontier flow control** — the aggregator's release watermark is
-//!   published back to the scheduler as the shared *run frontier*, and a
-//!   finite [`RunPlan::reorder_budget`] makes workers park (exponential
-//!   backoff) rather than execute a chunk more than `budget` trials
-//!   ahead of it: the out-of-order reorder buffer is hard-capped at
-//!   every worker count, one slow in-flight trial can no longer make the
-//!   aggregator buffer the rest of the run, and the cap degrades to
-//!   serialized release (never deadlock) when the budget is tighter than
-//!   a chunk. [`RunStats`] reports park counts, stall time and the
-//!   observed max reorder depth.
 //! * **Streaming ingestion** — per-trial inputs come from a pull-based
 //!   [`TrialSource`]: workers materialise a generated or streamed
 //!   dataset one chunk at a time ([`FnSource`]), with the in-memory case
@@ -77,7 +64,8 @@
 //!   completed shard *prefix*, so they are scheduling-independent too.
 //! * **Observability** — every run yields [`RunStats`] (throughput,
 //!   busy/idle time, steal counts, per-worker send-block time on
-//!   the bounded channel via [`WorkerStats`], tail shard latency) and
+//!   the bounded channel via [`WorkerStats`], tail shard latency, the
+//!   reorder buffer's peak depth) and
 //!   results can be teed to a JSONL artefact with [`JsonlSink`]. Runs
 //!   also publish *live*: workers and the aggregator update shared
 //!   `relcnn-obs` handles as they execute, so

@@ -48,11 +48,6 @@ pub struct EngineMetrics {
     /// Chunks moved between deques by steals
     /// (`relcnn_engine_chunks_stolen_total`).
     pub chunks_stolen: Counter,
-    /// Frontier park episodes (`relcnn_engine_frontier_parks_total`).
-    pub frontier_parks: Counter,
-    /// Time parked on the run frontier, µs
-    /// (`relcnn_engine_frontier_stall_microseconds_total`).
-    pub frontier_stall_us: Counter,
     /// Time blocked on the bounded result channel, µs
     /// (`relcnn_engine_send_block_microseconds_total`).
     pub send_block_us: Counter,
@@ -103,14 +98,6 @@ impl EngineMetrics {
                 "relcnn_engine_chunks_stolen_total",
                 "Chunks moved between worker deques by steals",
             ),
-            frontier_parks: c(
-                "relcnn_engine_frontier_parks_total",
-                "Park episodes where a chunk lay beyond the reorder budget",
-            ),
-            frontier_stall_us: c(
-                "relcnn_engine_frontier_stall_microseconds_total",
-                "Time parked on the run frontier, microseconds",
-            ),
             send_block_us: c(
                 "relcnn_engine_send_block_microseconds_total",
                 "Time blocked sending on the bounded result channel, microseconds",
@@ -152,8 +139,6 @@ impl EngineMetrics {
             shards_completed: self.shards_completed.get(),
             steals: self.steals.get(),
             chunks_stolen: self.chunks_stolen.get(),
-            frontier_parks: self.frontier_parks.get(),
-            frontier_stall_us: self.frontier_stall_us.get(),
             send_block_us: self.send_block_us.get(),
             reorder_resident_trials: self.reorder_resident.get(),
             reorder_peak_trials: self.reorder_peak.get(),
@@ -191,10 +176,6 @@ pub struct EngineSnapshot {
     pub steals: u64,
     /// Chunks moved between deques by steals.
     pub chunks_stolen: u64,
-    /// Frontier park episodes.
-    pub frontier_parks: u64,
-    /// Time parked on the run frontier, µs.
-    pub frontier_stall_us: u64,
     /// Time blocked on the result channel, µs.
     pub send_block_us: u64,
     /// Current reorder-buffer residency, in trials.

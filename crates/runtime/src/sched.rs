@@ -22,91 +22,8 @@
 //! executed and can exit without stranding work.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Scheduler-level flow control for the aggregator's reorder buffer: the
-/// shared *run frontier*.
-///
-/// The aggregator releases results to the sink in `(shard, in-shard
-/// offset)` order — equivalently, ascending **global trial index**, since
-/// shards are contiguous index blocks released in shard order. The
-/// frontier publishes how far that release has progressed (`released` =
-/// the global index of the next trial the sink is waiting for), and the
-/// budget says how far past it workers may run: a chunk is *admitted* for
-/// execution only while it fits inside the window
-/// `[released, released + reorder_budget)`. Workers that claim a chunk
-/// beyond the window park (exponential-backoff rescan) until the frontier
-/// catches up, instead of executing results the aggregator would have to
-/// buffer out of order.
-///
-/// Two deliberate asymmetries keep the cap deadlock-free:
-///
-/// * the chunk *at* the frontier (`start <= released`) is always
-///   admitted, whatever its length — refusing it would wedge the run,
-///   because the watermark cannot advance without it. A budget smaller
-///   than the chunk size therefore degrades to fully serialized release
-///   rather than deadlock (`reorder_budget = 1` is exactly that);
-/// * admission is checked against a *snapshot* of `released`, which only
-///   grows — a stale read can only delay admission, never admit a chunk
-///   the current window excludes beyond one in-flight chunk length.
-///
-/// With the exception above, every envelope still resident in the reorder
-/// buffer after a drain-to-frontier pass lies strictly inside the window,
-/// so the buffer's steady-state residency is hard-capped at
-/// `reorder_budget` trials at every worker count (asserted by the
-/// determinism matrix via [`RunStats::max_reorder_depth`]).
-///
-/// [`RunStats::max_reorder_depth`]: crate::RunStats
-#[derive(Debug)]
-pub(crate) struct RunFrontier {
-    /// Global index of the next trial the aggregator will release.
-    /// Written only by the aggregator thread; read by workers. Relaxed
-    /// ordering is enough: the value is monotone and admission is a pure
-    /// throttle — result data itself flows through the channel and deque
-    /// mutexes, which carry the necessary happens-before edges.
-    released: AtomicU64,
-    /// Maximum trials workers may run ahead of `released`; 0 = unbounded.
-    budget: u64,
-}
-
-impl RunFrontier {
-    pub fn new(budget: u64) -> Self {
-        RunFrontier {
-            released: AtomicU64::new(0),
-            budget,
-        }
-    }
-
-    /// Whether the frontier imposes any flow control at all.
-    #[cfg(test)]
-    pub fn bounded(&self) -> bool {
-        self.budget > 0
-    }
-
-    /// Whether the chunk `[start, start + len)` may execute now: it is
-    /// the frontier chunk itself, or it ends inside the reorder window.
-    pub fn admits(&self, start: u64, len: u64) -> bool {
-        if self.budget == 0 {
-            return true;
-        }
-        let released = self.released.load(Ordering::Relaxed);
-        start <= released || start.saturating_add(len) <= released.saturating_add(self.budget)
-    }
-
-    /// Advances the released watermark by `trials` (aggregator only,
-    /// called as envelopes are released to the sink in frontier order).
-    pub fn advance(&self, trials: u64) {
-        self.released.fetch_add(trials, Ordering::Relaxed);
-    }
-
-    /// The global index of the next trial awaiting release.
-    #[cfg(test)]
-    pub fn released(&self) -> u64 {
-        self.released.load(Ordering::Relaxed)
-    }
-}
 
 /// A contiguous slice of one shard's trials: the unit of scheduling and
 /// of stealing. Identified purely by its trial range — the aggregator's
@@ -151,26 +68,21 @@ impl Claim {
     }
 }
 
-/// Per-worker deques with round-robin half-stealing, plus the run
-/// frontier every claim is admitted against. The chunk set is fixed at
-/// [`deal`](StealQueue::deal): chunks only ever move between deques (under
-/// both locks) or leave one to be executed, so the deques hold no state
-/// beyond the chunks themselves.
+/// Per-worker deques with round-robin half-stealing. The chunk set is
+/// fixed at [`deal`](StealQueue::deal): chunks only ever move between
+/// deques (under both locks) or leave one to be executed, so the deques
+/// hold no state beyond the chunks themselves.
 #[derive(Debug)]
 pub(crate) struct StealQueue {
     queues: Vec<Mutex<VecDeque<Chunk>>>,
-    /// The run frontier every claim is admitted against: scheduler-owned
-    /// flow control for the aggregator's reorder buffer.
-    frontier: RunFrontier,
 }
 
 impl StealQueue {
     /// Deals `chunks` (already in `(shard, chunk)` order) into `workers`
     /// deques as balanced contiguous runs, preserving the PR 1 property
     /// that a worker's *initial* assignment is a contiguous block of the
-    /// trial space. `reorder_budget` bounds how many trials workers may
-    /// run ahead of the released watermark (0 = unbounded).
-    pub fn deal(chunks: Vec<Chunk>, workers: usize, reorder_budget: u64) -> Self {
+    /// trial space.
+    pub fn deal(chunks: Vec<Chunk>, workers: usize) -> Self {
         let workers = workers.max(1);
         let mut queues: Vec<VecDeque<Chunk>> = (0..workers).map(|_| VecDeque::new()).collect();
         let total = chunks.len();
@@ -183,14 +95,7 @@ impl StealQueue {
         }
         StealQueue {
             queues: queues.into_iter().map(Mutex::new).collect(),
-            frontier: RunFrontier::new(reorder_budget),
         }
-    }
-
-    /// The shared run frontier (workers consult it before executing; the
-    /// aggregator advances it as results release).
-    pub fn frontier(&self) -> &RunFrontier {
-        &self.frontier
     }
 
     /// Claims the next chunk for `worker`: its own deque first, then a
@@ -272,13 +177,6 @@ pub struct WorkerStats {
     /// aggregator channel (a subset of `idle`): the direct measure of
     /// aggregator backpressure.
     pub send_block: Duration,
-    /// Times this worker parked because its claimed chunk lay beyond the
-    /// run frontier's reorder budget (one count per park episode, however
-    /// many backoff rescans the episode took).
-    pub frontier_parks: u64,
-    /// Time spent parked on the run frontier (a subset of `idle`): the
-    /// direct measure of reorder-budget flow control.
-    pub frontier_stall: Duration,
 }
 
 #[cfg(test)]
@@ -300,7 +198,7 @@ mod tests {
 
     #[test]
     fn deal_is_contiguous_and_balanced() {
-        let q = StealQueue::deal(ladder(10), 4, 0);
+        let q = StealQueue::deal(ladder(10), 4);
         let sizes: Vec<usize> = q.queues.iter().map(|m| m.lock().unwrap().len()).collect();
         assert_eq!(sizes, vec![3, 3, 2, 2]);
         // Worker 0 holds the first three chunks, in order.
@@ -310,7 +208,7 @@ mod tests {
 
     #[test]
     fn local_pops_drain_in_order_then_steal() {
-        let q = StealQueue::deal(ladder(4), 2, 0);
+        let q = StealQueue::deal(ladder(4), 2);
         // Worker 0 owns chunks 0,1; worker 1 owns 2,3.
         assert_eq!(q.claim(0), Some(Claim::Local(ladder(4)[0])));
         assert_eq!(q.claim(0), Some(Claim::Local(ladder(4)[1])));
@@ -335,7 +233,7 @@ mod tests {
 
     #[test]
     fn steal_takes_ceil_half_from_the_back() {
-        let q = StealQueue::deal(ladder(5), 2, 0);
+        let q = StealQueue::deal(ladder(5), 2);
         // Worker 0: chunks 0,1,2; worker 1: chunks 3,4.
         match q.claim(1) {
             Some(Claim::Local(_)) => {}
@@ -359,7 +257,7 @@ mod tests {
 
     #[test]
     fn empty_victim_deques_are_skipped() {
-        let q = StealQueue::deal(ladder(1), 4, 0);
+        let q = StealQueue::deal(ladder(1), 4);
         // Only worker 0 has work; workers 2 and 3 scan past worker 1's
         // empty deque and steal from worker 0 (or find nothing).
         match q.claim(2) {
@@ -374,38 +272,9 @@ mod tests {
     }
 
     #[test]
-    fn frontier_admission_window_and_exception() {
-        let f = RunFrontier::new(8);
-        assert!(f.bounded());
-        // Frontier chunk always admitted, even when longer than the budget.
-        assert!(f.admits(0, 100));
-        // A chunk ending inside the window is admitted; one ending past
-        // it parks.
-        assert!(f.admits(4, 4));
-        assert!(!f.admits(4, 5));
-        assert!(!f.admits(8, 1));
-        // Advancing the watermark slides the window.
-        f.advance(10);
-        assert_eq!(f.released(), 10);
-        assert!(f.admits(8, 100), "behind the frontier counts as at it");
-        assert!(f.admits(10, 8));
-        assert!(f.admits(17, 1));
-        assert!(!f.admits(18, 1));
-        // Budget 1 is fully serialized release: only the frontier chunk
-        // ever runs.
-        let serial = RunFrontier::new(1);
-        assert!(serial.admits(0, 5));
-        assert!(!serial.admits(1, 1));
-        // Budget 0 is unbounded (no flow control at all).
-        let unbounded = RunFrontier::new(0);
-        assert!(!unbounded.bounded());
-        assert!(unbounded.admits(u64::MAX - 1, 1));
-    }
-
-    #[test]
     fn all_chunks_claimed_exactly_once_under_contention() {
         let total = 256;
-        let q = StealQueue::deal(ladder(total), 8, 0);
+        let q = StealQueue::deal(ladder(total), 8);
         let claimed = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for w in 0..8 {

@@ -203,6 +203,9 @@ proptest! {
 /// escalating trials cluster at the front, so workers that drain their
 /// light chunks steal from the loaded deque *while* the aggregator is
 /// deciding to stop. The stop decision and aggregate must not notice.
+/// Also a stalled head: one `SkewedCost` spike on trial 0 holds the
+/// released watermark while every other worker runs ahead into the
+/// reorder buffer; the aggregate must match the serial run.
 #[test]
 fn steal_racing_early_abort_is_deterministic() {
     use relcnn_faults::SkewedCost;
@@ -242,6 +245,32 @@ fn steal_racing_early_abort_is_deterministic() {
         );
         assert_eq!(outcome.stats.aborted, reference.stats.aborted);
         assert_eq!(outcome.stats.shards, reference.stats.shards);
+    }
+
+    // ~15 ms on trial 0 (the only multiple of the period in the run),
+    // ~100 us on every other trial.
+    let spike = SkewedCost::periodic(0, 15, 1_000_000);
+    let stalled_at = |workers: usize| {
+        let plan = RunPlan::new(72, 0xF00).with_shards(12).with_chunk(2);
+        run_campaign(
+            &Engine::with_workers(workers),
+            &plan,
+            EarlyStop::never(),
+            move |seed| {
+                let index = seed - 0xF00;
+                std::thread::sleep(Duration::from_micros(100 + spike.evals(index) * 1000));
+                trial(seed)
+            },
+        )
+        .summary
+    };
+    let stalled_reference = stalled_at(1);
+    for workers in [2, 8] {
+        assert_eq!(
+            stalled_at(workers),
+            stalled_reference,
+            "stalled head, workers={workers}"
+        );
     }
 }
 
@@ -286,128 +315,6 @@ fn matrix_worker_count_agrees_with_serial() {
             "stopped campaign, workers={workers} chunk={chunk}"
         );
         assert_eq!(ours.stats.shards, serial.stats.shards);
-    }
-}
-
-/// Frontier-stall regression: one deliberately slow trial (a
-/// `SkewedCost` spike near the front) stalls the released watermark while
-/// every other worker runs ahead. With a tiny `reorder_budget` the
-/// workers must *park* instead of buffering — the out-of-order map's
-/// steady-state depth stays under the budget at every worker count — and
-/// the aggregate must stay bit-identical to the unbounded serial run.
-/// Looped to hammer park/advance interleavings under `--test-threads 8`
-/// (the 1-core container surfaces races via test-thread scheduling, not
-/// true parallelism).
-#[test]
-fn frontier_stall_parks_instead_of_buffering() {
-    use relcnn_faults::SkewedCost;
-    use std::time::Duration;
-
-    // A single spike at index 0 (the only multiple of the period inside
-    // the run): ~15ms while everything else is ~100us, so the released
-    // watermark stalls on the very first trial while every other worker
-    // races ahead into the reorder window.
-    let cost = SkewedCost::periodic(0, 15, 1_000_000);
-    let run = |workers: usize, budget: u64| {
-        let plan = RunPlan::new(72, 0xF00)
-            .with_shards(12)
-            .with_chunk(2)
-            .with_reorder_budget(budget);
-        run_campaign(
-            &Engine::with_workers(workers),
-            &plan,
-            EarlyStop::never(),
-            move |seed| {
-                let index = seed - 0xF00;
-                std::thread::sleep(Duration::from_micros(100 + cost.evals(index) * 1000));
-                trial(seed)
-            },
-        )
-    };
-    let reference = run(1, 0);
-    for round in 0..3 {
-        for workers in [2, 8] {
-            let budget = 6u64;
-            let outcome = run(workers, budget);
-            assert_eq!(
-                outcome.summary, reference.summary,
-                "round={round} workers={workers}"
-            );
-            assert!(
-                outcome.stats.max_reorder_depth <= budget,
-                "round={round} workers={workers}: reorder depth {} broke the {budget} cap",
-                outcome.stats.max_reorder_depth
-            );
-            assert!(
-                outcome.stats.frontier_parks > 0,
-                "round={round} workers={workers}: nobody parked on the stalled frontier: {:?}",
-                outcome.stats
-            );
-        }
-    }
-}
-
-/// Budget boundary: a budget at least as large as the whole run must
-/// behave *identically* to no budget at all — byte-for-byte on the teed
-/// JSONL artefact, not just on the aggregate.
-#[test]
-fn reorder_budget_covering_the_run_is_byte_identical_to_unbounded() {
-    let artefact = |budget: u64, workers: usize| {
-        let mut buf: Vec<u8> = Vec::new();
-        {
-            let plan = RunPlan::new(120, 0xB07)
-                .with_shards(10)
-                .with_reorder_budget(budget);
-            let sink =
-                JsonlSink::new(&mut buf, CampaignSink::new(EarlyStop::never())).without_footer();
-            Engine::with_workers(workers).run(
-                &plan,
-                &FnTrial::new(|ctx: &mut TrialCtx| trial(ctx.seed)),
-                sink,
-            );
-        }
-        buf
-    };
-    let unbounded = artefact(0, 8);
-    assert!(!unbounded.is_empty());
-    for budget in [120, 121, 10_000] {
-        assert_eq!(artefact(budget, 8), unbounded, "budget={budget}");
-        assert_eq!(artefact(budget, 2), unbounded, "budget={budget} workers=2");
-    }
-}
-
-/// Budget × whole-shard chunks: every chunk is longer than the budget, so
-/// only the frontier chunk is ever admitted and each other claim parks
-/// until the watermark reaches it. The run must complete (no deadlock)
-/// with the exact aggregate, and the depth cap must hold.
-#[test]
-fn whole_shard_chunks_wider_than_the_budget_never_deadlock() {
-    use std::time::Duration;
-
-    let run = |workers: usize, budget: u64| {
-        let plan = RunPlan::new(128, 0xADA)
-            .with_shards(2)
-            .with_chunk(64)
-            .with_reorder_budget(budget);
-        run_campaign(
-            &Engine::with_workers(workers),
-            &plan,
-            EarlyStop::never(),
-            move |seed| {
-                std::thread::sleep(Duration::from_micros(300));
-                trial(seed)
-            },
-        )
-    };
-    let reference = run(1, 0);
-    for budget in [1u64, 16, 48] {
-        let outcome = run(8, budget);
-        assert_eq!(outcome.summary, reference.summary, "budget={budget}");
-        assert!(
-            outcome.stats.max_reorder_depth <= budget,
-            "budget={budget}: depth {} over cap",
-            outcome.stats.max_reorder_depth
-        );
     }
 }
 

@@ -81,9 +81,7 @@ fn run_trial_hist_exports_as_valid_prometheus_text() {
 /// and identical deterministic stats.
 #[test]
 fn observed_and_unobserved_runs_agree_exactly() {
-    let plan = RunPlan::new(256, 77)
-        .with_shards(16)
-        .with_reorder_budget(32);
+    let plan = RunPlan::new(256, 77).with_shards(16);
     let trial = FnTrial::new(|ctx: &mut TrialCtx| ctx.rng.random::<u64>());
     let plain = Engine::with_workers(4).run(&plan, &trial, CollectSink::new());
     let reg = relcnn_obs::Registry::new();
