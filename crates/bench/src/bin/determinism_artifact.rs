@@ -19,9 +19,9 @@
 //! * `latency` (default) — trials sleep per `SkewedCost`, so
 //!   multi-worker runs overlap waits and steal even on a 1-core host;
 //! * `cpu` — trials spin through a skewed number of injector exposures
-//!   with no sleeps, driving the *partial-aggregation* result path the
-//!   way a compute-bound campaign does (send-blocking and coalescing
-//!   under full CPU contention).
+//!   with no sleeps, driving the engine's result path the way a
+//!   compute-bound campaign does (send-blocking and coalescing under full
+//!   CPU contention).
 //!
 //! Three ingestion paths cover the engine's trial-input plumbing: `plan`
 //! (the classic index-driven path), `eager` (the same per-trial workload
@@ -44,10 +44,11 @@
 //! path.
 //!
 //! Each artefact ends with a `{"partial_aggregate":...}` line produced by
-//! a second run of the same campaign on the bare partial-aggregation
-//! result path (no raw trials cross the channel), asserted in-process to
-//! match the replayed aggregate — so the CI byte-diff covers both result
-//! paths, not just the raw replay that feeds the JSONL lines.
+//! a second run of the same campaign into the bare `CampaignSink`, whose
+//! partial is a `CampaignReport` folded on the workers (no trial crosses
+//! the channel), asserted in-process to match the aggregate of the teed
+//! run, whose partial is a `Block` of trials — so the CI byte-diff covers
+//! both sinks, not just the one that feeds the JSONL lines.
 
 use relcnn_bench::workload::{Profile, BASE_SEED, SHARDS, TRIALS};
 use relcnn_runtime::{
@@ -195,22 +196,21 @@ fn main() {
     }
 
     // `JsonlSink` buffers internally, so the raw file handle is enough.
-    // Teeing through `JsonlSink` forces the engine's raw-replay result
-    // path (every trial crosses the channel and is replayed per-`absorb`).
+    // Its partial is a `Block`: every trial crosses the channel, is
+    // written as a line and is re-folded for the inner `CampaignSink`.
     let file = std::fs::File::create(&out).unwrap_or_else(|e| panic!("create {out}: {e}"));
     let sink = JsonlSink::new(file, CampaignSink::new(policy)).without_footer();
     let outcome = run_one(&engine, &plan, profile, source, sink);
 
-    // Second run on the bare `CampaignSink`: the partial-aggregation
-    // path, where workers fold chunk-local `CampaignReport`s and no raw
-    // trial ever crosses the channel. Its aggregate is appended to the
-    // artefact, so the CI byte-diff across worker counts covers *both*
-    // result paths — and the two paths must agree with each other here
-    // and now.
+    // Second run on the bare `CampaignSink`: workers fold chunk-local
+    // `CampaignReport`s and no trial ever crosses the channel. Its
+    // aggregate is appended to the artefact, so the CI byte-diff across
+    // worker counts covers *both* sinks — and the two must agree with
+    // each other here and now.
     let partial = run_one(&engine, &plan, profile, source, CampaignSink::new(policy));
     assert_eq!(
         partial.summary, outcome.summary,
-        "partial-aggregation path diverged from the raw-replay path"
+        "bare CampaignSink diverged from the JSONL-teed CampaignSink"
     );
     assert_eq!(partial.stats.shards, outcome.stats.shards);
     {

@@ -111,8 +111,12 @@ mod tests {
     #[test]
     fn counters_line_formats_name_value_pairs() {
         assert_eq!(
-            counters_line(&[("steals", 3), ("splits", 0), ("parks", 12)]),
-            "steals 3, splits 0, parks 12"
+            counters_line(&[
+                ("steals", 3),
+                ("send_block_us", 0),
+                ("max_reorder_depth", 12)
+            ]),
+            "steals 3, send_block_us 0, max_reorder_depth 12"
         );
         assert_eq!(counters_line(&[]), "");
     }

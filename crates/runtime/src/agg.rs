@@ -1,27 +1,28 @@
 //! Per-worker partial aggregation.
 //!
-//! The engine's original result path shipped every trial's output to the
-//! aggregator thread and replayed it serially through the sink — fine for
-//! latency-bound trials, but on CPU-bound campaigns the single consumer
-//! becomes the whole machine. A [`PartialAggregate`] lets a *worker* fold
-//! a chunk's results into a small chunk-local summary in place; only the
-//! folded partial crosses the channel, and the aggregator merges partials
-//! in the deterministic `(shard, offset)` watermark order.
+//! Every result reaches a sink as part of a [`PartialAggregate`]: a
+//! *worker* folds a chunk's results into a chunk-local partial in place,
+//! only the partial crosses the channel, and the aggregator hands
+//! partials to the sink in the deterministic `(shard, offset)` watermark
+//! order. What a partial holds is the sink's choice: a few counters
+//! ([`CampaignReport`](crate::CampaignReport) for a campaign,
+//! [`TrialCount`] for a count), or the results themselves, in order, for
+//! a sink that keeps them ([`Block`]).
 //!
 //! # Algebra
 //!
-//! A partial is a **commutative monoid** over trial results:
+//! A partial is a **monoid** over trial results:
 //!
 //! * [`Default`] is the identity element (an empty fold);
 //! * [`fold`](PartialAggregate::fold) absorbs one result;
 //! * [`merge`](PartialAggregate::merge) combines two partials, and must be
-//!   associative and commutative with `fold` (folding items one by one
-//!   equals folding them in groups and merging the groups, in any
-//!   grouping).
+//!   associative with `fold` (folding items one by one equals folding
+//!   them in groups and merging the groups, in order, at any split).
 //!
-//! The engine only ever merges partials in ascending trial order, so plain
-//! associativity is enough for bit-identical aggregates — commutativity is
-//! what makes the laws easy to test and future tree-shaped merges safe.
+//! Partials are only ever merged in ascending trial order (by a sink's
+//! `absorb` and by [`merge_in_order`]), so associativity is enough for
+//! bit-identical aggregates. The counter partials are also commutative;
+//! [`Block`] (concatenation) is not, and does not need to be.
 
 /// The aggregator's out-of-order envelope buffer, with residency
 /// accounting.
@@ -92,7 +93,7 @@ impl<E> ReorderBuffer<E> {
     }
 }
 
-/// A chunk-local commutative-monoid fold over trial results.
+/// A chunk-local monoid fold over trial results.
 ///
 /// Implementations must satisfy the monoid laws above; the runtime's
 /// determinism guarantee ("aggregates are bit-identical at any worker
@@ -103,11 +104,24 @@ impl<E> ReorderBuffer<E> {
 /// bit-identity promise.
 pub trait PartialAggregate<T>: Default + Send {
     /// Folds the result of trial `index` into the partial.
-    fn fold(&mut self, index: u64, item: &T);
+    fn fold(&mut self, index: u64, item: T);
 
     /// Merges another partial into this one. `other` must cover trials
-    /// strictly after (or disjoint from) this partial's.
+    /// strictly after this partial's.
     fn merge(&mut self, other: Self);
+
+    /// Resets the partial to the identity element. The engine calls it
+    /// once the sink has absorbed a partial, then recycles the partial
+    /// for a later envelope; a partial that owns storage overrides it to
+    /// keep that storage.
+    fn clear(&mut self) {
+        *self = Self::default();
+    }
+
+    /// Capacity hint: `additional` more results are about to be folded
+    /// (the engine calls it once per chunk). Only a partial that stores
+    /// results needs it; the default ignores it.
+    fn reserve(&mut self, _additional: usize) {}
 }
 
 /// Merges a sequence of partials — each covering a disjoint, ascending
@@ -126,12 +140,57 @@ where
     acc
 }
 
-/// The trivial partial for sinks that need every raw result: folds to
-/// nothing, so worker-side aggregation compiles away entirely.
-impl<T> PartialAggregate<T> for () {
-    fn fold(&mut self, _index: u64, _item: &T) {}
+/// The partial of a sink that keeps every result
+/// ([`CollectSink`](crate::CollectSink), [`JsonlSink`](crate::JsonlSink)):
+/// the results themselves, in trial order, with the index of the first.
+/// `fold` pushes and `merge` appends; [`clear`](PartialAggregate::clear)
+/// keeps the storage, so recycled blocks stop allocating once they have
+/// grown to an envelope's size.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Block<T> {
+    /// Global index of `items[0]`.
+    start: u64,
+    items: Vec<T>,
+}
 
-    fn merge(&mut self, _other: Self) {}
+impl<T> Default for Block<T> {
+    fn default() -> Self {
+        Block {
+            start: 0,
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T> Block<T> {
+    /// Removes every result in trial order, as `(index, result)` pairs,
+    /// keeping the block's storage for reuse.
+    pub fn drain(&mut self) -> impl Iterator<Item = (u64, T)> + '_ {
+        (self.start..).zip(self.items.drain(..))
+    }
+}
+
+impl<T: Send> PartialAggregate<T> for Block<T> {
+    fn fold(&mut self, index: u64, item: T) {
+        // Folds are contiguous, so this only ever changes on the first.
+        self.start = index - self.items.len() as u64;
+        self.items.push(item);
+    }
+
+    fn merge(&mut self, mut other: Self) {
+        if self.items.is_empty() {
+            self.start = other.start;
+        }
+        self.items.append(&mut other.items);
+    }
+
+    fn clear(&mut self) {
+        self.items.clear();
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.items.reserve(additional);
+    }
 }
 
 /// Partial that counts trials (the [`CountSink`](crate::CountSink)
@@ -140,7 +199,7 @@ impl<T> PartialAggregate<T> for () {
 pub struct TrialCount(pub u64);
 
 impl<T> PartialAggregate<T> for TrialCount {
-    fn fold(&mut self, _index: u64, _item: &T) {
+    fn fold(&mut self, _index: u64, _item: T) {
         self.0 += 1;
     }
 
@@ -183,33 +242,41 @@ mod tests {
     }
 
     #[test]
-    fn unit_partial_is_inert() {
-        let mut p: () = Default::default();
-        PartialAggregate::<u32>::fold(&mut p, 0, &7);
-        PartialAggregate::<u32>::merge(&mut p, ());
-    }
-
-    #[test]
     fn count_partial_obeys_the_monoid_laws() {
-        // fold-one-by-one == fold-in-groups-then-merge, for any grouping.
-        fn fold_all(items: &[u32], base: u64) -> TrialCount {
-            let mut acc = TrialCount::default();
-            for (i, item) in items.iter().enumerate() {
-                acc.fold(base + i as u64, item);
+        // fold-one-by-one == fold-in-groups-then-merge, at every split,
+        // for each partial kind.
+        fn laws<P: PartialAggregate<u32> + Clone + PartialEq + std::fmt::Debug>() -> P {
+            fn fold_all<P: PartialAggregate<u32>>(items: &[u32], base: u64) -> P {
+                let mut acc = P::default();
+                for (i, item) in items.iter().enumerate() {
+                    acc.fold(base + i as u64, *item);
+                }
+                acc
             }
-            acc
+            let items: Vec<u32> = (0..17).collect();
+            let serial: P = fold_all(&items, 0);
+            for split in 0..items.len() {
+                let (a, b) = items.split_at(split);
+                let mut left: P = fold_all(a, 0);
+                left.merge(fold_all(b, split as u64));
+                assert_eq!(left, serial, "split at {split}");
+            }
+            // Identity element.
+            let mut with_identity = serial.clone();
+            with_identity.merge(P::default());
+            assert_eq!(with_identity, serial);
+            serial
         }
-        let items: Vec<u32> = (0..17).collect();
-        let serial = fold_all(&items, 0);
-        for split in 0..items.len() {
-            let (a, b) = items.split_at(split);
-            let mut left = fold_all(a, 0);
-            PartialAggregate::<u32>::merge(&mut left, fold_all(b, split as u64));
-            assert_eq!(left, serial, "split at {split}");
-        }
-        // Identity element.
-        let mut with_identity = serial;
-        PartialAggregate::<u32>::merge(&mut with_identity, TrialCount::default());
-        assert_eq!(with_identity, serial);
+        assert_eq!(laws::<TrialCount>(), TrialCount(17));
+        let mut block = laws::<Block<u32>>();
+        assert_eq!(
+            block.drain().collect::<Vec<_>>(),
+            (0..17).map(|i| (i as u64, i)).collect::<Vec<_>>()
+        );
+        // A drained block resets without giving its storage back.
+        let capacity = block.items.capacity();
+        PartialAggregate::<u32>::clear(&mut block);
+        assert_eq!(block, Block::default());
+        assert_eq!(block.items.capacity(), capacity);
     }
 }

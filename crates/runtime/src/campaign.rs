@@ -98,12 +98,13 @@ impl CampaignSink {
 /// [`CampaignReport`] is an exact integer-counter monoid
 /// ([`record`](CampaignReport::record) = fold,
 /// [`merge`](CampaignReport::merge) = combine, `empty` = identity), so a
-/// per-worker fold merged in watermark order is bit-identical to the
-/// per-trial replay — including every Wilson-CI and escalation checkpoint
-/// decision, which only ever see completed-shard prefixes of the merge.
+/// per-worker fold merged in watermark order is bit-identical to
+/// recording trial by trial — including every Wilson-CI and escalation
+/// checkpoint decision, which only ever see completed-shard prefixes of
+/// the merge.
 impl PartialAggregate<TrialResult> for CampaignReport {
-    fn fold(&mut self, _index: u64, item: &TrialResult) {
-        self.record(item);
+    fn fold(&mut self, _index: u64, item: TrialResult) {
+        self.record(&item);
     }
 
     fn merge(&mut self, other: Self) {
@@ -113,18 +114,12 @@ impl PartialAggregate<TrialResult> for CampaignReport {
 
 impl Sink<TrialResult> for CampaignSink {
     type Summary = CampaignReport;
+    // Workers fold trial results into chunk-local reports, so the
+    // channel carries eight counters per envelope, never a trial.
     type Partial = CampaignReport;
-    // Aggregation-only: workers fold trial results into chunk-local
-    // reports and the channel never carries raw trials. (Teeing through
-    // `JsonlSink` still replays raw results — the outer sink decides.)
-    const NEEDS_RESULTS: bool = false;
 
-    fn absorb(&mut self, _index: u64, item: TrialResult) {
-        self.report.record(&item);
-    }
-
-    fn absorb_partial(&mut self, partial: CampaignReport) {
-        self.report.merge(&partial);
+    fn absorb(&mut self, partial: &mut CampaignReport) {
+        self.report.merge(partial);
     }
 
     fn checkpoint(&mut self, _shard: usize) -> Control {

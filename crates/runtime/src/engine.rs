@@ -18,12 +18,15 @@
 //! streaming-ingestion seam: a generated dataset is resident one chunk
 //! per worker, never whole — then folds the chunk's results into a
 //! chunk-local [`PartialAggregate`](crate::PartialAggregate) in place and
-//! ships an *envelope* — the folded partial, plus the raw results block
-//! only when the sink needs one — through a **bounded** channel;
-//! contiguous same-shard envelopes are coalesced before sending, so fine
-//! chunkings no longer pay one message per chunk. The aggregator releases
-//! envelopes to the [`Sink`] strictly in `(shard, in-shard offset)` order
-//! — the *completed-offset watermark*. Aggregation therefore sees exactly
+//! ships an *envelope* — the folded partial, whatever the sink chose it
+//! to be: a few counters, or the results themselves in a
+//! [`Block`](crate::Block) — through a **bounded** channel; contiguous
+//! same-shard envelopes are coalesced before sending, so fine chunkings
+//! no longer pay one message per chunk. The aggregator releases envelopes
+//! to the [`Sink`] strictly in `(shard, in-shard offset)` order — the
+//! *completed-offset watermark* — and returns each partial to the
+//! workers through a recycle pool once the sink has absorbed it.
+//! Aggregation therefore sees exactly
 //! the same stream of results whether the pool has 1 worker or 64,
 //! whether any chunk was stolen, and however chunks were sized or
 //! coalesced. The sink's [`checkpoint`](Sink::checkpoint) early-abort
@@ -82,8 +85,9 @@ pub const CHANNEL_DEPTH_PER_WORKER: usize = 4;
 
 /// Coalescing cap: a worker keeps folding contiguous same-shard chunks
 /// into the envelope in hand until it covers this many trials, then
-/// flushes. Bounds both the aggregator's release latency and the memory a
-/// raw-results envelope can pin.
+/// flushes. Bounds both the aggregator's release latency and the memory
+/// one envelope's partial can pin (a [`Block`](crate::Block) holds at
+/// most this many results, plus the last chunk folded in).
 const COALESCE_TRIALS: u64 = 1024;
 
 /// What to execute: the deterministic identity of a run.
@@ -399,24 +403,19 @@ pub struct RunOutcome<S> {
 }
 
 /// One worker→aggregator message: a contiguous run of one shard's trials,
-/// folded into the sink's partial, optionally carrying the raw results
-/// (only when the sink needs them). Contiguous same-shard chunks coalesce
+/// folded into the sink's partial. Contiguous same-shard chunks coalesce
 /// into a single envelope before sending.
-struct Envelope<T, P> {
+struct Envelope<P> {
     shard: usize,
     /// In-shard offset of the first trial (the watermark key).
     shard_offset: u64,
-    /// Global index of the first trial.
-    start: u64,
     /// Number of trials covered.
     len: u64,
     /// Execution time of the covered trials.
     elapsed: Duration,
-    /// The chunk-local fold of every covered result.
+    /// The chunk-local fold of every covered result, taken from and
+    /// returned to the run's recycle pool.
     partial: P,
-    /// Raw results in trial order; `Some` iff the sink needs raw results.
-    /// The block is recycled through a shared pool once drained.
-    results: Option<Vec<T>>,
 }
 
 /// Sends an envelope; only when the channel is full does the blocking
@@ -434,14 +433,6 @@ fn send_timed<E>(tx: &mpsc::SyncSender<E>, envelope: E, ws: &mut WorkerStats) ->
         }
         Err(mpsc::TrySendError::Disconnected(_)) => false,
     }
-}
-
-/// Pops a recycled results block, or allocates one sized for `cap`.
-fn take_block<T>(pool: &Mutex<Vec<Vec<T>>>, cap: usize) -> Vec<T> {
-    pool.lock()
-        .expect("recycle pool poisoned")
-        .pop()
-        .unwrap_or_else(|| Vec::with_capacity(cap))
 }
 
 /// The worker-pool engine. Cheap to construct; holds no threads between
@@ -613,12 +604,14 @@ impl Engine {
             // CHANNEL_DEPTH_PER_WORKER for what is — and is not —
             // bounded). Deadlock-free because the aggregator drains
             // unconditionally until every sender hangs up.
-            let (tx, rx) = mpsc::sync_channel::<Envelope<T::Output, S::Partial>>(
-                workers * CHANNEL_DEPTH_PER_WORKER,
-            );
-            // Drained raw-result blocks cycle back to the workers here
-            // (replay-path sinks only), so steady state allocates nothing.
-            let pool: Mutex<Vec<Vec<T::Output>>> = Mutex::new(Vec::new());
+            let (tx, rx) =
+                mpsc::sync_channel::<Envelope<S::Partial>>(workers * CHANNEL_DEPTH_PER_WORKER);
+            // Absorbed partials cycle back to the workers here, cleared
+            // but keeping their storage, so steady state allocates
+            // nothing. It never holds more partials than were live at
+            // once.
+            let recycled: Mutex<Vec<S::Partial>> = Mutex::new(Vec::new());
+            let pool = || recycled.lock().expect("recycle pool poisoned");
 
             em.workers_live.add(workers as i64);
             std::thread::scope(|scope| {
@@ -627,7 +620,6 @@ impl Engine {
                     let tx = tx.clone();
                     let queue = &queue;
                     let cancel = &cancel;
-                    let pool = &pool;
                     let wring = tr.ring(&format!("worker-{worker_index}"));
                     handles.push(scope.spawn(move || {
                         let born = Instant::now();
@@ -637,7 +629,7 @@ impl Engine {
                         };
                         let mut hist = LatencyHistogram::new();
                         let mut state = trial.init(worker_index);
-                        let mut held: Option<Envelope<T::Output, S::Partial>> = None;
+                        let mut held: Option<Envelope<S::Partial>> = None;
                         // Send-block time already published (the counter
                         // takes deltas at chunk granularity).
                         let mut sb_published = Duration::ZERO;
@@ -649,7 +641,7 @@ impl Engine {
                         // Sends the envelope in hand, if any; `false`
                         // means the aggregator hung up and the worker
                         // should stop.
-                        let flush = |held: &mut Option<Envelope<T::Output, S::Partial>>,
+                        let flush = |held: &mut Option<Envelope<S::Partial>>,
                                      ws: &mut WorkerStats| {
                             let Some(full) = held.take() else {
                                 return true;
@@ -714,13 +706,11 @@ impl Engine {
                             let envelope = held.get_or_insert_with(|| Envelope {
                                 shard: chunk.shard,
                                 shard_offset: chunk.shard_offset,
-                                start: chunk.start,
                                 len: 0,
                                 elapsed: Duration::ZERO,
-                                partial: S::Partial::default(),
-                                results: S::NEEDS_RESULTS
-                                    .then(|| take_block(pool, chunk.len as usize)),
+                                partial: pool().pop().unwrap_or_default(),
                             });
+                            envelope.partial.reserve(chunk.len as usize);
                             for (offset, item) in items.drain(..).enumerate() {
                                 let index = chunk.start + offset as u64;
                                 let mut ctx = TrialCtx {
@@ -735,10 +725,7 @@ impl Engine {
                                     u64::try_from(t_trial.elapsed().as_nanos()).unwrap_or(u64::MAX);
                                 hist.record(trial_ns);
                                 em.trial_ns.record(trial_ns);
-                                envelope.partial.fold(index, &out);
-                                if let Some(block) = envelope.results.as_mut() {
-                                    block.push(out);
-                                }
+                                envelope.partial.fold(index, out);
                             }
                             let elapsed = t0.elapsed();
                             envelope.len += chunk.len;
@@ -783,8 +770,7 @@ impl Engine {
                 // envelopes to the sink in (shard, in-shard offset) order
                 // and evaluates the early-abort checkpoint whenever the
                 // watermark crosses a shard boundary.
-                let mut pending: ReorderBuffer<Envelope<T::Output, S::Partial>> =
-                    ReorderBuffer::new();
+                let mut pending: ReorderBuffer<Envelope<S::Partial>> = ReorderBuffer::new();
                 let mut frontier_shard = win_lo;
                 let mut frontier_offset = 0u64;
                 let mut shard_elapsed = Duration::ZERO;
@@ -805,7 +791,7 @@ impl Engine {
                         envelope.len,
                         envelope,
                     );
-                    'release: while let Some(envelope) =
+                    'release: while let Some(mut envelope) =
                         pending.pop(frontier_shard, frontier_offset)
                     {
                         stats.trials += envelope.len;
@@ -813,21 +799,9 @@ impl Engine {
                         stats.busy += envelope.elapsed;
                         shard_elapsed += envelope.elapsed;
                         em.trials_released.add(envelope.len);
-                        if S::NEEDS_RESULTS {
-                            let mut block = envelope
-                                .results
-                                .expect("replay-path envelope carries results");
-                            let start = envelope.start;
-                            for (offset, result) in block.drain(..).enumerate() {
-                                sink.absorb(start + offset as u64, result);
-                            }
-                            let mut pool = pool.lock().expect("recycle pool poisoned");
-                            if pool.len() < workers * CHANNEL_DEPTH_PER_WORKER {
-                                pool.push(block);
-                            }
-                        } else {
-                            sink.absorb_partial(envelope.partial);
-                        }
+                        sink.absorb(&mut envelope.partial);
+                        envelope.partial.clear();
+                        pool().push(envelope.partial);
                         frontier_offset += envelope.len;
                         agg_ring.instant(
                             "release",

@@ -13,16 +13,16 @@
 //!        │             ┌────────────────┐ pop front  ┌─────────┐ pull chunk items
 //!        ├─ shards ────│ deque worker 0 │───────────▶│ worker 0│◀── TrialSource
 //!        │  × chunks   │ deque ...      │ steal back │ ...     │ fold chunk into
-//!        │             │ deque worker N │◀──half────▶│ worker N│ PartialAggregate
-//!        │             └────────────────┘            └────┬────┘ (+ results block
-//!        │                                                │       iff sink needs)
-//!        │              Envelope, coalesced (bounded      │
+//!        │             │ deque worker N │◀──half────▶│ worker N│ the sink's
+//!        │             └────────────────┘            └────┬────┘ PartialAggregate
+//!        │                                                │ (counters, or a
+//!        │              Envelope, coalesced (bounded      │  Block of results)
 //!        │              channel, backpressure)            ▼
 //!        │     (shard, offset)-watermark release  ┌──────────────────────┐
 //!        └───────────────────────────────────────▶│ aggregator  ──▶ Sink │
 //!               shard-boundary checkpoint/abort   │ (reorder buffer:     │
 //!                                                 │  depth measured)     │
-//!                recycled results blocks ◀────────└──────────────────────┘
+//!                   recycled partials ◀───────────└──────────────────────┘
 //! ```
 //!
 //! * **Deterministic sharding** — trials are split into fixed contiguous
@@ -42,12 +42,13 @@
 //!   escalation-heavy fault-injection run) no longer pins its whole cost
 //!   on a single worker while the rest idle. A worker that finds every
 //!   deque empty retires.
-//! * **Partial aggregation** — workers fold each chunk's results into a
-//!   chunk-local [`PartialAggregate`] in place; aggregation-only sinks
-//!   (campaigns) receive merged partials and the channel never carries
-//!   raw trials, so the serial consumer merges a few integers per batch
-//!   instead of replaying every result. Raw-result sinks get recycled
-//!   result blocks through the same bounded, backpressured channel.
+//! * **Partial aggregation** — workers fold each chunk's results into the
+//!   sink's chunk-local [`PartialAggregate`] in place, and the sink
+//!   [`absorb`](Sink::absorb)s partials in trial order. A campaign's
+//!   partial is its report, so the serial consumer merges a few integers
+//!   per envelope and the channel never carries a trial; a sink that
+//!   keeps the results takes a [`Block`] of them. Absorbed partials are
+//!   cleared and recycled to the workers, storage intact.
 //! * **Streaming ingestion** — per-trial inputs come from a pull-based
 //!   [`TrialSource`]: workers materialise a generated or streamed
 //!   dataset one chunk at a time ([`FnSource`]), with the in-memory case
@@ -129,7 +130,7 @@ mod sink;
 mod source;
 mod trial;
 
-pub use agg::{merge_in_order, PartialAggregate, TrialCount};
+pub use agg::{merge_in_order, Block, PartialAggregate, TrialCount};
 pub use batch::BatchClassify;
 pub use campaign::{
     run_campaign, CampaignReport, CampaignSink, EarlyStop, TrialOutcome, TrialResult,

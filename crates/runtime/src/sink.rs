@@ -6,25 +6,16 @@
 //! [`Sink::checkpoint`], the early-abort hook: returning
 //! [`Control::Stop`] cancels the remaining shards.
 //!
-//! A sink chooses one of two result paths:
-//!
-//! * **Raw replay** (`NEEDS_RESULTS = true`, the default) — every trial's
-//!   output crosses the worker channel and is replayed through
-//!   [`absorb`](Sink::absorb) in ascending index order. Required when the
-//!   sink consumes the results themselves ([`CollectSink`],
-//!   [`JsonlSink`]).
-//! * **Partial merge** (`NEEDS_RESULTS = false`) — workers fold each
-//!   chunk into a [`PartialAggregate`](crate::PartialAggregate) in place
-//!   and only the folded partial crosses the channel; the aggregator
-//!   hands it to [`absorb_partial`](Sink::absorb_partial) in the same
-//!   deterministic order. This is what lets CPU-bound campaigns scale:
-//!   the serial consumer merges a handful of integers per chunk instead
-//!   of replaying every trial.
-//!
-//! Both paths see identical information in identical order, so a sink's
-//! summary — and its checkpoint decisions — are path-independent.
+//! Every sink takes its results the same way: workers fold each chunk
+//! into the sink's [`Partial`](Sink::Partial) in place, only the folded
+//! partial crosses the worker channel, and the aggregator hands partials
+//! to [`absorb`](Sink::absorb) in ascending trial order. A sink that
+//! counts ([`CountSink`], [`CampaignSink`](crate::CampaignSink)) merges a
+//! handful of integers per envelope; a sink that keeps every result
+//! ([`CollectSink`], [`JsonlSink`]) uses a [`Block`] — the results
+//! themselves, in order — and drains it.
 
-use crate::agg::{PartialAggregate, TrialCount};
+use crate::agg::{Block, PartialAggregate, TrialCount};
 use crate::engine::RunStats;
 use serde::Serialize;
 use std::io::{BufWriter, Write};
@@ -43,35 +34,14 @@ pub trait Sink<T> {
     /// What the sink reduces the stream to.
     type Summary;
 
-    /// Chunk-local partial the engine's workers fold results into when
-    /// [`NEEDS_RESULTS`](Sink::NEEDS_RESULTS) is `false`. Sinks on the
-    /// raw-replay path use `()` (the fold compiles away).
+    /// Chunk-local partial the engine's workers fold results into.
     type Partial: PartialAggregate<T>;
 
-    /// Whether the sink must see every raw result through
-    /// [`absorb`](Sink::absorb). When `false`, the engine never ships raw
-    /// results: workers fold chunks into `Self::Partial` and the
-    /// aggregator calls [`absorb_partial`](Sink::absorb_partial) instead.
-    const NEEDS_RESULTS: bool = true;
-
-    /// Consumes the result of trial `index`. Called in ascending index
-    /// order — but only when [`NEEDS_RESULTS`](Sink::NEEDS_RESULTS) is
-    /// `true`.
-    fn absorb(&mut self, index: u64, item: T);
-
-    /// Merges one chunk-local partial, in ascending trial order. Called
-    /// instead of [`absorb`](Sink::absorb) when
-    /// [`NEEDS_RESULTS`](Sink::NEEDS_RESULTS) is `false` — a sink that
-    /// opts onto the partial path must override it. The default panics:
-    /// silently dropping partials would make a forgotten override look
-    /// like a successful run with an empty summary.
-    fn absorb_partial(&mut self, partial: Self::Partial) {
-        let _ = partial;
-        panic!(
-            "Sink declared NEEDS_RESULTS = false but did not override \
-             absorb_partial: worker-folded partials would be lost"
-        );
-    }
+    /// Consumes one partial: the fold of the next contiguous run of
+    /// trials, in ascending index order. When this returns, the engine
+    /// [`clear`](PartialAggregate::clear)s the partial and recycles it,
+    /// so a sink may drain it or just read it.
+    fn absorb(&mut self, partial: &mut Self::Partial);
 
     /// Early-abort hook, polled after shard `shard` (0-based) completes.
     fn checkpoint(&mut self, _shard: usize) -> Control {
@@ -95,12 +65,12 @@ impl<T> CollectSink<T> {
     }
 }
 
-impl<T> Sink<T> for CollectSink<T> {
+impl<T: Send> Sink<T> for CollectSink<T> {
     type Summary = Vec<T>;
-    type Partial = ();
+    type Partial = Block<T>;
 
-    fn absorb(&mut self, _index: u64, item: T) {
-        self.items.push(item);
+    fn absorb(&mut self, block: &mut Block<T>) {
+        self.items.extend(block.drain().map(|(_, item)| item));
     }
 
     fn finish(self, _stats: &RunStats) -> Vec<T> {
@@ -109,12 +79,13 @@ impl<T> Sink<T> for CollectSink<T> {
 }
 
 /// Writes every result as one JSON line (`{"trial":i,"result":...}`),
-/// then forwards it to an inner sink.
+/// then folds it into a partial of an inner sink and hands that partial
+/// to the inner sink, one per block.
 ///
 /// Writes go through an internal [`BufWriter`]: the sink sits on the
 /// engine's serial aggregation path, and an unbuffered line per trial
-/// taxes exactly the consumer the partial-aggregation result path exists
-/// to unclog. The buffer is flushed in [`finish`](Sink::finish), so a
+/// would tax exactly the consumer that per-worker folding keeps
+/// unclogged. The buffer is flushed in [`finish`](Sink::finish), so a
 /// completed run's artefact is always fully written.
 ///
 /// By default the trailing line of the stream is a run footer with the
@@ -156,19 +127,22 @@ impl<W: Write, S> JsonlSink<W, S> {
     }
 }
 
-impl<T: Serialize, W: Write, S: Sink<T>> Sink<T> for JsonlSink<W, S> {
+impl<T: Serialize + Send, W: Write, S: Sink<T>> Sink<T> for JsonlSink<W, S> {
     type Summary = S::Summary;
-    // The artefact needs every raw result, so the composed sink always
-    // rides the replay path — an inner partial-capable sink (e.g.
-    // `CampaignSink`) is fed through its `absorb`, which keeps teed
-    // artefacts byte-identical to the partial-path aggregate.
-    type Partial = ();
+    // The artefact needs every result. The inner sink gets the block
+    // re-folded into its own partial: a block never spans a shard
+    // boundary, so its checkpoints see exactly what the bare sink sees.
+    type Partial = Block<T>;
 
-    fn absorb(&mut self, index: u64, item: T) {
-        let json = serde_json::to_string(&item).unwrap_or_else(|e| format!("\"<error: {e}>\""));
-        writeln!(self.writer, "{{\"trial\":{index},\"result\":{json}}}")
-            .unwrap_or_else(|e| panic!("JSONL sink: write of trial {index} failed: {e}"));
-        self.inner.absorb(index, item);
+    fn absorb(&mut self, block: &mut Block<T>) {
+        let mut partial = S::Partial::default();
+        for (index, item) in block.drain() {
+            let json = serde_json::to_string(&item).unwrap_or_else(|e| format!("\"<error: {e}>\""));
+            writeln!(self.writer, "{{\"trial\":{index},\"result\":{json}}}")
+                .unwrap_or_else(|e| panic!("JSONL sink: write of trial {index} failed: {e}"));
+            partial.fold(index, item);
+        }
+        self.inner.absorb(&mut partial);
     }
 
     fn checkpoint(&mut self, shard: usize) -> Control {
@@ -202,16 +176,11 @@ impl CountSink {
 
 impl<T> Sink<T> for CountSink {
     type Summary = u64;
+    // Workers fold chunk counts locally and the channel carries one
+    // integer per envelope.
     type Partial = TrialCount;
-    // Counting needs no raw results: workers fold chunk counts locally
-    // and the channel carries one integer per batch.
-    const NEEDS_RESULTS: bool = false;
 
-    fn absorb(&mut self, _index: u64, _item: T) {
-        self.count += 1;
-    }
-
-    fn absorb_partial(&mut self, partial: TrialCount) {
+    fn absorb(&mut self, partial: &mut TrialCount) {
         self.count += partial.0;
     }
 
@@ -279,9 +248,9 @@ mod tests {
         }
         impl Sink<u64> for StopAfter {
             type Summary = u64;
-            type Partial = ();
-            fn absorb(&mut self, _index: u64, _item: u64) {
-                self.seen += 1;
+            type Partial = TrialCount;
+            fn absorb(&mut self, partial: &mut TrialCount) {
+                self.seen += partial.0;
             }
             fn checkpoint(&mut self, shard: usize) -> Control {
                 if shard + 1 >= self.shards {

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite, OpContext};
 use relcnn_runtime::{
-    run_campaign, CampaignReport, CampaignSink, Control, EarlyStop, Engine, FnSource,
+    run_campaign, Block, CampaignReport, CampaignSink, Control, EarlyStop, Engine, FnSource,
     FnSourcedTrial, FnTrial, JsonlSink, RunOutcome, RunPlan, RunStats, Sink, SliceSource, TrialCtx,
     TrialOutcome, TrialResult,
 };
@@ -30,11 +30,10 @@ fn trial(seed: u64) -> TrialResult {
     }
 }
 
-/// Forces the engine's raw-replay result path over the same campaign
-/// aggregation: every `TrialResult` crosses the worker channel and is
-/// replayed one `absorb` at a time — exactly the PR 2 result path. Used
-/// as the reference the per-worker partial-aggregation path must match
-/// bit for bit (the aggregates are pure integer counters, so `==` is
+/// The per-trial reference for the worker-folded `CampaignSink`: takes
+/// every `TrialResult` in a `Block` and records it into the same
+/// campaign sink one trial at a time. The fold on the workers must match
+/// it bit for bit (the aggregates are pure integer counters, so `==` is
 /// byte-identity).
 struct ReplaySink(CampaignSink);
 
@@ -46,10 +45,14 @@ impl ReplaySink {
 
 impl Sink<TrialResult> for ReplaySink {
     type Summary = CampaignReport;
-    type Partial = ();
+    type Partial = Block<TrialResult>;
 
-    fn absorb(&mut self, index: u64, item: TrialResult) {
-        self.0.absorb(index, item);
+    fn absorb(&mut self, block: &mut Block<TrialResult>) {
+        for (_, item) in block.drain() {
+            let mut one = CampaignReport::empty();
+            one.record(&item);
+            self.0.absorb(&mut one);
+        }
     }
 
     fn checkpoint(&mut self, shard: usize) -> Control {
@@ -61,8 +64,8 @@ impl Sink<TrialResult> for ReplaySink {
     }
 }
 
-/// Runs one campaign twice — per-worker partial aggregation vs per-trial
-/// replay — and asserts the aggregate, abort flag and stop shard agree.
+/// Runs one campaign twice — folded on the workers vs recorded trial by
+/// trial — and asserts the aggregate, abort flag and stop shard agree.
 fn assert_partial_matches_replay(workers: usize, plan: &RunPlan, policy: EarlyStop) {
     let engine = Engine::with_workers(workers);
     let by_seed = FnTrial::new(|ctx: &mut TrialCtx| trial(ctx.seed));
@@ -80,11 +83,11 @@ fn assert_partial_matches_replay(workers: usize, plan: &RunPlan, policy: EarlySt
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tentpole contract of the partial-aggregation result path:
-    /// folding chunks on the workers and merging partials in watermark
-    /// order is byte-identical to replaying every trial through the sink
-    /// (the PR 2 path) — at workers {1, 2, 8} × chunk sizes {1, auto,
-    /// whole-shard}, with and without an early abort firing mid-run.
+    /// The contract of per-worker folding: folding chunks on the workers
+    /// and merging partials in watermark order is byte-identical to
+    /// recording every trial into the sink one at a time — at workers
+    /// {1, 2, 8} × chunk sizes {1, auto, whole-shard}, with and without
+    /// an early abort firing mid-run.
     #[test]
     fn partial_merge_identical_to_per_trial_replay(
         trials in 1u64..250,
@@ -102,9 +105,9 @@ proptest! {
         }
     }
 
-    /// The oversharded (shards > trials) regression case, on both result
-    /// paths: the clamp plus the offset watermark must never stall, and
-    /// the paths must agree.
+    /// The oversharded (shards > trials) regression case, for both sinks:
+    /// the clamp plus the offset watermark must never stall, and the
+    /// sinks must agree.
     #[test]
     fn partial_merge_matches_replay_when_oversharded(
         trials in 1u64..12,
