@@ -93,6 +93,66 @@ pub fn quick_mode() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relcnn_cluster::ClusterMetrics;
+    use relcnn_obs::Registry;
+    use relcnn_runtime::EngineMetrics;
+    use relcnn_serve::ServeMetrics;
+    use std::collections::BTreeSet;
+
+    /// Expands README's `{a,b}` shorthand: `x_{a,b}_y` → `x_a_y`, `x_b_y`.
+    fn expand(name: &str) -> Vec<String> {
+        match (name.find('{'), name.find('}')) {
+            (Some(open), Some(close)) => name[open + 1..close]
+                .split(',')
+                .flat_map(|alt| expand(&format!("{}{alt}{}", &name[..open], &name[close + 1..])))
+                .collect(),
+            _ => vec![name.to_string()],
+        }
+    }
+
+    /// Adding or removing a metric family without a README row fails
+    /// here: the *Metric families* table's first column, expanded, must
+    /// name exactly what the three bundles register.
+    #[test]
+    fn readme_metric_family_table_matches_the_registered_families() {
+        let registry = Registry::new();
+        EngineMetrics::registered(&registry);
+        ServeMetrics::registered(&registry);
+        ClusterMetrics::registered(&registry);
+        let registered: BTreeSet<String> =
+            registry.snapshot().into_iter().map(|f| f.name).collect();
+
+        let readme = include_str!("../../../README.md");
+        let (_, table) = readme
+            .split_once("Metric families (all prefixed `relcnn_`):")
+            .expect("README has the metric-family table");
+        let rows = table
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .skip(2); // header + separator
+        let mut documented = BTreeSet::new();
+        for row in rows {
+            let first = row.split('|').nth(1).expect("first column");
+            // Drop label notes such as "(per `class`)".
+            let mut depth = 0;
+            let names: String = first
+                .chars()
+                .filter(|&c| {
+                    match c {
+                        '(' => depth += 1,
+                        ')' => depth -= 1,
+                        _ => return depth == 0,
+                    }
+                    false
+                })
+                .collect();
+            for name in names.split('`').skip(1).step_by(2) {
+                documented.extend(expand(name).into_iter().map(|n| format!("relcnn_{n}")));
+            }
+        }
+        assert_eq!(documented, registered);
+    }
 
     #[test]
     fn ascii_plot_shape() {

@@ -26,12 +26,10 @@ use crate::metrics::ClusterMetrics;
 use crate::proto::{decode, encode, FromWorker, JobSpec, ToWorker};
 use crate::worker::{HEARTBEAT_MS, WORKER_ENV};
 use relcnn_obs::trace::{Arg, TraceRecorder, TraceSnapshot};
-use relcnn_obs::{Registry, ScrapeServer};
+use relcnn_obs::Registry;
 use std::io;
-use std::net::SocketAddr;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
-use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 /// Head-side fabric configuration (the job itself lives in [`JobSpec`]).
@@ -202,18 +200,14 @@ pub struct ClusterOutcome {
 /// aggregate (CI byte-diffs hooked vs bare runs at every topology).
 #[derive(Default)]
 pub struct ClusterHooks<'a> {
-    /// Publish live `relcnn_cluster_*` metrics here. When set, the head
-    /// also binds a live `GET /metrics` scrape endpoint on
-    /// `127.0.0.1:0` for the duration of the run — the same
-    /// observed-by-default behaviour as the wall-clock serving loop.
+    /// Publish live `relcnn_cluster_*` metrics here. The head binds no
+    /// port: serve this registry with `relcnn_obs::ScrapeServer` to
+    /// scrape it mid-run.
     pub registry: Option<&'a Registry>,
     /// Flight-record the head's orchestration timeline on this recorder
     /// (ring `"head"`), and tell every worker to record too — their
     /// shipped rings land in [`ClusterOutcome::traces`].
     pub trace: Option<&'a TraceRecorder>,
-    /// Announces the scrape endpoint's bound address once it is up
-    /// (only meaningful with `registry` set).
-    pub scrape_notify: Option<&'a Sender<SocketAddr>>,
 }
 
 impl<'a> ClusterHooks<'a> {
@@ -222,7 +216,7 @@ impl<'a> ClusterHooks<'a> {
         Self::default()
     }
 
-    /// Sets the metrics registry (and thereby the live scrape endpoint).
+    /// Sets the metrics registry.
     pub fn with_registry(mut self, registry: &'a Registry) -> Self {
         self.registry = Some(registry);
         self
@@ -231,12 +225,6 @@ impl<'a> ClusterHooks<'a> {
     /// Sets the flight recorder.
     pub fn with_trace(mut self, recorder: &'a TraceRecorder) -> Self {
         self.trace = Some(recorder);
-        self
-    }
-
-    /// Sets the scrape-address announcement channel.
-    pub fn with_scrape_notify(mut self, tx: &'a Sender<SocketAddr>) -> Self {
-        self.scrape_notify = Some(tx);
         self
     }
 }
@@ -339,10 +327,9 @@ impl Head<'_> {
 }
 
 /// Runs `job` over `config.workers` worker processes. `hooks` carries
-/// the optional observability side-channels — metrics + live scrape
-/// endpoint, flight-recorder tracing across the head and every worker,
-/// scrape-address announcement; a bare run passes
-/// [`ClusterHooks::none`].
+/// the optional observability side-channels — live metrics and
+/// flight-recorder tracing across the head and every worker; a bare run
+/// passes [`ClusterHooks::none`].
 ///
 /// `task_fn` is used twice: shipped implicitly (the workers are this
 /// binary, whose `main` passes the same function to
@@ -360,7 +347,7 @@ where
 {
     let cm = &match hooks.registry {
         Some(registry) => ClusterMetrics::registered(registry),
-        None => ClusterMetrics::unregistered(),
+        None => ClusterMetrics::default(),
     };
     let started = Instant::now();
     cm.degraded.set(0);
@@ -369,16 +356,6 @@ where
     let rec = hooks.trace.cloned().unwrap_or_default();
     let ring = rec.ring("head");
     let run_begin = rec.now_us();
-
-    // Observed head runs get a live scrape endpoint by default,
-    // mirroring the wall-clock serving front-end.
-    let scrape = hooks.registry.map(|reg| {
-        let srv = ScrapeServer::bind("127.0.0.1:0", reg.clone()).expect("bind scrape endpoint");
-        if let Some(tx) = hooks.scrape_notify {
-            let _ = tx.send(srv.addr());
-        }
-        srv
-    });
 
     let width = config.task_shards.max(1);
     let now = Instant::now();
@@ -462,9 +439,6 @@ where
         }
         head.stats.wall_us = started.elapsed().as_micros() as u64;
         finish_trace(&head.stats);
-        if let Some(srv) = scrape {
-            srv.shutdown();
-        }
         return Ok(ClusterOutcome {
             outputs: outputs
                 .into_iter()
@@ -756,9 +730,6 @@ where
 
     head.stats.wall_us = started.elapsed().as_micros() as u64;
     finish_trace(&head.stats);
-    if let Some(srv) = scrape {
-        srv.shutdown();
-    }
     Ok(ClusterOutcome {
         outputs: outputs
             .into_iter()
@@ -788,15 +759,15 @@ mod tests {
 
     /// The no-fork topology exercises every hook without spawning
     /// processes (the test binary's `main` is not worker-aware): the
-    /// scrape endpoint must be live *during* the run — proven by
-    /// scraping it from inside the task function — announced on the
-    /// notify channel, and the head's flight recorder must narrate a
-    /// validator-clean timeline without changing the outputs.
+    /// registry must be live *during* the run — proven by scraping it
+    /// over TCP from inside the task function — and the head's flight
+    /// recorder must narrate a validator-clean timeline without changing
+    /// the outputs.
     #[test]
-    fn hooked_local_run_scrapes_live_announces_and_traces() {
+    fn hooked_local_run_scrapes_live_and_traces() {
         let registry = Registry::new();
         let recorder = TraceRecorder::new("cluster-head");
-        let (tx, rx) = mpsc::channel::<SocketAddr>();
+        let scrape = relcnn_obs::ScrapeServer::bind("127.0.0.1:0", registry.clone()).expect("bind");
         let scraped: Mutex<Option<String>> = Mutex::new(None);
 
         let config = ClusterConfig::new(0).with_task_shards(2);
@@ -804,9 +775,8 @@ mod tests {
         let task_fn = |job: &JobSpec, lo: usize, hi: usize| {
             let mut page = scraped.lock().expect("scrape cell");
             if page.is_none() {
-                let addr = rx.recv().expect("scrape address announced");
                 let (status, body) =
-                    relcnn_obs::scrape_once(addr, "/metrics").expect("live scrape");
+                    relcnn_obs::scrape_once(scrape.addr(), "/metrics").expect("live scrape");
                 assert!(status.contains("200"), "{status}");
                 *page = Some(body);
             }
@@ -817,9 +787,9 @@ mod tests {
         };
         let hooks = ClusterHooks::none()
             .with_registry(&registry)
-            .with_trace(&recorder)
-            .with_scrape_notify(&tx);
+            .with_trace(&recorder);
         let outcome = run_cluster(&config, &job, task_fn, &hooks).expect("local run");
+        scrape.shutdown();
 
         assert_eq!(outcome.outputs.len(), 2);
         assert_eq!(outcome.outputs[1].payload, "2..4\n");

@@ -10,7 +10,8 @@
 use relcnn_obs::{Counter, Gauge, Registry};
 
 /// The head's shared metric handles. Field names mirror the exported
-/// metric names minus the `relcnn_cluster_` prefix.
+/// metric names minus the `relcnn_cluster_` prefix; the default bundle
+/// is unregistered.
 #[derive(Debug, Default)]
 pub struct ClusterMetrics {
     /// Worker processes spawned (`relcnn_cluster_workers_spawned_total`).
@@ -49,11 +50,6 @@ pub struct ClusterMetrics {
 }
 
 impl ClusterMetrics {
-    /// A private, unregistered bundle (the default).
-    pub fn unregistered() -> Self {
-        ClusterMetrics::default()
-    }
-
     /// A bundle registered on `registry` under the `relcnn_cluster_*`
     /// names. Idempotent: two heads on one registry share series.
     pub fn registered(registry: &Registry) -> Self {

@@ -22,9 +22,11 @@
 //!                              Registry::render → text page
 //! ```
 //!
-//! Histograms share `relcnn-runtime`'s log-linear bucket layout, so
-//! `LatencyHistogram`s export natively as cumulative Prometheus
-//! `_bucket`/`_sum`/`_count` series via [`Histogram::merge_dense`].
+//! A live [`Histogram`]'s snapshot is a [`LatencyHistogram`], the same
+//! log-linear type the engine and the serving layer fold their own
+//! latencies into, so a run's percentiles and a scrape's come from one
+//! bucket layout and one `quantile`. The encoder renders it as
+//! cumulative Prometheus `_bucket`/`_sum`/`_count` series.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +39,6 @@ pub mod registry;
 pub mod trace;
 
 pub use http::{scrape_once, ScrapeServer};
-pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, NUM_BUCKETS};
+pub use metric::{Counter, Gauge, Histogram, LatencyHistogram, NUM_BUCKETS};
 pub use registry::{FamilySnapshot, MetricKind, Registry, SeriesSnapshot, Snapshot, ValueSnapshot};
 pub use trace::{TraceRecorder, TraceRing, TraceSnapshot};

@@ -1,4 +1,4 @@
-//! Atomic metric handles.
+//! Atomic metric handles and the workspace's one latency histogram.
 //!
 //! A handle is a cheaply clonable `Arc` around one or more atomics; the
 //! writer side (engine workers, the aggregator, the admission queue)
@@ -7,16 +7,16 @@
 //! a [`snapshot`](Histogram::snapshot) — a plain copy of the atomics —
 //! and all derived quantities (cumulative buckets, quantiles) are
 //! computed from that frozen copy, so a scrape can never observe a
-//! structurally inconsistent histogram: `_count` is *defined* as the top
-//! cumulative bucket of the snapshot rather than read separately.
+//! structurally inconsistent histogram: `_count` is *defined* as the sum
+//! of the buckets the snapshot read rather than read separately.
 //!
-//! The histogram's log-linear bucket layout (8 exact unit buckets below
-//! 8, then 8 sub-buckets per power of two, 496 buckets total) is defined
-//! here and imported by `relcnn_runtime::LatencyHistogram`, so dense
-//! bucket counts can be transplanted between the two with
-//! [`Histogram::merge_dense`] — the native-export bridge the Prometheus
-//! encoder rides. A cross-crate test in `relcnn-runtime` pins the bridge
-//! and quantile agreement.
+//! The log-linear bucket layout (8 exact unit buckets below 8, then 8
+//! sub-buckets per power of two, 496 buckets total) is defined here once.
+//! [`LatencyHistogram`] is the plain, mergeable histogram over that
+//! layout: the engine folds per-trial times into one per worker, the
+//! serving layer records request latencies into it, and a live
+//! [`Histogram`]'s snapshot *is* one — so a run's own percentiles and a
+//! scrape's come from the same type and the same `quantile`.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -173,32 +173,15 @@ impl Histogram {
         self.0.max.fetch_max(v, Relaxed);
     }
 
-    /// Folds a dense per-bucket count vector (the
-    /// `LatencyHistogram::dense_counts` layout) plus its sample sum and
-    /// max into this histogram — the native-export bridge for
-    /// already-aggregated histograms.
-    ///
-    /// # Panics
-    /// If `counts` is longer than the fixed bucket layout.
-    pub fn merge_dense(&self, counts: &[u64], sum: u64, max: u64) {
-        assert!(
-            counts.len() <= NUM_BUCKETS,
-            "dense histogram has {} buckets, layout holds {NUM_BUCKETS}",
-            counts.len()
-        );
-        for (idx, &n) in counts.iter().enumerate() {
-            if n != 0 {
-                self.0.buckets[idx].fetch_add(n, Relaxed);
-            }
-        }
-        self.0.sum.fetch_add(sum, Relaxed);
-        self.0.max.fetch_max(max, Relaxed);
-    }
-
-    /// Copies the atomics into a plain [`HistogramSnapshot`].
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self.0.buckets.iter().map(|b| b.load(Relaxed)).collect();
-        HistogramSnapshot {
+    /// Copies the atomics into a plain [`LatencyHistogram`]. Trailing
+    /// empty buckets are trimmed, so the copy equals a `LatencyHistogram`
+    /// that recorded the same samples.
+    pub fn snapshot(&self) -> LatencyHistogram {
+        let mut counts: Vec<u64> = self.0.buckets.iter().map(|b| b.load(Relaxed)).collect();
+        let used = counts.iter().rposition(|&n| n != 0).map_or(0, |i| i + 1);
+        counts.truncate(used);
+        LatencyHistogram {
+            total: counts.iter().sum(),
             counts,
             sum: self.0.sum.load(Relaxed),
             max: self.0.max.load(Relaxed),
@@ -211,19 +194,61 @@ impl Histogram {
     }
 }
 
-/// A frozen copy of one histogram, taken at scrape time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
+/// A mergeable log-linear histogram of `u64` samples (unit-agnostic: the
+/// engine records nanoseconds, the serving layer microseconds).
+///
+/// Worst-case quantile error is one part in eight (±12.5 %) at any
+/// magnitude up to `u64::MAX`. Merging and quantile extraction are pure
+/// integer arithmetic, so two histograms built from the same multiset of
+/// samples are equal regardless of recording or merge order — which is
+/// what lets per-worker histograms from a work-stealing schedule produce
+/// schedule-independent percentiles.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct LatencyHistogram {
+    /// Bucket counts up to the highest occupied bucket (never a trailing
+    /// zero).
     counts: Vec<u64>,
+    total: u64,
+    /// Sample sum, wrapping at `u64::MAX` like the live histogram's.
     sum: u64,
     max: u64,
 }
 
-impl HistogramSnapshot {
-    /// Total samples — by definition the sum of the bucket counts, so it
+impl LatencyHistogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        LatencyHistogram::default()
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, v: u64) {
+        let idx = bucket_index(v);
+        if self.counts.len() <= idx {
+            self.counts.resize(idx + 1, 0);
+        }
+        self.counts[idx] += 1;
+        self.total += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Merges `other` into `self` (integer adds: order-insensitive).
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (acc, n) in self.counts.iter_mut().zip(&other.counts) {
+            *acc += n;
+        }
+        self.total += other.total;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Number of recorded samples — the sum of the bucket counts, so it
     /// always equals the `+Inf` cumulative bucket.
     pub fn count(&self) -> u64 {
-        self.counts.iter().sum()
+        self.total
     }
 
     /// Sum of all recorded sample values (wraps at `u64::MAX`).
@@ -231,14 +256,23 @@ impl HistogramSnapshot {
         self.sum
     }
 
-    /// Largest recorded sample.
+    /// Largest recorded sample (exact, not bucketed).
     pub fn max(&self) -> u64 {
         self.max
     }
 
+    /// Mean of the recorded samples (exact unless the sum wrapped).
+    pub fn mean(&self) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.total as f64
+        }
+    }
+
     /// Cumulative `(le, count)` pairs for every *occupied* bucket, in
     /// increasing `le` order; the implicit final `+Inf` bucket is
-    /// [`count`](HistogramSnapshot::count). Emitting only occupied
+    /// [`count`](LatencyHistogram::count). Emitting only occupied
     /// buckets keeps the exposition compact (496 fixed buckets would
     /// dominate every scrape) while staying valid Prometheus: any `le`
     /// subset is permitted as long as the series is cumulative and
@@ -256,32 +290,44 @@ impl HistogramSnapshot {
     }
 
     /// The `q`-quantile as the midpoint of the bucket holding the
-    /// rank-`ceil(q·n)` sample; same convention as
-    /// `LatencyHistogram::quantile`, including the edge cases (empty → 0
-    /// for every `q`, `q <= 0` → first occupied bucket, `q >= 1` → the
-    /// exact max).
+    /// rank-`ceil(q·n)` sample. Bucket midpoints bound the error at
+    /// ±1/16 of the sample's magnitude.
+    ///
+    /// Boundary behaviour is explicit: an **empty** histogram returns 0
+    /// for every `q`; **`q <= 0.0`** is the minimum sample's bucket
+    /// (rank 1); **`q >= 1.0`** is the *exact* recorded maximum, not a
+    /// bucket midpoint. `q` values outside `[0, 1]` clamp to the nearest
+    /// boundary (a NaN `q` behaves as `q = 0`).
     pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
+        if self.total == 0 {
             return 0;
         }
         if q >= 1.0 {
             return self.max;
         }
-        let rank = if q <= 0.0 {
-            1
+        let rank = if q > 0.0 {
+            ((q * self.total as f64).ceil() as u64).clamp(1, self.total)
         } else {
-            ((q * total as f64).ceil() as u64).clamp(1, total)
+            1
         };
         let mut seen = 0u64;
         for (idx, &n) in self.counts.iter().enumerate() {
             seen += n;
-            if n != 0 && seen >= rank {
+            if seen >= rank {
                 let lo = bucket_lo(idx);
                 return (lo + bucket_width(idx) / 2).min(self.max);
             }
         }
         self.max
+    }
+
+    /// p50 / p95 / p99 in one call (the triple every report surfaces).
+    pub fn percentiles(&self) -> (u64, u64, u64) {
+        (
+            self.quantile(0.50),
+            self.quantile(0.95),
+            self.quantile(0.99),
+        )
     }
 }
 
@@ -335,47 +381,129 @@ mod tests {
     }
 
     #[test]
-    fn bucket_le_contains_every_sample_of_its_bucket() {
-        for v in [0u64, 5, 8, 12, 999, 123_456_789] {
+    fn buckets_are_exact_below_eight_and_cover_u64() {
+        for v in 0..8u64 {
             let idx = bucket_index(v);
-            assert!(v <= bucket_le(idx), "{v} > le of its own bucket");
-            assert!(v >= bucket_lo(idx));
+            assert_eq!(bucket_lo(idx), v);
+            assert_eq!(bucket_width(idx), 1);
         }
+        // Every sample lands in a bucket whose [lo, le] contains it.
+        for v in [8u64, 9, 12, 15, 16, 17, 999, 1000, 123_456_789, u64::MAX] {
+            let idx = bucket_index(v);
+            assert!(idx < NUM_BUCKETS, "index {idx} for {v}");
+            assert!(bucket_lo(idx) <= v, "lo {} > v {v}", bucket_lo(idx));
+            assert!(v <= bucket_le(idx), "{v} > le of its own bucket");
+        }
+        assert_eq!(bucket_index(u64::MAX), NUM_BUCKETS - 1);
         assert_eq!(bucket_le(NUM_BUCKETS - 1), u64::MAX);
     }
 
     #[test]
-    fn merge_dense_equals_recording() {
-        let samples = [3u64, 17, 17, 4_096, 70_000];
-        let direct = Histogram::new();
-        let mut dense = vec![0u64; NUM_BUCKETS];
-        let mut sum = 0u64;
-        let mut max = 0u64;
-        for &s in &samples {
-            direct.record(s);
-            dense[bucket_index(s)] += 1;
-            sum += s;
-            max = max.max(s);
+    fn snapshot_equals_recording_the_same_samples() {
+        // Log-uniform spread: unit buckets through the top octave, sums
+        // that wrap included.
+        let mut x = 0x0B5_CA7u64;
+        let live = Histogram::new();
+        let mut plain = LatencyHistogram::new();
+        for i in 0..5_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = x >> (i % 64);
+            live.record(v);
+            plain.record(v);
         }
-        let bridged = Histogram::new();
-        bridged.merge_dense(&dense, sum, max);
-        assert_eq!(direct.snapshot(), bridged.snapshot());
+        assert_eq!(live.snapshot(), plain);
+        assert_eq!(Histogram::new().snapshot(), LatencyHistogram::new());
     }
 
     #[test]
-    fn snapshot_quantile_edges() {
-        let empty = Histogram::new().snapshot();
-        assert_eq!(empty.quantile(0.0), 0);
-        assert_eq!(empty.quantile(0.5), 0);
-        assert_eq!(empty.quantile(1.0), 0);
-
-        let h = Histogram::new();
-        for v in 1..=100u64 {
+    fn quantiles_of_a_uniform_ramp() {
+        let mut h = LatencyHistogram::new();
+        for v in 1..=1000u64 {
             h.record(v);
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.quantile(1.0), 100, "q=1.0 is the exact max");
-        assert!(snap.quantile(0.0) <= snap.quantile(0.5));
-        assert!(snap.quantile(0.5) <= snap.quantile(1.0));
+        assert_eq!(h.count(), 1000);
+        assert_eq!(h.max(), 1000);
+        let (p50, p95, p99) = h.percentiles();
+        // Log-linear buckets: ±1/8 relative error.
+        assert!((437..=563).contains(&p50), "p50 {p50}");
+        assert!((831..=1000).contains(&p95), "p95 {p95}");
+        assert!((866..=1000).contains(&p99), "p99 {p99}");
+        assert!((h.mean() - 500.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merge_equals_recording_everything_in_one() {
+        let samples: Vec<u64> = (0..500).map(|i| (i * i * 7 + 13) % 100_000).collect();
+        let mut whole = LatencyHistogram::new();
+        for &s in &samples {
+            whole.record(s);
+        }
+        // Any split point, merged in either order, gives the same
+        // histogram — the schedule-independence the engine relies on.
+        for split in [0, 1, 250, 499, 500] {
+            let (a, b) = samples.split_at(split);
+            let mut left = LatencyHistogram::new();
+            let mut right = LatencyHistogram::new();
+            for &s in a {
+                left.record(s);
+            }
+            for &s in b {
+                right.record(s);
+            }
+            let mut fwd = left.clone();
+            fwd.merge(&right);
+            let mut rev = right.clone();
+            rev.merge(&left);
+            assert_eq!(fwd, whole, "split {split}");
+            assert_eq!(rev, whole, "split {split} reversed");
+        }
+    }
+
+    #[test]
+    fn empty_histogram_degenerates_gracefully() {
+        let h = LatencyHistogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.mean(), 0.0);
+        assert!(h.cumulative().is_empty());
+        let mut a = LatencyHistogram::new();
+        a.merge(&h);
+        assert_eq!(a, h);
+    }
+
+    #[test]
+    fn quantile_boundaries_are_pinned() {
+        // Empty histogram: every q — boundaries and out-of-range
+        // included — degenerates to 0.
+        let empty = LatencyHistogram::new();
+        for q in [-1.0, 0.0, 0.5, 1.0, 2.0, f64::NAN] {
+            assert_eq!(empty.quantile(q), 0, "empty at q={q}");
+        }
+
+        let mut h = LatencyHistogram::new();
+        for v in [10u64, 20, 30, 40, 1_000] {
+            h.record(v);
+        }
+        // q <= 0.0 is the minimum's bucket (10 sits in a unit-width
+        // log-linear bucket, so the midpoint is exact).
+        assert_eq!(h.quantile(0.0), 10);
+        assert_eq!(h.quantile(-3.0), 10);
+        // q >= 1.0 is the *exact* max — not the 992 midpoint of 1000's
+        // [960, 1024) bucket.
+        assert_eq!(h.quantile(1.0), 1_000);
+        assert_eq!(h.quantile(7.5), 1_000);
+        // Interior quantiles stay monotone against both boundaries.
+        let mid = h.quantile(0.5);
+        assert!(h.quantile(0.0) <= mid && mid <= h.quantile(1.0));
+    }
+
+    #[test]
+    fn single_sample_is_every_quantile() {
+        let mut h = LatencyHistogram::new();
+        h.record(42);
+        assert_eq!(h.quantile(0.0), h.quantile(1.0));
+        // Midpoint is clamped to the recorded max.
+        assert!(h.quantile(0.5) <= 42 + 2);
     }
 }

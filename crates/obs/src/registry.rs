@@ -13,7 +13,7 @@
 //! instead of colliding.
 
 use crate::encode;
-use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metric::{Counter, Gauge, Histogram, LatencyHistogram};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -74,7 +74,7 @@ pub enum ValueSnapshot {
     /// Gauge value.
     Gauge(i64),
     /// Full histogram snapshot.
-    Histogram(HistogramSnapshot),
+    Histogram(LatencyHistogram),
 }
 
 /// One labelled series frozen at scrape time.

@@ -46,8 +46,7 @@
 //! remains is already executing elsewhere.
 
 use crate::agg::{PartialAggregate, ReorderBuffer};
-use crate::hist::LatencyHistogram;
-use crate::metrics::{EngineMetrics, EngineSnapshot};
+use crate::metrics::EngineMetrics;
 pub use crate::sched::WorkerStats;
 use crate::sched::{Chunk, Claim, StealQueue};
 use crate::sink::{Control, Sink};
@@ -56,6 +55,7 @@ use crate::trial::{Indexed, SourcedTrial, Trial, TrialCtx};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use relcnn_obs::trace::{Arg, TraceRecorder};
+use relcnn_obs::LatencyHistogram;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -437,8 +437,8 @@ fn send_timed<E>(tx: &mpsc::SyncSender<E>, envelope: E, ws: &mut WorkerStats) ->
 
 /// The worker-pool engine. Cheap to construct; holds no threads between
 /// runs. Clones share the live-metrics handles (the worker count is
-/// copied), so a cloned engine publishes into — and
-/// [`stats_snapshot`](Engine::stats_snapshot)s — the same counters.
+/// copied), so a cloned engine publishes into — and reads through
+/// [`metrics`](Engine::metrics) — the same counters.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     /// Worker threads (0 = available parallelism).
@@ -485,17 +485,11 @@ impl Engine {
         self
     }
 
-    /// The engine's live metric handles (registered or not).
+    /// The engine's live metric handles (registered or not): the
+    /// mid-run read. Any thread holding a clone of this engine sees a run
+    /// progress through them without waiting for [`RunOutcome`].
     pub fn metrics(&self) -> &EngineMetrics {
         &self.metrics
-    }
-
-    /// A point-in-time copy of the live counters — usable *during* a run
-    /// from any thread holding a clone of this engine, without waiting
-    /// for [`RunOutcome`]. Works whether or not the engine is
-    /// [`observed`](Engine::observed).
-    pub fn stats_snapshot(&self) -> EngineSnapshot {
-        self.metrics.snapshot()
     }
 
     /// The worker count this engine will request of a run, with the
@@ -1290,28 +1284,30 @@ mod tests {
     }
 
     #[test]
-    fn stats_snapshot_matches_run_outcome_after_the_run() {
+    fn live_metrics_match_run_outcome_after_the_run() {
         let engine = Engine::with_workers(4);
         let outcome = engine.run(
             &RunPlan::new(300, 11).with_shards(8),
             &FnTrial::new(|ctx: &mut TrialCtx| ctx.index),
             CollectSink::new(),
         );
-        let snap = engine.stats_snapshot();
-        assert!(!snap.in_flight());
-        assert_eq!(snap.runs_started, 1);
-        assert_eq!(snap.runs_completed, 1);
-        assert_eq!(snap.trials_executed, outcome.stats.trials);
-        assert_eq!(snap.trials_released, outcome.stats.trials);
-        assert_eq!(snap.shards_completed, outcome.stats.shards as u64);
-        assert_eq!(snap.steals, outcome.stats.steals);
-        assert_eq!(snap.trials_recorded, outcome.stats.trial_hist.count());
-        assert_eq!(snap.workers_live, 0);
-        assert_eq!(snap.reorder_resident_trials, 0);
+        let m = engine.metrics();
+        assert_eq!(m.runs_started.get(), 1);
+        assert_eq!(m.runs_completed.get(), 1);
+        assert_eq!(m.trials_executed.get(), outcome.stats.trials);
+        assert_eq!(m.trials_released.get(), outcome.stats.trials);
+        assert_eq!(m.shards_completed.get(), outcome.stats.shards as u64);
+        assert_eq!(m.steals.get(), outcome.stats.steals);
+        assert_eq!(
+            m.trial_ns.snapshot().count(),
+            outcome.stats.trial_hist.count()
+        );
+        assert_eq!(m.workers_live.get(), 0);
+        assert_eq!(m.reorder_resident.get(), 0);
     }
 
     #[test]
-    fn stats_snapshot_observes_a_run_in_flight() {
+    fn live_metrics_observe_a_run_in_flight() {
         // A cloned engine shares the metric handles, so a monitor thread
         // can watch the run progress without waiting for RunOutcome.
         let registry = relcnn_obs::Registry::new();
@@ -1320,11 +1316,13 @@ mod tests {
         let done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
             let watcher = scope.spawn(|| {
+                let m = monitor.metrics();
                 let mut saw_in_flight = false;
                 let mut last_executed = 0u64;
                 while !done.load(Ordering::Relaxed) {
-                    let snap = monitor.stats_snapshot();
-                    if snap.in_flight() && snap.trials_executed > 0 && !saw_in_flight {
+                    let executed = m.trials_executed.get();
+                    let in_flight = m.runs_started.get() > m.runs_completed.get();
+                    if in_flight && executed > 0 && !saw_in_flight {
                         // The observed registry's page is valid mid-run
                         // and already carries the engine families.
                         let page = registry.render();
@@ -1341,10 +1339,10 @@ mod tests {
                         saw_in_flight = true;
                     }
                     assert!(
-                        snap.trials_executed >= last_executed,
+                        executed >= last_executed,
                         "executed-trials counter must be monotone"
                     );
-                    last_executed = snap.trials_executed;
+                    last_executed = executed;
                     std::thread::sleep(Duration::from_micros(200));
                 }
                 saw_in_flight

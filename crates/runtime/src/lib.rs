@@ -69,10 +69,10 @@
 //!   reorder buffer's peak depth) and
 //!   results can be teed to a JSONL artefact with [`JsonlSink`]. Runs
 //!   also publish *live*: workers and the aggregator update shared
-//!   `relcnn-obs` handles as they execute, so
-//!   [`Engine::stats_snapshot`] introspects a run in flight and an
-//!   engine attached to a registry (`Engine::observed`) is scrapeable
-//!   over `GET /metrics` mid-campaign. Publication is write-only side
+//!   `relcnn-obs` handles as they execute, so [`Engine::metrics`] reads a
+//!   run in flight from any clone of the engine, and an engine attached
+//!   to a registry (`Engine::observed`) is scrapeable over
+//!   `GET /metrics` mid-campaign. Publication is write-only side
 //!   traffic — the deterministic result path never reads a metric, and
 //!   the CI determinism matrix byte-diffs artefacts with metrics on vs
 //!   off.
@@ -123,7 +123,6 @@ mod batch;
 pub mod campaign;
 mod engine;
 pub mod experiments;
-mod hist;
 pub mod metrics;
 mod sched;
 mod sink;
@@ -139,8 +138,8 @@ pub use engine::{
     chunk_rng, shard_rng, Engine, RunOutcome, RunPlan, RunStats, WorkerStats,
     CHANNEL_DEPTH_PER_WORKER, DEFAULT_CHUNKS_PER_SHARD, DEFAULT_SHARDS,
 };
-pub use hist::{LatencyHistogram, NUM_BUCKETS};
-pub use metrics::{EngineMetrics, EngineSnapshot};
+pub use metrics::EngineMetrics;
+pub use relcnn_obs::LatencyHistogram;
 pub use sink::{CollectSink, Control, CountSink, JsonlSink, Sink};
 pub use source::{FnSource, SliceSource, TrialSource};
 pub use trial::{FnSourcedTrial, FnTrial, SourcedTrial, Trial, TrialCtx};

@@ -75,25 +75,6 @@ pub struct QueueWindow {
     pub closed: bool,
 }
 
-/// Live-publication handles cloned out of a [`ServeMetrics`] bundle.
-/// Updated under the queue mutex right after each mutation: a few
-/// relaxed atomic stores the replay's control flow never reads, so
-/// observed and unobserved replays stay byte-identical.
-#[derive(Debug)]
-struct LaneMetrics {
-    depth: relcnn_obs::Gauge,
-    offered: relcnn_obs::Counter,
-    shed: relcnn_obs::Counter,
-    expired: relcnn_obs::Counter,
-    dispatched: relcnn_obs::Counter,
-}
-
-#[derive(Debug)]
-struct QueueMetrics {
-    lanes: [LaneMetrics; RequestClass::COUNT],
-    admit_cap: relcnn_obs::Gauge,
-}
-
 #[derive(Debug)]
 struct Inner {
     lanes: [VecDeque<Request>; RequestClass::COUNT],
@@ -139,7 +120,11 @@ pub struct AdmissionQueue {
     activity: Condvar,
     capacity: usize,
     critical_reserve: usize,
-    metrics: Option<QueueMetrics>,
+    /// The run's live handles, updated under the queue mutex right after
+    /// each mutation: relaxed atomic stores the replay's control flow
+    /// never reads, so observed and unobserved replays stay
+    /// byte-identical. Unregistered until [`observed`](Self::observed).
+    metrics: ServeMetrics,
 }
 
 impl AdmissionQueue {
@@ -164,34 +149,17 @@ impl AdmissionQueue {
             activity: Condvar::new(),
             capacity,
             critical_reserve: critical_reserve.min(capacity),
-            metrics: None,
+            metrics: ServeMetrics::default(),
         }
     }
 
-    /// Attaches live metrics publication: depth and admission counters
-    /// per class plus the live admission cap, updated on every mutation.
+    /// Publishes into `metrics` (a clone sharing its handles): the
+    /// capacity, then depth and admission counters per class plus the
+    /// live admission cap, updated on every mutation.
     pub fn observed(mut self, metrics: &ServeMetrics) -> Self {
-        let lane = |class: RequestClass| {
-            let m = metrics.class(class);
-            LaneMetrics {
-                depth: m.queue_depth.clone(),
-                offered: m.offered.clone(),
-                shed: m.shed.clone(),
-                expired: m.expired.clone(),
-                dispatched: m.dispatched.clone(),
-            }
-        };
-        self.metrics = Some(QueueMetrics {
-            lanes: [
-                lane(RequestClass::Critical),
-                lane(RequestClass::Interactive),
-                lane(RequestClass::Bulk),
-            ],
-            admit_cap: metrics.admit_cap.clone(),
-        });
-        if let Some(m) = &self.metrics {
-            m.admit_cap.set(self.capacity as i64);
-        }
+        self.metrics = metrics.clone();
+        self.metrics.queue_capacity.set(self.capacity as i64);
+        self.metrics.admit_cap.set(self.admit_cap() as i64);
         self
     }
 
@@ -220,9 +188,7 @@ impl AdmissionQueue {
         let cap = cap.clamp(self.critical_reserve.max(1), self.capacity);
         let mut inner = self.inner.lock().expect("admission queue poisoned");
         inner.admit_cap = cap;
-        if let Some(m) = &self.metrics {
-            m.admit_cap.set(cap as i64);
-        }
+        self.metrics.admit_cap.set(cap as i64);
     }
 
     /// Offers a request: sheds it when its lane's budget is full,
@@ -251,13 +217,11 @@ impl AdmissionQueue {
             Admission::Shed
         };
         inner.check();
-        if let Some(m) = &self.metrics {
-            let lm = &m.lanes[lane];
-            lm.offered.inc();
-            match verdict {
-                Admission::Shed => lm.shed.inc(),
-                Admission::Admitted => lm.depth.set(inner.lanes[lane].len() as i64),
-            }
+        let m = self.metrics.class(req.class);
+        m.offered.inc();
+        match verdict {
+            Admission::Shed => m.shed.inc(),
+            Admission::Admitted => m.queue_depth.set(inner.lanes[lane].len() as i64),
         }
         drop(inner);
         if verdict == Admission::Admitted {
@@ -286,10 +250,9 @@ impl AdmissionQueue {
                 }
             });
             inner.by_class[lane].expired += (dead.len() - before) as u64;
-            if let Some(m) = &self.metrics {
-                m.lanes[lane].expired.add((dead.len() - before) as u64);
-                m.lanes[lane].depth.set(inner.lanes[lane].len() as i64);
-            }
+            let m = &self.metrics.classes[lane];
+            m.expired.add((dead.len() - before) as u64);
+            m.queue_depth.set(inner.lanes[lane].len() as i64);
         }
         inner.check();
         dead
@@ -311,10 +274,9 @@ impl AdmissionQueue {
             }
             batch.extend(inner.lanes[lane].drain(..take));
             inner.by_class[lane].dispatched += take as u64;
-            if let Some(m) = &self.metrics {
-                m.lanes[lane].dispatched.add(take as u64);
-                m.lanes[lane].depth.set(inner.lanes[lane].len() as i64);
-            }
+            let m = &self.metrics.classes[lane];
+            m.dispatched.add(take as u64);
+            m.queue_depth.set(inner.lanes[lane].len() as i64);
         }
         inner.check();
         batch
@@ -541,7 +503,7 @@ mod tests {
 
     #[test]
     fn observed_queue_publishes_counters_and_depth_live() {
-        let metrics = ServeMetrics::unregistered();
+        let metrics = ServeMetrics::default();
         let q = AdmissionQueue::new(2).observed(&metrics);
         q.offer(req(0, 0, 50));
         q.offer(req(1, 0, 500));

@@ -166,11 +166,7 @@ impl ServerConfig {
 /// publishing on `metrics`. Lives outside the [`Dispatcher`] so the
 /// wall-clock load generator can offer against it from its own thread.
 pub(crate) fn admission_queue(config: &ServerConfig, metrics: &ServeMetrics) -> AdmissionQueue {
-    let queue = AdmissionQueue::with_reserve(config.queue_capacity, config.critical_reserve)
-        .observed(metrics);
-    metrics.queue_capacity.set(queue.capacity() as i64);
-    metrics.admit_cap.set(queue.admit_cap() as i64);
-    queue
+    AdmissionQueue::with_reserve(config.queue_capacity, config.critical_reserve).observed(metrics)
 }
 
 /// What a serving run owns besides its clock loop: the overload
@@ -560,7 +556,7 @@ mod tests {
             config,
             backend,
             engine,
-            &ServeMetrics::unregistered(),
+            &ServeMetrics::default(),
             &TraceRecorder::off(),
         )
     }
@@ -959,7 +955,7 @@ mod tests {
             &config,
             &EchoBackend,
             &Engine::with_workers(1),
-            &ServeMetrics::unregistered(),
+            &ServeMetrics::default(),
             &recorder,
         );
         assert_eq!(

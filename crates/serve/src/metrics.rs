@@ -5,7 +5,9 @@
 //! [`ServeMetrics`] mirrors the engine-side `EngineMetrics` pattern: a
 //! bundle of `relcnn-obs` handles that is unregistered (private atomics)
 //! by default and registry-backed after
-//! [`ServeMetrics::registered`]. Per-request families carry a
+//! [`ServeMetrics::registered`]. Clones share the handles, so the
+//! admission queue holds a clone of the run's bundle rather than copies
+//! of its fields. Per-request families carry a
 //! **`class` label** — one series per [`RequestClass`] — so a scrape
 //! shows shedding and latency per priority lane; cross-class totals come
 //! from summing the family (`relcnn_obs::parse::Parsed::sum`). The
@@ -22,7 +24,7 @@ use relcnn_obs::{Counter, Gauge, Histogram, Registry};
 
 /// One priority lane's metric handles (one `class`-labeled series of
 /// each per-request family).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ClassMetrics {
     /// Requests currently queued in this lane
     /// (`relcnn_serve_queue_depth`).
@@ -51,7 +53,8 @@ pub struct ClassMetrics {
 
 /// Serving-side metric handles. Per-request families live in
 /// [`ClassMetrics`], one per priority lane; the rest are run-global.
-#[derive(Debug, Default)]
+/// The default bundle is unregistered.
+#[derive(Debug, Clone, Default)]
 pub struct ServeMetrics {
     /// Configured queue capacity (`relcnn_serve_queue_capacity`).
     pub queue_capacity: Gauge,
@@ -73,11 +76,6 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// A private, unregistered bundle.
-    pub fn unregistered() -> Self {
-        ServeMetrics::default()
-    }
-
     /// One lane's handles.
     pub fn class(&self, class: RequestClass) -> &ClassMetrics {
         &self.classes[class.lane()]

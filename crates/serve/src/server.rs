@@ -22,7 +22,12 @@
 //! named, and the **clock** joins it as a first-class choice.
 //! [`Server::clock`] with a [`VirtualClock`] (the default) runs the
 //! deterministic replay loop; a [`WallClock`] runs the threaded
-//! real-time front-end, scrape endpoint included when observed.
+//! real-time front-end.
+//!
+//! The server publishes on the registry it is [`observed`](Server::observed)
+//! on and binds no port: a caller that wants the page over HTTP serves
+//! that registry itself with `relcnn_obs::ScrapeServer::bind`, for as
+//! long as it likes.
 
 use crate::backend::Backend;
 use crate::batcher::{run_virtual, ServerConfig};
@@ -34,8 +39,6 @@ use crate::wall::run_wall;
 use relcnn_obs::trace::TraceRecorder;
 use relcnn_obs::Registry;
 use relcnn_runtime::Engine;
-use std::net::SocketAddr;
-use std::sync::mpsc::Sender;
 
 /// Entry point: [`Server::new`] yields this; naming a [`Backend`] via
 /// [`ServerBuilder::backend`] yields the runnable [`Server`].
@@ -53,9 +56,7 @@ impl ServerBuilder {
             backend,
             engine: None,
             clock: Box::new(VirtualClock::new()),
-            registry: None,
-            metrics: ServeMetrics::unregistered(),
-            scrape_notify: None,
+            metrics: ServeMetrics::default(),
             trace_rec: TraceRecorder::off(),
         }
     }
@@ -68,9 +69,7 @@ pub struct Server<'a, B> {
     backend: &'a B,
     engine: Option<&'a Engine>,
     clock: Box<dyn Clock>,
-    registry: Option<Registry>,
     metrics: ServeMetrics,
-    scrape_notify: Option<Sender<SocketAddr>>,
     trace_rec: TraceRecorder,
 }
 
@@ -92,12 +91,9 @@ impl<'a, B: Backend> Server<'a, B> {
         self
     }
 
-    /// Publishes live [`ServeMetrics`] on `registry`. A wall-clock run
-    /// additionally serves the registry over `GET /metrics` for the
-    /// duration of the run.
+    /// Publishes live [`ServeMetrics`] on `registry`.
     pub fn observed(mut self, registry: &Registry) -> Self {
         self.metrics = ServeMetrics::registered(registry);
-        self.registry = Some(registry.clone());
         self
     }
 
@@ -115,14 +111,6 @@ impl<'a, B: Backend> Server<'a, B> {
     /// threaded real-time front-end.
     pub fn clock<C: Clock + 'static>(mut self, clock: C) -> Self {
         self.clock = Box::new(clock);
-        self
-    }
-
-    /// Wall-clock runs only: receives the scrape endpoint's bound
-    /// address once it is listening (observed servers bind an ephemeral
-    /// port).
-    pub fn scrape_notify(mut self, tx: Sender<SocketAddr>) -> Self {
-        self.scrape_notify = Some(tx);
         self
     }
 
@@ -162,8 +150,6 @@ impl<'a, B: Backend> Server<'a, B> {
                 engine,
                 &self.metrics,
                 self.clock.as_ref(),
-                self.registry.as_ref(),
-                self.scrape_notify.as_ref(),
                 &self.trace_rec,
             )
         }

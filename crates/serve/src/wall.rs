@@ -39,10 +39,7 @@ use crate::metrics::ServeMetrics;
 use crate::report::ServeRun;
 use crate::request::Request;
 use relcnn_obs::trace::{Arg, TraceRecorder};
-use relcnn_obs::{Registry, ScrapeServer};
 use relcnn_runtime::Engine;
-use std::net::SocketAddr;
-use std::sync::mpsc::Sender;
 use std::time::Duration;
 
 /// Idle re-check interval when the batcher has nothing queued.
@@ -59,9 +56,6 @@ fn check_budget(clock: &dyn Clock, now_us: u64) {
 /// Runs `trace` through the wall-clock front-end (see the module docs).
 /// Reached through [`Server::run`](crate::Server::run) with a
 /// non-virtual [`Clock`].
-// The wall loop threads every collaborator the builder wired up; a
-// param struct would just rename the same eight things.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_wall<B: Backend>(
     trace: &[Request],
     config: &ServerConfig,
@@ -69,23 +63,11 @@ pub(crate) fn run_wall<B: Backend>(
     engine: &Engine,
     metrics: &ServeMetrics,
     clock: &dyn Clock,
-    registry: Option<&Registry>,
-    scrape_notify: Option<&Sender<SocketAddr>>,
     flight: &TraceRecorder,
 ) -> ServeRun<B::Verdict> {
     // The load generator owns its own flight-recorder track, timestamped
     // on the wall clock like the batcher's.
     let loadgen_ring = flight.ring("loadgen");
-    // A live run gets a live scrape endpoint by default: if the server
-    // is observed, its registry is served over GET /metrics for the
-    // duration of the run.
-    let scrape = registry.map(|reg| {
-        let srv = ScrapeServer::bind("127.0.0.1:0", reg.clone()).expect("bind scrape endpoint");
-        if let Some(tx) = scrape_notify {
-            let _ = tx.send(srv.addr());
-        }
-        srv
-    });
 
     let queue = admission_queue(config, metrics);
     let mut d = Dispatcher::new(trace, config, &queue, backend, engine, metrics, flight);
@@ -145,9 +127,6 @@ pub(crate) fn run_wall<B: Backend>(
     // Merge the producer's shed verdicts into the single-threaded record.
     for r in &shed_requests {
         d.record_shed(r);
-    }
-    if let Some(srv) = scrape {
-        srv.shutdown();
     }
     d.finish(trace, clock.now_us())
 }

@@ -275,14 +275,14 @@ fn three_classes_race_with_a_twitching_admission_cap() {
     assert_eq!(total.offered, total.shed + total.expired + total.dispatched);
     // The reservation must do its job: critical traffic dispatches even
     // while the twitcher pins the non-critical budget at zero (which can
-    // legitimately shed an entire non-critical lane on a busy box), and
-    // critical — shed only at physical capacity — never sheds more than
-    // the bulk lane the cap squeezes.
+    // legitimately shed an entire non-critical lane on a busy box).
+    //
+    // No shed-count comparison between lanes is asserted: critical and
+    // bulk offers land at different instants against different queue
+    // states, so no queue rule orders the two totals — such a comparison
+    // measures the scheduler. The rule itself (critical sheds only at
+    // physical capacity, bulk sheds first) is pinned single-threaded by
+    // `admission::tests::critical_reservation_survives_a_bulk_flood`.
     let crit = queue.class_counters(RequestClass::Critical);
-    let bulk = queue.class_counters(RequestClass::Bulk);
     assert!(crit.dispatched > 0, "critical starved: {crit:?}");
-    assert!(
-        crit.shed <= bulk.shed,
-        "the reservation should shield critical traffic: crit {crit:?} vs bulk {bulk:?}"
-    );
 }

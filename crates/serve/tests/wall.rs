@@ -2,16 +2,17 @@
 //!
 //! Wall timing is physics, so these tests assert the properties that
 //! survive nondeterminism: per-class conservation, controller-decision
-//! purity, agreement with the virtual oracle on trace structure, the
-//! live scrape endpoint, and the hard wall budget.
+//! purity, agreement with the virtual oracle on trace structure, a live
+//! scrape of the run's registry over TCP, and the hard wall budget.
 
 use relcnn_faults::SkewedCost;
-use relcnn_obs::Registry;
+use relcnn_obs::{scrape_once, Registry, ScrapeServer};
 use relcnn_runtime::Engine;
 use relcnn_serve::{
     BatchPolicy, ControllerConfig, EchoBackend, LoadGen, LoadGenConfig, OverloadController,
     RequestClass, Server, ServerConfig, ServiceModel, WallClock,
 };
+use std::time::{Duration, Instant};
 
 /// ~120 ms of three-class traffic that decisively outruns the modeled
 /// accelerator (≈800 µs per request vs ≈300 µs between arrivals).
@@ -116,7 +117,7 @@ fn wall_run_agrees_with_the_virtual_oracle_on_structure() {
 }
 
 #[test]
-fn observed_wall_run_serves_a_live_scrape_endpoint() {
+fn observed_wall_run_is_scraped_live_over_tcp() {
     let trace =
         LoadGen::new(LoadGenConfig::poisson(600, 9, 500, 100_000).with_class_mix([1, 4, 3]))
             .generate();
@@ -128,25 +129,31 @@ fn observed_wall_run_serves_a_live_scrape_endpoint() {
             cost: SkewedCost::uniform(300),
         },
     );
+    // The caller owns the endpoint: serve the registry the run publishes
+    // on over an ephemeral port.
     let registry = Registry::new();
-    let (tx, rx) = std::sync::mpsc::channel();
+    let scrape = ScrapeServer::bind("127.0.0.1:0", registry.clone()).expect("bind scrape port");
     let server_registry = registry.clone();
     let handle = std::thread::spawn(move || {
         Server::new(config)
             .backend(&EchoBackend)
             .observed(&server_registry)
             .clock(WallClock::with_budget(30_000_000))
-            .scrape_notify(tx)
             .run(&trace)
     });
-    // The front-end binds an ephemeral scrape port and tells us where.
-    let addr = rx
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("scrape endpoint address");
-    let (status, page) = relcnn_obs::scrape_once(addr, "/metrics").expect("mid-run scrape");
-    assert!(status.contains("200"), "{status}");
-    let parsed = relcnn_obs::parse::validate(&page).expect("valid exposition");
-    assert!(parsed.has("relcnn_serve_queue_capacity"), "{page}");
+    // Scrape until the page shows traffic: the run is live.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let parsed = loop {
+        let (status, page) = scrape_once(scrape.addr(), "/metrics").expect("mid-run scrape");
+        assert!(status.contains("200"), "{status}");
+        let parsed = relcnn_obs::parse::validate(&page).expect("valid exposition");
+        if parsed.sum("relcnn_serve_requests_offered_total") > 0.0 {
+            break parsed;
+        }
+        assert!(Instant::now() < deadline, "no traffic on the page:\n{page}");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(parsed.has("relcnn_serve_queue_capacity"));
     assert_eq!(
         parsed.label_values("relcnn_serve_requests_offered_total", "class"),
         vec!["bulk", "critical", "interactive"],
@@ -154,8 +161,10 @@ fn observed_wall_run_serves_a_live_scrape_endpoint() {
     );
     let run = handle.join().expect("wall run");
     assert!(run.report.conserved());
-    // The registry's final page tells the same conservation story.
-    let parsed = relcnn_obs::parse::validate(&registry.render()).expect("final page");
+    // The final page, off the wire, tells the same conservation story.
+    let (_, page) = scrape_once(scrape.addr(), "/metrics").expect("final scrape");
+    scrape.shutdown();
+    let parsed = relcnn_obs::parse::validate(&page).expect("final page");
     assert_eq!(
         parsed.sum("relcnn_serve_requests_offered_total"),
         run.report.offered as f64

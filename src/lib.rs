@@ -64,3 +64,8 @@ pub use relcnn_sax as sax;
 pub use relcnn_serve as serve;
 pub use relcnn_tensor as tensor;
 pub use relcnn_vision as vision;
+
+// README's `rust` blocks build (and the runnable ones run) as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
