@@ -155,13 +155,19 @@ fn main() {
     let cycle_ratio = dmr_out.stats.cycles as f64 / plain_out.stats.cycles as f64;
     let paper_ratio = 648.87 / 301.91;
     println!("\nredundant/plain ratio: wall-clock {ratio:.3}, cycle-model {cycle_ratio:.3}, paper {paper_ratio:.3}");
+    let ns_per_mac = |t: Duration| t.as_secs_f64() * 1e9 / macs as f64;
     println!(
-        "  (the Rust wall-clock ratio is bookkeeping-dominated: a native f32\n\
-         multiply costs ~1ns against ~2ns of qualifier/checkpoint overhead,\n\
-         whereas the paper's Python pays ~1us per overloaded call, so its\n\
-         ratio isolates the 2 muls + compare of Algorithm 2. The cycle model\n\
-         prices the hardware operators the paper targets and lands in the\n\
-         paper's band.)"
+        "  (the Rust wall-clock ratio is not the paper's: a plain qualified MAC\n\
+         takes {:.2} ns against {:.2} ns native, and DMR adds {:.2} ns. In every\n\
+         mode each accumulate waits on the previous one through a black_box\n\
+         round trip, and the extra replicas run beside that chain. The\n\
+         paper's Python pays ~1us per overloaded call, one after another, so\n\
+         its ratio isolates the 2 muls + compare of Algorithm 2. The cycle\n\
+         model prices the hardware operators the paper targets and lands in\n\
+         the paper's band.)",
+        ns_per_mac(plain),
+        ns_per_mac(native),
+        ns_per_mac(dmr) - ns_per_mac(plain)
     );
     println!(
         "plain/native ratio:    measured {:.1}x",

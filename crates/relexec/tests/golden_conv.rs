@@ -189,3 +189,66 @@ fn reliable_conv2d_matches_the_parent_commits_digests() {
     }
     assert_eq!(measured, GOLDEN, "measured: {measured:#018x?}");
 }
+
+/// Rows: geometry × injector (`NoFaults`, then `BerInjector(0x5EED, 1e-4)`
+/// on every site); columns: Plain, DMR, TMR. Recorded at the commit before
+/// the kernel walked each window's valid taps as slices.
+const GOLDEN_EDGES: [[u64; 3]; 4] = [
+    [
+        0xe1fa_6b34_483d_9b87,
+        0xac8e_a7b8_7286_654f,
+        0x8bdd_bb06_a354_0af7,
+    ],
+    [
+        0xae03_7733_a345_16c6,
+        0xd88b_3762_6cb0_e8ce,
+        0x6536_8381_fb75_69b6,
+    ],
+    [
+        0xa901_c8e2_9d62_9d51,
+        0xc8d0_d550_85f5_ce84,
+        0xbf93_fec9_9d0f_b08f,
+    ],
+    [
+        0xca41_0184_22e7_3f95,
+        0xd79e_9322_024e_d063,
+        0x2c0e_a068_9a58_aa3c,
+    ],
+];
+
+/// A 2×2 input under a 1×1 kernel with padding 3: 60 of the 64 windows lie
+/// wholly in padding, so only their bias loads execute.
+fn all_padding() -> Problem {
+    let mut rng = Rand::seeded(23);
+    Problem {
+        input: rng.tensor(Shape::d3(1, 2, 2), Init::Uniform { lo: -1.0, hi: 1.0 }),
+        filters: rng.tensor(Shape::d4(1, 1, 1, 1), Init::Uniform { lo: -1.0, hi: 1.0 }),
+        bias: rng.tensor(Shape::d1(1), Init::Uniform { lo: -0.5, hi: 0.5 }),
+        geom: ConvGeometry::new(2, 2, 1, 1, 1, 3).unwrap(),
+        config: ReliableConvConfig::default(),
+    }
+}
+
+/// The paper's conv-1 kernel shape (11×11, stride 4) on a 3×27×27 input
+/// with 8 filters.
+fn conv1_shape() -> Problem {
+    let mut rng = Rand::seeded(24);
+    Problem {
+        input: rng.tensor(Shape::d3(3, 27, 27), Init::Uniform { lo: 0.0, hi: 1.0 }),
+        filters: rng.tensor(Shape::d4(8, 3, 11, 11), Init::HeNormal { fan_in: 363 }),
+        bias: rng.tensor(Shape::d1(8), Init::Uniform { lo: -0.5, hi: 0.5 }),
+        geom: ConvGeometry::new(27, 27, 11, 11, 4, 0).unwrap(),
+        config: ReliableConvConfig::default(),
+    }
+}
+
+#[test]
+fn padding_only_windows_and_the_conv1_shape_match_the_parent_commits_digests() {
+    let mut measured = Vec::new();
+    for p in [all_padding(), conv1_shape()] {
+        let clean = RedundancyMode::ALL.map(|mode| digest(mode, NoFaults::new(), &p));
+        let ber = RedundancyMode::ALL.map(|mode| digest(mode, BerInjector::new(0x5EED, 1e-4), &p));
+        measured.extend([clean, ber]);
+    }
+    assert_eq!(measured, GOLDEN_EDGES, "measured: {measured:#018x?}");
+}
