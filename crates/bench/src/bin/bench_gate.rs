@@ -17,8 +17,8 @@
 //! * `serving_latency.json` — `cargo run --release -p relcnn-bench --bin
 //!   serve_bench`.
 //!
-//! `RELCNN_GATE_TOLERANCE` (default `0.10`) is the relative tolerance of
-//! every baseline comparison. Counter lines ([`COUNTERS`]) are printed,
+//! [`TOLERANCE`] (10 %) is the relative tolerance of every baseline
+//! comparison. Counter lines ([`COUNTERS`]) are printed,
 //! never gated. The gate times nothing itself, so it is cheap to re-run
 //! while iterating on a regression. Exit status 1 on any failure.
 
@@ -27,6 +27,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Relative tolerance of every baseline comparison.
+const TOLERANCE: f64 = 0.10;
 /// Hard floor on the latency-bound 8-worker speedup (ROADMAP contract).
 const MIN_LATENCY_SPEEDUP: f64 = 3.0;
 /// Hard floor on the skewed-workload speedup over whole-shard claiming,
@@ -169,13 +171,6 @@ fn cpu_floor(cores: usize) -> f64 {
     MIN_CPU_SPEEDUP.min(0.375 * cores as f64)
 }
 
-fn tolerance() -> f64 {
-    std::env::var("RELCNN_GATE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.10)
-}
-
 /// Splits one path segment into its key and optional `[field=N]` pick.
 fn segment(seg: &str) -> Option<(&str, Option<(&str, f64)>)> {
     let Some((key, pick)) = seg.split_once('[') else {
@@ -237,10 +232,10 @@ fn ratio_to_one_worker(doc: &Value, path: &str) -> Result<f64, String> {
 
 /// Evaluates one row: whether it holds, and the value against its
 /// threshold. `Err` when an input is missing.
-fn check(row: &Row, doc: &Doc, tol: f64, cpu_floor: f64) -> Result<(bool, String), String> {
+fn check(row: &Row, doc: &Doc, cpu_floor: f64) -> Result<(bool, String), String> {
     let path = row.path;
     let value = number(&doc.fresh, path)?;
-    let pct = tol * 100.0;
+    let pct = TOLERANCE * 100.0;
     Ok(match row.rule {
         Floor(floor) => (value >= floor, format!("{value:.3}, floor {floor:.3}")),
         CpuFloor => (
@@ -249,13 +244,13 @@ fn check(row: &Row, doc: &Doc, tol: f64, cpu_floor: f64) -> Result<(bool, String
         ),
         NotBelow => {
             let b = number(&doc.base, path)?;
-            let limit = b * (1.0 - tol);
+            let limit = b * (1.0 - TOLERANCE);
             let line = format!("{value:.3}, at least {limit:.3} (baseline {b:.3} - {pct:.0}%)");
             (value >= limit, line)
         }
         NotAbove(slack) => {
             let b = number(&doc.base, path)?;
-            let limit = b * (1.0 + tol) + slack;
+            let limit = b * (1.0 + TOLERANCE) + slack;
             let line =
                 format!("{value:.3}, at most {limit:.3} (baseline {b:.3} + {pct:.0}% + {slack})");
             (value <= limit, line)
@@ -263,7 +258,7 @@ fn check(row: &Row, doc: &Doc, tol: f64, cpu_floor: f64) -> Result<(bool, String
         Shape => {
             let now = ratio_to_one_worker(&doc.fresh, path)?;
             let b = ratio_to_one_worker(&doc.base, path)?;
-            let limit = b * (1.0 - tol);
+            let limit = b * (1.0 - TOLERANCE);
             let line = format!(
                 "{now:.3}x of 1-worker, at least {limit:.3}x (baseline {b:.3}x - {pct:.0}%)"
             );
@@ -327,7 +322,7 @@ fn print_counters(docs: &Docs) {
 
 /// Evaluates every row whose artefact loaded, printing each verdict.
 /// Returns the number of checks evaluated and the failures.
-fn evaluate(docs: &Docs, tol: f64, cpu_floor: f64) -> (usize, Vec<String>) {
+fn evaluate(docs: &Docs, cpu_floor: f64) -> (usize, Vec<String>) {
     let mut checked = 0;
     let mut failures = Vec::new();
     for row in &RULES {
@@ -336,7 +331,7 @@ fn evaluate(docs: &Docs, tol: f64, cpu_floor: f64) -> (usize, Vec<String>) {
         };
         checked += 1;
         let name = format!("{} {}", row.file, row.path);
-        match check(row, doc, tol, cpu_floor) {
+        match check(row, doc, cpu_floor) {
             Ok((true, line)) => println!("  ok    {name}: {line}"),
             Ok((false, line)) | Err(line) => {
                 println!("  FAIL  {name}: {line}");
@@ -348,18 +343,17 @@ fn evaluate(docs: &Docs, tol: f64, cpu_floor: f64) -> (usize, Vec<String>) {
 }
 
 fn main() -> ExitCode {
-    let tol = tolerance();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
         "bench gate (tolerance {:.0}%, cpu-bound floor {:.2}x on {cores} core(s))",
-        tol * 100.0,
+        TOLERANCE * 100.0,
         cpu_floor(cores)
     );
     let (docs, mut failures) = load(&relcnn_bench::results_dir());
     print_counters(&docs);
-    let (checked, failed) = evaluate(&docs, tol, cpu_floor(cores));
+    let (checked, failed) = evaluate(&docs, cpu_floor(cores));
     failures.extend(failed);
     if failures.is_empty() {
         println!("bench gate: OK ({checked} checks)");
@@ -379,8 +373,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const TOL: f64 = 0.10;
 
     fn baseline_dir() -> std::path::PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/baseline")
@@ -434,13 +426,16 @@ mod tests {
         let (path, value) = match row.rule {
             Floor(floor) => (row.path.to_string(), floor - eps),
             CpuFloor => (row.path.to_string(), floor() - eps),
-            NotBelow => (row.path.to_string(), base(row.path) * (1.0 - TOL) - eps),
+            NotBelow => (
+                row.path.to_string(),
+                base(row.path) * (1.0 - TOLERANCE) - eps,
+            ),
             NotAbove(slack) => (
                 row.path.to_string(),
-                base(row.path) * (1.0 + TOL) + slack + eps,
+                base(row.path) * (1.0 + TOLERANCE) + slack + eps,
             ),
             Shape => {
-                let limit = ratio_to_one_worker(&doc.base, row.path).unwrap() * (1.0 - TOL);
+                let limit = ratio_to_one_worker(&doc.base, row.path).unwrap() * (1.0 - TOLERANCE);
                 let one = fresh(row.path) / ratio_to_one_worker(&doc.fresh, row.path).unwrap();
                 (row.path.to_string(), (limit - eps) * one)
             }
@@ -454,7 +449,7 @@ mod tests {
 
     #[test]
     fn committed_baselines_compared_with_themselves_pass() {
-        let (checked, failures) = evaluate(&docs(), TOL, floor());
+        let (checked, failures) = evaluate(&docs(), floor());
         assert_eq!(failures, Vec::<String>::new());
         assert_eq!(checked, 9 + 4 + 16);
     }
@@ -464,12 +459,12 @@ mod tests {
         for row in &RULES {
             let mut inside = docs();
             push(&mut inside, row, false);
-            let (_, failures) = evaluate(&inside, TOL, floor());
+            let (_, failures) = evaluate(&inside, floor());
             assert_eq!(failures, Vec::<String>::new(), "{row:?} just inside");
 
             let mut past = docs();
             push(&mut past, row, true);
-            let (checked, failures) = evaluate(&past, TOL, floor());
+            let (checked, failures) = evaluate(&past, floor());
             assert_eq!(checked, RULES.len());
             assert_eq!(failures.len(), 1, "{row:?}: {failures:?}");
             let metric = format!("{} {}:", row.file, row.path);

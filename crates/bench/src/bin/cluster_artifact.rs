@@ -38,7 +38,7 @@ use relcnn_obs::trace::{export_chrome, validate, TraceRecorder};
 fn usage() -> ! {
     eprintln!(
         "usage: cluster_artifact --procs N --out PATH [--threads T] [--profile latency|cpu] \
-         [--task-shards W] [--chaos none|kill|corrupt|hang] [--task-timeout-ms MS] \
+         [--chaos none|kill|corrupt|hang] [--task-timeout-ms MS] \
          [--trace PATH]\n\
          Writes the stitched JSONL artefact of the canonical campaign run over the\n\
          multi-process cluster fabric. --procs 0 computes every task in the head\n\
@@ -56,7 +56,6 @@ fn main() {
 
     let mut procs = 1usize;
     let mut threads = 2usize;
-    let mut task_shards = 2usize;
     let mut task_timeout_ms: Option<u64> = None;
     let mut profile = Profile::Latency;
     let mut chaos_name = String::from("none");
@@ -73,12 +72,6 @@ fn main() {
             }
             "--threads" => {
                 threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--task-shards" => {
-                task_shards = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
@@ -117,9 +110,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let mut config = ClusterConfig::new(procs)
-        .with_task_shards(task_shards)
-        .with_chaos(chaos);
+    let mut config = ClusterConfig::new(procs).with_chaos(chaos);
     if let Some(ms) = task_timeout_ms {
         config = config.with_task_timeout_ms(ms);
     }
@@ -164,7 +155,7 @@ fn main() {
 
     let s = &outcome.stats;
     eprintln!(
-        "{out}: profile={} procs={procs} threads={threads} task_shards={task_shards}/{SHARDS} \
+        "{out}: profile={} procs={procs} threads={threads} shards={SHARDS} \
          chaos={chaos_name} degraded={} stats={}",
         profile.name(),
         s.degraded,

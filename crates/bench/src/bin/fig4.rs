@@ -11,7 +11,7 @@
 //! substantially depending on which filter has been replaced".
 
 use relcnn_bench::{ascii_plot, quick_mode, write_csv};
-use relcnn_core::experiments::{paper_train_config, train_gtsrb_model, SweepDepth};
+use relcnn_core::experiments::{paper_train_config, train_gtsrb_model};
 use relcnn_gtsrb::{DatasetConfig, SignClass, SyntheticGtsrb};
 use relcnn_nn::serial;
 use relcnn_runtime::{experiments::fig4_filter_sweep_parallel, Engine};
@@ -76,14 +76,8 @@ fn main() {
     // The 96 per-filter evaluations are independent: fan them out over
     // the runtime's worker pool (one filter per shard, deterministic
     // result order).
-    let outcome = fig4_filter_sweep_parallel(
-        &Engine::default(),
-        &net,
-        &data,
-        SignClass::Stop,
-        SweepDepth::ConfidenceOnly,
-    )
-    .expect("sweep");
+    let outcome = fig4_filter_sweep_parallel(&Engine::default(), &net, &data, SignClass::Stop)
+        .expect("sweep");
     let (points, baseline) = outcome.summary;
     println!(
         "sweep: {} filters in {:?} ({:.2} filters/s across {} workers)",

@@ -17,8 +17,7 @@
 //!   inference percentiles, end-to-end replay throughput): hardware
 //!   measurement, reported for trajectory but not gated.
 //!
-//! `--quick` (or `RELCNN_QUICK=1`) runs a quarter-size trace for smoke
-//! coverage.
+//! `--quick` runs a quarter-size trace for smoke coverage.
 
 use relcnn_bench::workload::{bench_load, bench_server, cnn_backend, BENCH_REQUESTS};
 use relcnn_runtime::Engine;

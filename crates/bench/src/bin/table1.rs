@@ -20,8 +20,9 @@ use relcnn_relexec::conv::{reliable_conv2d, ConvOutput, ReliableConvConfig};
 use relcnn_relexec::{DmrAlu, PlainAlu, TmrAlu};
 use relcnn_runtime::{CollectSink, Engine, FnTrial, RunPlan, RunStats, TrialCtx};
 use relcnn_sax::{SaxConfig, SaxEncoder};
-use relcnn_tensor::conv::{conv2d_im2col, ConvGeometry};
+use relcnn_tensor::conv::{im2col_into, ConvGeometry};
 use relcnn_tensor::init::{Init, Rand};
+use relcnn_tensor::ops::gemm_bias_into;
 use relcnn_tensor::{Shape, Tensor};
 use relcnn_vision::{radial, sobel, threshold};
 use std::time::Duration;
@@ -62,9 +63,16 @@ fn main() {
 
     let mut run_log: Vec<String> = Vec::new();
 
-    // Native (unprotected im2col) — the paper's "0.05 s TensorFlow" line.
+    // Native (unprotected im2col + GEMM, the lowering inference runs) —
+    // the paper's "0.05 s TensorFlow" line.
     let (native_out, native, stats) = timed("native", || {
-        conv2d_im2col(&input, &weights, Some(&bias), &geom).expect("native conv")
+        let (rows, positions) = (3 * 11 * 11, geom.positions());
+        let mut cols = vec![0.0; rows * positions];
+        im2col_into(input.as_slice(), 3, &geom, &mut cols).expect("native im2col");
+        let mut out = vec![0.0; filters * positions];
+        let (w, b) = (weights.as_slice(), bias.as_slice());
+        gemm_bias_into(filters, rows, positions, w, &cols, b, &mut out).expect("native gemm");
+        out
     });
     run_log.push(format!(
         "{{\"config\":\"native\",\"run\":{}}}",

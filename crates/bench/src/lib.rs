@@ -81,13 +81,10 @@ pub fn counters_line(pairs: &[(&str, u64)]) -> String {
         .join(", ")
 }
 
-/// Returns true when the binary should run at smoke scale
-/// (`RELCNN_QUICK=1` or `--quick` argument).
+/// Returns true when the binary should run at smoke scale (`--quick`
+/// argument).
 pub fn quick_mode() -> bool {
-    std::env::var("RELCNN_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-        || std::env::args().any(|a| a == "--quick")
+    std::env::args().any(|a| a == "--quick")
 }
 
 #[cfg(test)]

@@ -19,9 +19,7 @@ use relcnn_runtime::{
     merge_in_order, CampaignReport, CampaignSink, EarlyStop, Engine, FnTrial, JsonlSink, RunPlan,
     TrialCtx, TrialOutcome, TrialResult,
 };
-use relcnn_serve::{
-    BatchPolicy, CnnBackend, ControllerConfig, LoadGenConfig, ServerConfig, ServiceModel,
-};
+use relcnn_serve::{BatchPolicy, CnnBackend, LoadGenConfig, ServerConfig, ServiceModel};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -210,7 +208,7 @@ pub fn artifact_server() -> ServerConfig {
         },
     )
     .with_critical_reserve(3)
-    .with_control(ControllerConfig::default())
+    .with_control()
 }
 
 /// The serving artefact's three-class trace at `seed` for the
@@ -251,7 +249,7 @@ pub fn bench_server() -> ServerConfig {
         },
     )
     .with_critical_reserve(4)
-    .with_control(ControllerConfig::default())
+    .with_control()
 }
 
 /// The serving bench's overloaded three-class Poisson trace, cut to

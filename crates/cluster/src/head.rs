@@ -38,9 +38,6 @@ pub struct ClusterConfig {
     /// Worker processes to spawn. `0` runs every task in-process — the
     /// degenerate local topology, useful as a cluster-free reference.
     pub workers: usize,
-    /// Shards per task: the fixed distribution width. Must not depend
-    /// on `workers`, or topologies would compute different task sets.
-    pub task_shards: usize,
     /// A task unacknowledged this long after assignment means the worker
     /// is hung (it may well still be heartbeating).
     pub task_timeout_ms: u64,
@@ -48,6 +45,9 @@ pub struct ClusterConfig {
     pub chaos: ChaosPlan,
 }
 
+/// Shards per task: the fixed distribution width. Must not depend on
+/// the worker count, or topologies would compute different task sets.
+const TASK_SHARDS: usize = 2;
 /// Heartbeat silence after which an *idle* worker is presumed dead:
 /// twenty heartbeat periods.
 const LIVENESS_TIMEOUT: Duration = Duration::from_millis(20 * HEARTBEAT_MS);
@@ -65,23 +65,16 @@ fn backoff(retries: u32) -> Duration {
 }
 
 impl ClusterConfig {
-    /// Defaults tuned for campaign-scale tasks: one shard per task, a
+    /// Defaults tuned for campaign-scale tasks: two shards per task, a
     /// 30 s task deadline, no chaos. Workers heartbeat every 50 ms, an
     /// idle worker silent for 1 s is lost, and a task is retried twice
     /// (10 ms → 500 ms backoff) before the head computes it.
     pub fn new(workers: usize) -> Self {
         ClusterConfig {
             workers,
-            task_shards: 1,
             task_timeout_ms: 30_000,
             chaos: ChaosPlan::none(),
         }
-    }
-
-    /// Sets the task width (shards per task).
-    pub fn with_task_shards(mut self, shards: usize) -> Self {
-        self.task_shards = shards;
-        self
     }
 
     /// Sets the per-task deadline.
@@ -357,13 +350,12 @@ where
     let ring = rec.ring("head");
     let run_begin = rec.now_us();
 
-    let width = config.task_shards.max(1);
     let now = Instant::now();
     let tasks: Vec<Task> = (0..job.shards)
-        .step_by(width)
+        .step_by(TASK_SHARDS)
         .map(|lo| Task {
             lo,
-            hi: (lo + width).min(job.shards),
+            hi: (lo + TASK_SHARDS).min(job.shards),
             retries: 0,
             not_before: now,
             state: TaskState::Pending,
@@ -770,7 +762,7 @@ mod tests {
         let scrape = relcnn_obs::ScrapeServer::bind("127.0.0.1:0", registry.clone()).expect("bind");
         let scraped: Mutex<Option<String>> = Mutex::new(None);
 
-        let config = ClusterConfig::new(0).with_task_shards(2);
+        let config = ClusterConfig::new(0);
         let job = tiny_job();
         let task_fn = |job: &JobSpec, lo: usize, hi: usize| {
             let mut page = scraped.lock().expect("scrape cell");
@@ -821,7 +813,7 @@ mod tests {
             &ClusterHooks::none(),
         )
         .expect("local run");
-        assert_eq!(outcome.outputs.len(), 4);
+        assert_eq!(outcome.outputs.len(), 2);
         assert!(outcome.traces.is_empty());
         assert!(!outcome.stats.degraded);
     }

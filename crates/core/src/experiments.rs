@@ -50,16 +50,6 @@ pub fn train_gtsrb_model(
     Ok((net, matrix))
 }
 
-/// How much evaluation the Figure-4 sweep performs per filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SweepDepth {
-    /// Stop-class confidence only (what Figure 4 actually plots) — the
-    /// cheap option for the full 96-filter paper-scale run.
-    ConfidenceOnly,
-    /// Confidence and full test-set accuracy per filter.
-    Full,
-}
-
 /// One point of the Figure-4 sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SweepPoint {
@@ -68,15 +58,21 @@ pub struct SweepPoint {
     /// Mean stop-class confidence over the stop-class test images after
     /// replacement (the y-axis of Figure 4).
     pub stop_confidence: f64,
-    /// Overall test accuracy after replacement (`NaN` under
-    /// [`SweepDepth::ConfidenceOnly`]).
+}
+
+/// The unmodified model's Figure-4 values: the red dotted line.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SweepBaseline {
+    /// Mean stop-class confidence over the stop-class test images.
+    pub stop_confidence: f64,
+    /// Overall test accuracy.
     pub accuracy: f64,
 }
 
 /// Figure 4: replaces each conv-1 filter with the Sobel bank one at a
-/// time, measuring the stop-class confidence and the accuracy; every
+/// time, measuring the stop-class confidence (what Figure 4 plots); every
 /// filter is restored afterwards. Returns the per-filter points plus the
-/// baseline (unmodified) confidence/accuracy — the red dotted line.
+/// baseline (unmodified) confidence and accuracy — the red dotted line.
 ///
 /// # Errors
 ///
@@ -86,8 +82,7 @@ pub fn fig4_filter_sweep(
     net: &mut Network,
     data: &SyntheticGtsrb,
     stop_class: SignClass,
-    depth: SweepDepth,
-) -> Result<(Vec<SweepPoint>, SweepPoint), HybridError> {
+) -> Result<(Vec<SweepPoint>, SweepBaseline), HybridError> {
     let test: Vec<(Tensor, usize)> = data
         .test()
         .iter()
@@ -101,8 +96,7 @@ pub fn fig4_filter_sweep(
         .collect();
     let classes = data.config().classes.len();
 
-    let baseline = SweepPoint {
-        filter: usize::MAX,
+    let baseline = SweepBaseline {
         stop_confidence: mean_class_confidence(net, &stop_images, stop_class.index())?,
         accuracy: evaluate(net, &test, classes)?.accuracy(),
     };
@@ -116,49 +110,32 @@ pub fn fig4_filter_sweep(
 
     let mut points = Vec::with_capacity(filters);
     for k in 0..filters {
-        points.push(sweep_filter_point(
-            net,
-            &test,
-            &stop_images,
-            stop_class,
-            classes,
-            k,
-            depth,
-        )?);
+        points.push(sweep_filter_point(net, &stop_images, stop_class, k)?);
     }
     Ok((points, baseline))
 }
 
 /// Measures one point of the Figure-4 sweep: replaces conv-1 filter
-/// `filter` with the Sobel bank, evaluates, restores. The shared building
-/// block of the serial sweep above and the parallel sweep in
-/// `relcnn-runtime`.
+/// `filter` with the Sobel bank, measures the stop-class confidence,
+/// restores. The shared building block of the serial sweep above and the
+/// parallel sweep in `relcnn-runtime`.
 ///
 /// # Errors
 ///
 /// Propagates evaluation errors; the filter is restored on the success
 /// path.
-#[allow(clippy::too_many_arguments)]
 pub fn sweep_filter_point(
     net: &mut Network,
-    test: &[(Tensor, usize)],
     stop_images: &[&Tensor],
     stop_class: SignClass,
-    classes: usize,
     filter: usize,
-    depth: SweepDepth,
 ) -> Result<SweepPoint, HybridError> {
     let swap = FilterSwap::replace_with_sobel(net, 0, filter)?;
     let stop_confidence = mean_class_confidence(net, stop_images, stop_class.index())?;
-    let accuracy = match depth {
-        SweepDepth::Full => evaluate(net, test, classes)?.accuracy(),
-        SweepDepth::ConfidenceOnly => f64::NAN,
-    };
     swap.restore(net)?;
     Ok(SweepPoint {
         filter,
         stop_confidence,
-        accuracy,
     })
 }
 
@@ -362,13 +339,12 @@ mod tests {
         let data = smoke_data(4);
         let (mut net, _) = train_gtsrb_model(&data, &smoke_train(5), 6).unwrap();
         let before = net.conv2d_at(0).unwrap().filters().clone();
-        let (points, baseline) =
-            fig4_filter_sweep(&mut net, &data, SignClass::Stop, SweepDepth::Full).unwrap();
+        let (points, baseline) = fig4_filter_sweep(&mut net, &data, SignClass::Stop).unwrap();
         assert_eq!(points.len(), 96);
         assert!(baseline.stop_confidence > 0.0);
+        assert!((0.0..=1.0).contains(&baseline.accuracy));
         for p in &points {
             assert!(p.stop_confidence.is_finite());
-            assert!((0.0..=1.0).contains(&p.accuracy));
         }
         let after = net.conv2d_at(0).unwrap().filters().clone();
         assert_eq!(before, after, "sweep must leave the model untouched");

@@ -234,15 +234,10 @@ impl ScriptedInjector {
         }
     }
 
-    /// Provides a seed for faults that need randomness
+    /// The stream of faults that need randomness
     /// ([`FaultKind::RandomBitFlip`], [`FaultKind::MultiBitFlip`],
-    /// [`FaultDuration::Intermittent`]); unscripted randomness defaults to
-    /// seed 0.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.rng = Some(ChaCha8Rng::seed_from_u64(seed));
-        self
-    }
-
+    /// [`FaultDuration::Intermittent`]): seed 0, so a script replays
+    /// identically.
     fn rng(&mut self) -> &mut ChaCha8Rng {
         self.rng.get_or_insert_with(|| ChaCha8Rng::seed_from_u64(0))
     }
@@ -501,8 +496,7 @@ mod tests {
             site: None,
             kind: FaultKind::MultiBitFlip { count: 3 },
             duration: FaultDuration::Transient,
-        }])
-        .with_seed(11);
+        }]);
         let out = inj.perturb(ctx(0), 1.0);
         assert_eq!(bits::hamming_f32(1.0, out), 3);
     }
@@ -530,8 +524,7 @@ mod tests {
             site: None,
             kind: FaultKind::BitFlip { bit: 31 },
             duration: FaultDuration::Intermittent { activation: 0.5 },
-        }])
-        .with_seed(5);
+        }]);
         let mut fired = 0;
         for _ in 0..200 {
             if inj.perturb(ctx(0), 1.0) < 0.0 {

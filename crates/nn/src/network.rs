@@ -117,19 +117,24 @@ impl Network {
         Ok(())
     }
 
-    /// Runs the forward pass, returning every layer's output (the input
-    /// to layer `i+1`) — used by activation-range calibration and by
-    /// debugging tools.
+    /// Runs the inference forward pass, returning every layer's output
+    /// (the input to layer `i+1`) — used by activation-range calibration
+    /// and by debugging tools.
     ///
     /// # Errors
     ///
     /// Propagates layer shape errors.
-    pub fn forward_trace(&mut self, input: &Tensor, mode: Mode) -> Result<Vec<Tensor>, NnError> {
+    pub fn forward_trace(&self, input: &Tensor) -> Result<Vec<Tensor>, NnError> {
+        let mut scratch = InferScratch::new();
+        scratch.load_input(input)?;
         let mut outs = Vec::with_capacity(self.layers.len());
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, mode)?;
-            outs.push(x.clone());
+        for layer in &self.layers {
+            let (front, back, cols) = scratch.frames();
+            layer.infer(front, back, cols)?;
+            scratch.swap();
+            let out = scratch.front();
+            let shape = Shape::new(out.dims().to_vec());
+            outs.push(Tensor::from_vec(shape, out.as_slice().to_vec())?);
         }
         Ok(outs)
     }

@@ -15,7 +15,6 @@
 //! detect any single-replica corruption regardless of magnitude.
 
 use crate::error::NnError;
-use crate::layers::Mode;
 use crate::network::Network;
 use relcnn_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -95,7 +94,7 @@ impl RangeSupervisor {
     /// Returns [`NnError::BadTraining`] for an empty calibration set and
     /// propagates forward-pass errors.
     pub fn fit(
-        net: &mut Network,
+        net: &Network,
         calibration: &[Tensor],
         margin: f32,
     ) -> Result<RangeSupervisor, NnError> {
@@ -103,15 +102,12 @@ impl RangeSupervisor {
             reason: "empty calibration set".into(),
         })?;
         let mut ranges: Vec<ActivationRange> = net
-            .forward_trace(first, Mode::Eval)?
+            .forward_trace(first)?
             .iter()
             .map(ActivationRange::of)
             .collect();
         for sample in &calibration[1..] {
-            for (range, out) in ranges
-                .iter_mut()
-                .zip(net.forward_trace(sample, Mode::Eval)?.iter())
-            {
+            for (range, out) in ranges.iter_mut().zip(net.forward_trace(sample)?.iter()) {
                 range.absorb(out);
             }
         }
@@ -196,30 +192,30 @@ mod tests {
     #[test]
     fn fit_covers_calibration_set() {
         let mut rng = Rand::seeded(1);
-        let mut net = tiny_cnn(4, 16, &mut rng).unwrap();
+        let net = tiny_cnn(4, 16, &mut rng).unwrap();
         let cal = calibration(&mut rng, 6);
-        let sup = RangeSupervisor::fit(&mut net, &cal, 0.0).unwrap();
+        let sup = RangeSupervisor::fit(&net, &cal, 0.0).unwrap();
         assert_eq!(sup.ranges().len(), net.len());
         // Every calibration activation is in range: zero violations.
         for sample in &cal {
-            let outs = net.forward_trace(sample, Mode::Eval).unwrap();
+            let outs = net.forward_trace(sample).unwrap();
             for (i, out) in outs.iter().enumerate() {
                 let s = sup.supervise(i, out).unwrap();
                 assert_eq!(s.violations, 0, "layer {i}");
                 assert_eq!(&s.tensor, out);
             }
         }
-        assert!(RangeSupervisor::fit(&mut net, &[], 0.1).is_err());
+        assert!(RangeSupervisor::fit(&net, &[], 0.1).is_err());
     }
 
     #[test]
     fn catches_large_corruption_misses_small() {
         let mut rng = Rand::seeded(2);
-        let mut net = tiny_cnn(4, 16, &mut rng).unwrap();
+        let net = tiny_cnn(4, 16, &mut rng).unwrap();
         let cal = calibration(&mut rng, 4);
-        let sup = RangeSupervisor::fit(&mut net, &cal, 0.05).unwrap();
+        let sup = RangeSupervisor::fit(&net, &cal, 0.05).unwrap();
 
-        let out = net.forward_trace(&cal[0], Mode::Eval).unwrap().remove(0);
+        let out = net.forward_trace(&cal[0]).unwrap().remove(0);
         // Exponent-bit corruption: huge value — caught and masked.
         let mut big = out.clone();
         big.as_mut_slice()[3] = 1e20;
@@ -238,9 +234,9 @@ mod tests {
     #[test]
     fn supervise_validates_layer_index() {
         let mut rng = Rand::seeded(3);
-        let mut net = tiny_cnn(4, 16, &mut rng).unwrap();
+        let net = tiny_cnn(4, 16, &mut rng).unwrap();
         let cal = calibration(&mut rng, 2);
-        let sup = RangeSupervisor::fit(&mut net, &cal, 0.1).unwrap();
+        let sup = RangeSupervisor::fit(&net, &cal, 0.1).unwrap();
         let t = Tensor::zeros(Shape::d1(4));
         assert!(sup.supervise(99, &t).is_err());
     }
@@ -248,9 +244,9 @@ mod tests {
     #[test]
     fn serialises() {
         let mut rng = Rand::seeded(4);
-        let mut net = tiny_cnn(3, 16, &mut rng).unwrap();
+        let net = tiny_cnn(3, 16, &mut rng).unwrap();
         let cal = calibration(&mut rng, 2);
-        let sup = RangeSupervisor::fit(&mut net, &cal, 0.1).unwrap();
+        let sup = RangeSupervisor::fit(&net, &cal, 0.1).unwrap();
         let json = serde_json::to_string(&sup).unwrap();
         let back: RangeSupervisor = serde_json::from_str(&json).unwrap();
         assert_eq!(sup, back);

@@ -76,15 +76,10 @@ pub trait QualifiedAlu {
 pub struct Alu<I, const N: usize> {
     injector: I,
     op_index: u64,
+    /// The processing element executing every replica: redundancy is
+    /// *temporal*, so a permanent PE defect is common-mode and
+    /// undetectable by comparison (the paper's §II-B caveat).
     pe: u32,
-    /// Processing-element spacing between redundant replicas.
-    ///
-    /// 0 = *temporal* redundancy: every replica executes on the same PE,
-    /// so a permanent PE defect is common-mode and undetectable by
-    /// comparison (the paper's §II-B caveat). A non-zero spacing models
-    /// *spatial* redundancy: replica `r` executes on `pe + r·spacing`,
-    /// independent hardware, so permanent defects disagree and are caught.
-    replica_spacing: u32,
     cycles: u64,
     cost: OpCost,
 }
@@ -130,25 +125,15 @@ impl<I: FaultInjector, const N: usize> Alu<I, N> {
             injector,
             op_index: 0,
             pe: 0,
-            replica_spacing: 0,
             cycles: 0,
             cost: OpCost::default(),
         }
     }
 
-    /// Places redundant replicas on spatially distinct processing
-    /// elements `spacing` apart (0 = temporal redundancy on one PE, the
-    /// default). Spatial placement is what lets comparison detect
-    /// *permanent* PE defects.
-    pub fn with_spatial_replicas(mut self, spacing: u32) -> Self {
-        self.replica_spacing = spacing;
-        self
-    }
-
     fn ctx(&self, site: FaultSite, replica: u8) -> OpContext {
         OpContext::new(site, self.op_index)
             .with_replica(replica)
-            .with_pe(self.pe + replica as u32 * self.replica_spacing)
+            .with_pe(self.pe)
     }
 
     fn load(&mut self, site: FaultSite, value: f32) -> f32 {
@@ -415,61 +400,19 @@ mod tests {
     }
 
     #[test]
-    fn temporal_redundancy_blind_to_stuck_pe_spatial_detects() {
+    fn temporal_redundancy_is_blind_to_a_stuck_pe() {
         use relcnn_faults::{FaultSite, StuckBitInjector};
-        // Temporal (default): both replicas on PE 0 — the stuck bit
-        // corrupts both identically, comparison passes: SILENT.
-        let mut temporal = DmrAlu::new(StuckBitInjector::new(
+        // Both replicas run on PE 0: the stuck bit corrupts both
+        // identically and the comparison passes: SILENT.
+        let mut dmr = DmrAlu::new(StuckBitInjector::new(
             0,
             FaultSite::Multiplier,
             bits::SIGN_BIT,
             true,
         ));
-        let q = temporal.mul(2.0, 3.0);
+        let q = dmr.mul(2.0, 3.0);
         assert!(q.is_ok(), "temporal DMR cannot see a shared-PE defect");
         assert_eq!(q.value(), -6.0, "…and the value is silently wrong");
-
-        // Spatial: replica 1 executes on PE 1 — only replica 0 corrupted,
-        // comparison fails: DETECTED.
-        let mut spatial = DmrAlu::new(StuckBitInjector::new(
-            0,
-            FaultSite::Multiplier,
-            bits::SIGN_BIT,
-            true,
-        ))
-        .with_spatial_replicas(1);
-        let q = spatial.mul(2.0, 3.0);
-        assert!(!q.is_ok(), "spatial DMR detects the PE defect");
-
-        // Spatial TMR: the two healthy replicas outvote the stuck PE.
-        let mut tmr = TmrAlu::new(StuckBitInjector::new(
-            0,
-            FaultSite::Multiplier,
-            bits::SIGN_BIT,
-            true,
-        ))
-        .with_spatial_replicas(1);
-        let q = tmr.mul(2.0, 3.0);
-        assert!(q.is_ok());
-        assert_eq!(q.value(), 6.0, "spatial TMR corrects the stuck PE");
-    }
-
-    #[test]
-    fn spatial_spacing_offsets_pe_ids() {
-        use relcnn_faults::{FaultSite, StuckBitInjector};
-        // Stuck PE 7; base PE 3, spacing 2 -> replicas on 3 and 5: clean.
-        let mut alu = DmrAlu::new(StuckBitInjector::new(
-            7,
-            FaultSite::Multiplier,
-            bits::SIGN_BIT,
-            true,
-        ))
-        .with_spatial_replicas(2);
-        alu.set_pe(3);
-        assert!(alu.mul(2.0, 3.0).is_ok());
-        // Base PE 5 -> replicas on 5 and 7: replica 1 hits the defect.
-        alu.set_pe(5);
-        assert!(!alu.mul(2.0, 3.0).is_ok());
     }
 
     #[test]

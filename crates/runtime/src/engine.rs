@@ -467,8 +467,8 @@ impl Engine {
 
     /// Attaches this engine's live metrics to `registry`: subsequent
     /// runs publish the `relcnn_engine_*` series as they execute, and a
-    /// scrape ([`relcnn_obs::ScrapeServer`]) or interval dump sees them
-    /// mid-run. Registration is idempotent, so every engine attached to
+    /// scrape ([`relcnn_obs::ScrapeServer`]) or [`Engine::metrics`] sees
+    /// them mid-run. Registration is idempotent, so every engine attached to
     /// one registry shares the same series.
     pub fn observed(mut self, registry: &relcnn_obs::Registry) -> Self {
         self.metrics = Arc::new(EngineMetrics::registered(registry));

@@ -8,7 +8,7 @@
 use crate::engine::{Engine, RunOutcome, RunPlan};
 use crate::sink::CollectSink;
 use crate::trial::{Trial, TrialCtx};
-use relcnn_core::experiments::{sweep_filter_point, SweepDepth, SweepPoint};
+use relcnn_core::experiments::{sweep_filter_point, SweepBaseline, SweepPoint};
 use relcnn_core::HybridError;
 use relcnn_gtsrb::{SignClass, SyntheticGtsrb};
 use relcnn_nn::train::{evaluate, mean_class_confidence};
@@ -17,11 +17,8 @@ use relcnn_tensor::Tensor;
 
 struct SweepTrial<'a> {
     net: &'a Network,
-    test: &'a [(Tensor, usize)],
     stop_images: &'a [&'a Tensor],
     stop_class: SignClass,
-    classes: usize,
-    depth: SweepDepth,
 }
 
 impl Trial for SweepTrial<'_> {
@@ -33,21 +30,13 @@ impl Trial for SweepTrial<'_> {
     }
 
     fn run(&self, state: &mut Network, ctx: &mut TrialCtx) -> Self::Output {
-        sweep_filter_point(
-            state,
-            self.test,
-            self.stop_images,
-            self.stop_class,
-            self.classes,
-            ctx.index as usize,
-            self.depth,
-        )
+        sweep_filter_point(state, self.stop_images, self.stop_class, ctx.index as usize)
     }
 }
 
 /// Figure 4, parallel: sweeps every conv-1 filter across the worker pool
 /// (one trial per filter), leaving `net` untouched. Returns the
-/// per-filter points, the baseline point, and the engine counters.
+/// per-filter points, the baseline, and the engine counters.
 ///
 /// # Errors
 ///
@@ -57,8 +46,7 @@ pub fn fig4_filter_sweep_parallel(
     net: &Network,
     data: &SyntheticGtsrb,
     stop_class: SignClass,
-    depth: SweepDepth,
-) -> Result<RunOutcome<(Vec<SweepPoint>, SweepPoint)>, HybridError> {
+) -> Result<RunOutcome<(Vec<SweepPoint>, SweepBaseline)>, HybridError> {
     let test: Vec<(Tensor, usize)> = data
         .test()
         .iter()
@@ -72,8 +60,7 @@ pub fn fig4_filter_sweep_parallel(
         .collect();
     let classes = data.config().classes.len();
 
-    let baseline = SweepPoint {
-        filter: usize::MAX,
+    let baseline = SweepBaseline {
         stop_confidence: mean_class_confidence(net, &stop_images, stop_class.index())?,
         accuracy: evaluate(net, &test, classes)?.accuracy(),
     };
@@ -93,11 +80,8 @@ pub fn fig4_filter_sweep_parallel(
             .with_chunk(1),
         &SweepTrial {
             net,
-            test: &test,
             stop_images: &stop_images,
             stop_class,
-            classes,
-            depth,
         },
         CollectSink::new(),
     );
@@ -135,8 +119,7 @@ mod tests {
         let (mut net, _) = train_gtsrb_model(&data, &tc, 33).expect("training");
 
         let (serial_points, serial_baseline) =
-            fig4_filter_sweep(&mut net, &data, SignClass::Stop, SweepDepth::ConfidenceOnly)
-                .expect("serial sweep");
+            fig4_filter_sweep(&mut net, &data, SignClass::Stop).expect("serial sweep");
 
         for workers in [1, 4] {
             let outcome = fig4_filter_sweep_parallel(
@@ -144,7 +127,6 @@ mod tests {
                 &net,
                 &data,
                 SignClass::Stop,
-                SweepDepth::ConfidenceOnly,
             )
             .expect("parallel sweep");
             let (points, baseline) = &outcome.summary;

@@ -9,7 +9,7 @@
 //! the classic size-or-timeout micro-batching rule with per-class
 //! windows. The overload controller, when configured, can also close a
 //! congested window *early* and clamp the admission cap at every
-//! dispatch boundary ([`ControllerConfig`]). Before every dispatch the
+//! dispatch boundary ([`OverloadController`]). Before every dispatch the
 //! queue is swept twice for stale requests: once *at the previous
 //! batch's completion boundary* (they were already dead when the server
 //! freed) and once *at dispatch time* (they died while the batch was
@@ -34,7 +34,7 @@
 
 use crate::admission::{Admission, AdmissionQueue, QueueWindow};
 use crate::backend::Backend;
-use crate::controller::{ControllerConfig, OverloadController};
+use crate::controller::OverloadController;
 use crate::metrics::ServeMetrics;
 use crate::report::{DispatchStats, ServeReport, ServeRun};
 use crate::request::{Outcome, Request, RequestClass};
@@ -131,9 +131,9 @@ pub struct ServerConfig {
     /// Queue slots reserved for the safety-critical lane — the floor no
     /// AIMD clamp can take away.
     pub critical_reserve: usize,
-    /// Overload controller; `None` (the default) disables AIMD backoff
+    /// Overload controller; `false` (the default) disables AIMD backoff
     /// and early window closes, reproducing the uncontrolled server.
-    pub control: Option<ControllerConfig>,
+    pub control: bool,
 }
 
 impl ServerConfig {
@@ -145,7 +145,7 @@ impl ServerConfig {
             policy,
             service,
             critical_reserve: 0,
-            control: None,
+            control: false,
         }
     }
 
@@ -156,8 +156,8 @@ impl ServerConfig {
     }
 
     /// Enables the AIMD overload controller.
-    pub fn with_control(mut self, control: ControllerConfig) -> Self {
-        self.control = Some(control);
+    pub fn with_control(mut self) -> Self {
+        self.control = true;
         self
     }
 }
@@ -227,7 +227,7 @@ impl<'a, B: Backend> Dispatcher<'a, B> {
             ring: flight.ring("serve"),
             controller: config
                 .control
-                .map(|c| OverloadController::new(c, queue.capacity(), queue.critical_reserve())),
+                .then(|| OverloadController::new(queue.capacity(), queue.critical_reserve())),
             outcomes: vec![None; trace.len()],
             report: ServeReport::new(),
             dispatch: DispatchStats::default(),
@@ -758,8 +758,7 @@ mod tests {
         for i in 40..60 {
             trace.push(req(i, 100_000 + (i - 40) * 5_000, 10_000_000));
         }
-        let config =
-            cfg(8, 2, 1_000, uniform_service(200, 0)).with_control(ControllerConfig::default());
+        let config = cfg(8, 2, 1_000, uniform_service(200, 0)).with_control();
         let run = drive(&trace, &config, &EchoBackend, &Engine::with_workers(1));
         assert!(run.report.aimd_clamps > 0, "{:?}", run.report);
         assert!(run.report.min_admit_cap < 8, "{:?}", run.report);
@@ -771,7 +770,6 @@ mod tests {
         assert!(!run.control.is_empty());
         assert_eq!(run.control.len() as u64, run.report.batches);
         let replayed = OverloadController::replay(
-            ControllerConfig::default(),
             config.queue_capacity,
             config.critical_reserve,
             &run.control,
@@ -790,7 +788,7 @@ mod tests {
         let uncontrolled = drive(&trace, &base, &EchoBackend, &Engine::with_workers(1));
         let controlled = drive(
             &trace,
-            &base.with_control(ControllerConfig::default()),
+            &base.with_control(),
             &EchoBackend,
             &Engine::with_workers(1),
         );
@@ -823,7 +821,7 @@ mod tests {
             },
         )
         .with_critical_reserve(4)
-        .with_control(ControllerConfig::default());
+        .with_control();
         let reference = drive(&trace, &config, &EchoBackend, &Engine::with_workers(1));
         assert!(reference.report.completed > 0);
         assert!(
@@ -876,7 +874,7 @@ mod tests {
             },
         )
         .with_critical_reserve(2)
-        .with_control(ControllerConfig::default());
+        .with_control();
         let plain = drive(&trace, &config, &EchoBackend, &Engine::with_workers(2));
         let reg = relcnn_obs::Registry::new();
         let metrics = ServeMetrics::registered(&reg);
@@ -946,8 +944,7 @@ mod tests {
         // recorder must narrate each terminal outcome exactly once, on
         // the virtual time axis, without perturbing the replay.
         let trace = LoadGen::new(LoadGenConfig::burst(200, 0x71, 25, 5, 15_000, 3_000)).generate();
-        let config = cfg(12, 4, 800, uniform_service(300, 50))
-            .with_control(crate::controller::ControllerConfig::default());
+        let config = cfg(12, 4, 800, uniform_service(300, 50)).with_control();
         let plain = drive(&trace, &config, &EchoBackend, &Engine::with_workers(1));
         let recorder = TraceRecorder::new("serve-test");
         let traced = run_virtual(

@@ -14,7 +14,7 @@
 //!   shrinks). The cap never drops below the safety-critical lane's
 //!   reservation;
 //! * an **early-close** flag for the batcher: once the queue holds more
-//!   than `congest_percent` of the current cap, waiting out the batch
+//!   than 75 % of the current cap, waiting out the batch
 //!   window only grows latency for everyone behind it, so the next
 //!   window closes as soon as the server frees (never on an empty
 //!   queue — a window always carries at least one request).
@@ -29,40 +29,23 @@
 //! (`tests/wall.rs`).
 //!
 //! Kept on measurement. `serve_bench`'s trace (480 three-class Poisson
-//! requests) replayed with `.with_control(..)` removed — virtual-clock,
+//! requests) replayed with `.with_control()` removed — virtual-clock,
 //! so the numbers reproduce exactly on any machine: critical-lane
 //! goodput falls 30.2 % → 2.1 % and aggregate virtual p99 rises
 //! 19 456 → 21 504 µs, while aggregate goodput rises 17.7 % → 65.6 %.
 //! The controller gives up total goodput to protect the critical lane:
 //! the min-max-across-classes trade, not a throughput optimisation.
 
-/// AIMD + window-feedback tuning. All integer arithmetic, so decisions
-/// replay bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ControllerConfig {
-    /// Additive recovery: admission-cap slots regained per shed-free
-    /// dispatch boundary.
-    pub additive_step: u64,
-    /// Multiplicative clamp: on a boundary that observed sheds, the cap
-    /// becomes `cap * decrease_percent / 100` (floored at the
-    /// safety-critical reservation).
-    pub decrease_percent: u64,
-    /// Early-close threshold: the batch window closes early while
-    /// `queued * 100 >= cap * congest_percent`.
-    pub congest_percent: u64,
-}
-
-impl Default for ControllerConfig {
-    /// Halve on shed bursts, recover one slot per clean boundary, close
-    /// early at 75% cap occupancy.
-    fn default() -> Self {
-        ControllerConfig {
-            additive_step: 1,
-            decrease_percent: 50,
-            congest_percent: 75,
-        }
-    }
-}
+/// Additive recovery: admission-cap slots regained per shed-free
+/// dispatch boundary.
+const ADDITIVE_STEP: u64 = 1;
+/// Multiplicative clamp: on a boundary that observed sheds, the cap
+/// becomes `cap * DECREASE_PERCENT / 100` (floored at the
+/// safety-critical reservation).
+const DECREASE_PERCENT: u64 = 50;
+/// Early-close threshold: the batch window closes early while
+/// `queued * 100 >= cap * CONGEST_PERCENT`.
+const CONGEST_PERCENT: u64 = 75;
 
 /// One controller decision with the observation that produced it — the
 /// unit of the replay-determinism oracle.
@@ -102,7 +85,6 @@ pub struct Decision {
 /// The AIMD admission/window controller. See the module docs.
 #[derive(Debug, Clone)]
 pub struct OverloadController {
-    cfg: ControllerConfig,
     /// Physical queue capacity: the cap's ceiling.
     max_cap: u64,
     /// Safety-critical reservation: the cap's floor (min 1).
@@ -120,11 +102,10 @@ impl OverloadController {
     /// A controller for a queue of `capacity` slots with
     /// `critical_reserve` of them reserved for the safety-critical lane.
     /// The cap starts fully open at `capacity`.
-    pub fn new(cfg: ControllerConfig, capacity: usize, critical_reserve: usize) -> Self {
+    pub fn new(capacity: usize, critical_reserve: usize) -> Self {
         let max_cap = (capacity as u64).max(1);
         let floor = (critical_reserve as u64).clamp(1, max_cap);
         OverloadController {
-            cfg,
             max_cap,
             floor,
             cap: max_cap,
@@ -146,16 +127,16 @@ impl OverloadController {
         if shed_delta > 0 {
             // Multiplicative clamp on the burst; never below the
             // safety-critical reservation.
-            self.cap = (self.cap * self.cfg.decrease_percent / 100).max(self.floor);
+            self.cap = (self.cap * DECREASE_PERCENT / 100).max(self.floor);
             self.clamps += 1;
         } else {
             // Additive recovery while shedding is quiet.
-            self.cap = (self.cap + self.cfg.additive_step).min(self.max_cap);
+            self.cap = (self.cap + ADDITIVE_STEP).min(self.max_cap);
         }
         self.min_cap_seen = self.min_cap_seen.min(self.cap);
         // Early close needs a congested queue AND at least one waiter —
         // a window never closes below one request.
-        let early_close = queued > 0 && queued * 100 >= self.cap * self.cfg.congest_percent;
+        let early_close = queued > 0 && queued * 100 >= self.cap * CONGEST_PERCENT;
         self.early_closes += u64::from(early_close);
         let record = ControlRecord {
             seq: self.seq,
@@ -208,12 +189,11 @@ impl OverloadController {
     /// replayed log equals the original bit for bit, whichever clock
     /// produced the observations.
     pub fn replay(
-        cfg: ControllerConfig,
         capacity: usize,
         critical_reserve: usize,
         log: &[ControlRecord],
     ) -> Vec<ControlRecord> {
-        let mut fresh = OverloadController::new(cfg, capacity, critical_reserve);
+        let mut fresh = OverloadController::new(capacity, critical_reserve);
         let mut shed_total = 0u64;
         for r in log {
             shed_total += r.shed_delta;
@@ -227,13 +207,9 @@ impl OverloadController {
 mod tests {
     use super::*;
 
-    fn ctl(capacity: usize, reserve: usize) -> OverloadController {
-        OverloadController::new(ControllerConfig::default(), capacity, reserve)
-    }
-
     #[test]
     fn window_never_closes_below_one_request() {
-        let mut c = ctl(16, 0);
+        let mut c = OverloadController::new(16, 0);
         // Congestion arithmetic would scream "close" at queued=0 only if
         // the guard were missing: 0 * 100 >= cap * 75 is false anyway,
         // but pin the explicit guard with a cap clamped to the floor.
@@ -250,7 +226,7 @@ mod tests {
 
     #[test]
     fn cap_never_clamps_below_the_critical_reservation() {
-        let mut c = ctl(32, 6);
+        let mut c = OverloadController::new(32, 6);
         assert_eq!(c.floor(), 6);
         let mut shed_total = 0;
         for _ in 0..100 {
@@ -261,7 +237,7 @@ mod tests {
         assert_eq!(c.cap(), 6, "sustained overload should pin the floor");
         assert_eq!(c.min_cap_seen(), 6);
         // A zero reservation still floors at one slot.
-        let mut z = ctl(32, 0);
+        let mut z = OverloadController::new(32, 0);
         for i in 1..200 {
             z.observe(4, i);
         }
@@ -270,7 +246,7 @@ mod tests {
 
     #[test]
     fn recovery_is_monotone_and_additive_after_sheds_stop() {
-        let mut c = ctl(40, 4);
+        let mut c = OverloadController::new(40, 4);
         for i in 1..=5 {
             c.observe(30, i * 3);
         }
@@ -293,7 +269,7 @@ mod tests {
 
     #[test]
     fn multiplicative_clamp_halves_on_a_burst() {
-        let mut c = ctl(32, 2);
+        let mut c = OverloadController::new(32, 2);
         let d = c.observe(20, 9);
         assert_eq!(d.cap, 16, "50% of 32");
         let d = c.observe(20, 12);
@@ -304,12 +280,7 @@ mod tests {
 
     #[test]
     fn decisions_are_a_pure_function_of_observed_history() {
-        let cfg = ControllerConfig {
-            additive_step: 2,
-            decrease_percent: 60,
-            congest_percent: 80,
-        };
-        let mut c = OverloadController::new(cfg, 24, 3);
+        let mut c = OverloadController::new(24, 3);
         // An arbitrary, bursty observation schedule.
         let mut shed_total = 0;
         for i in 0u64..400 {
@@ -318,7 +289,7 @@ mod tests {
             }
             c.observe((i * 13) % 30, shed_total);
         }
-        let replayed = OverloadController::replay(cfg, 24, 3, c.log());
+        let replayed = OverloadController::replay(24, 3, c.log());
         assert_eq!(replayed.len(), c.log().len());
         assert_eq!(replayed, c.log(), "controller decisions must replay");
         // And the serialized shape is stable too.

@@ -52,7 +52,7 @@
 //! * **Per-class SLOs** ([`LoadGenConfig::with_class_mix`] /
 //!   [`with_class_deadlines`](LoadGenConfig::with_class_deadlines)) —
 //!   each class draws its own deadline budget.
-//! * **AIMD overload control** ([`ControllerConfig`]) — the admission
+//! * **AIMD overload control** ([`OverloadController`]) — the admission
 //!   cap halves on shed bursts (never below the critical reservation),
 //!   recovers one slot per clean dispatch boundary, and congested batch
 //!   windows close early. Decisions are integer-pure functions of the
@@ -62,14 +62,15 @@
 //!   reconciled against the report at the end of every run, in every
 //!   build, and hammered by a three-class race test.
 //! * **Live metrics** ([`Server::observed`] + [`ServeMetrics`]) —
-//!   per-request families carry a `class` label; wall-clock runs serve
-//!   the registry over `GET /metrics` while they run.
+//!   per-request families carry a `class` label and update while a run
+//!   executes. The library binds no port: to scrape a run, serve its
+//!   registry yourself (`relcnn_obs::ScrapeServer`).
 //!
 //! ## Quickstart: the `Server` builder
 //!
 //! ```rust
 //! use relcnn_serve::{
-//!     BatchPolicy, ControllerConfig, EchoBackend, LoadGen, LoadGenConfig, Server,
+//!     BatchPolicy, EchoBackend, LoadGen, LoadGenConfig, Server,
 //!     ServerConfig, ServiceModel, RequestClass,
 //! };
 //! use relcnn_faults::SkewedCost;
@@ -90,7 +91,7 @@
 //!     ServiceModel { batch_overhead_us: 100, cost: SkewedCost::periodic(150, 2_000, 13) },
 //! )
 //! .with_critical_reserve(2)
-//! .with_control(ControllerConfig::default());
+//! .with_control();
 //!
 //! let engine = Engine::with_workers(2);
 //! let run = Server::new(config)
@@ -130,7 +131,7 @@ pub use admission::{Admission, AdmissionCounters, AdmissionQueue, QueueWindow};
 pub use backend::{Backend, BatchReply, CnnBackend, CnnVerdict, EchoBackend};
 pub use batcher::{BatchPolicy, ServerConfig, ServiceModel};
 pub use clock::{Clock, VirtualClock, WallClock};
-pub use controller::{ControlRecord, ControllerConfig, Decision, OverloadController};
+pub use controller::{ControlRecord, Decision, OverloadController};
 pub use loadgen::{Arrival, LoadGen, LoadGenConfig};
 pub use metrics::{ClassMetrics, ServeMetrics};
 pub use report::{ClassReport, DispatchStats, ServeReport, ServeRun};

@@ -10,8 +10,8 @@
 use relcnn_faults::SkewedCost;
 use relcnn_runtime::Engine;
 use relcnn_serve::{
-    BatchPolicy, CnnBackend, ControllerConfig, LoadGen, LoadGenConfig, Outcome, OverloadController,
-    Server, ServerConfig, ServiceModel,
+    BatchPolicy, CnnBackend, LoadGen, LoadGenConfig, Outcome, OverloadController, Server,
+    ServerConfig, ServiceModel,
 };
 
 fn config() -> ServerConfig {
@@ -108,9 +108,7 @@ fn classed_controlled_replay_is_identical_across_worker_counts() {
     )
     .generate();
     let backend = CnnBackend::tiny(35).expect("tiny backend");
-    let config = config()
-        .with_critical_reserve(3)
-        .with_control(ControllerConfig::default());
+    let config = config().with_critical_reserve(3).with_control();
     let engine = Engine::with_workers(1);
     let reference = Server::new(config)
         .backend(&backend)
@@ -125,7 +123,6 @@ fn classed_controlled_replay_is_identical_across_worker_counts() {
     assert!(!reference.control.is_empty());
     // Controller purity: the recorded decisions replay bit-identically.
     let replayed = OverloadController::replay(
-        ControllerConfig::default(),
         config.queue_capacity,
         config.critical_reserve,
         &reference.control,

@@ -9,8 +9,8 @@ use relcnn_faults::SkewedCost;
 use relcnn_obs::{scrape_once, Registry, ScrapeServer};
 use relcnn_runtime::Engine;
 use relcnn_serve::{
-    BatchPolicy, ControllerConfig, EchoBackend, LoadGen, LoadGenConfig, OverloadController,
-    RequestClass, Server, ServerConfig, ServiceModel, WallClock,
+    BatchPolicy, EchoBackend, LoadGen, LoadGenConfig, OverloadController, RequestClass, Server,
+    ServerConfig, ServiceModel, WallClock,
 };
 use std::time::{Duration, Instant};
 
@@ -35,7 +35,7 @@ fn overload_config() -> ServerConfig {
         },
     )
     .with_critical_reserve(3)
-    .with_control(ControllerConfig::default())
+    .with_control()
 }
 
 #[test]
@@ -67,12 +67,8 @@ fn wall_overload_conserves_per_class_and_replays_controller_decisions() {
     assert!(run.report.min_admit_cap >= 3, "{:?}", run.report);
     // Controller purity: wall-observed decisions replay bit-identically
     // through a fresh controller — the wall run's determinism oracle.
-    let replayed = OverloadController::replay(
-        ControllerConfig::default(),
-        config.queue_capacity,
-        config.critical_reserve,
-        &run.control,
-    );
+    let replayed =
+        OverloadController::replay(config.queue_capacity, config.critical_reserve, &run.control);
     assert_eq!(replayed, run.control, "controller decisions must be pure");
     assert_eq!(run.control.len() as u64, run.report.batches);
 }

@@ -1,10 +1,11 @@
 //! Unprotected 2-D convolution and pooling kernels.
 //!
-//! Two implementations are provided:
+//! Two lowerings are provided:
 //!
 //! * [`conv2d`] — direct nested-loop convolution, the reference semantics;
-//! * [`conv2d_im2col`] — `im2col` + matmul, the fast "native execution"
-//!   baseline corresponding to the paper's TensorFlow reference time.
+//! * [`im2col_into`] followed by [`gemm_bias_into`](crate::ops::gemm_bias_into)
+//!   — the fast "native execution" path inference runs, corresponding to
+//!   the paper's TensorFlow reference time.
 //!
 //! Both operate on CHW tensors (channels, height, width) with OIHW filter
 //! banks (out-channels, in-channels, kernel-h, kernel-w), the layout AlexNet
@@ -198,8 +199,8 @@ pub fn validate_conv_shapes(
 /// per-filter bias, producing a CHW output of shape
 /// `[out_c, geom.out_h(), geom.out_w()]`.
 ///
-/// This is the semantic reference: `conv2d_im2col` and the reliable
-/// convolution in `relcnn-relexec` are both tested against it.
+/// This is the semantic reference: the `im2col` + GEMM lowering and the
+/// reliable convolution in `relcnn-relexec` are both tested against it.
 ///
 /// # Errors
 ///
@@ -461,37 +462,6 @@ pub fn col2im(cols: &Tensor, in_c: usize, geom: &ConvGeometry) -> Result<Tensor,
     Tensor::from_vec(Shape::d3(in_c, in_h, in_w), out)
 }
 
-/// Fast convolution via `im2col` + matmul; numerically identical (up to
-/// floating-point association) to [`conv2d`].
-///
-/// # Errors
-///
-/// Same error conditions as [`conv2d`].
-pub fn conv2d_im2col(
-    input: &Tensor,
-    filters: &Tensor,
-    bias: Option<&Tensor>,
-    geom: &ConvGeometry,
-) -> Result<Tensor, TensorError> {
-    let (in_c, out_c) = validate_conv_shapes(input, filters, bias, geom)?;
-    let cols = im2col(input, geom)?;
-    let w = filters
-        .reshape(vec![out_c, in_c * geom.k_h() * geom.k_w()])
-        .expect("filter volume unchanged");
-    let mut out = w.matmul(&cols)?;
-    if let Some(b) = bias {
-        let positions = geom.positions();
-        let slice = out.as_mut_slice();
-        for oc in 0..out_c {
-            let bv = b.as_slice()[oc];
-            for v in &mut slice[oc * positions..(oc + 1) * positions] {
-                *v += bv;
-            }
-        }
-    }
-    out.into_reshaped(vec![out_c, geom.out_h(), geom.out_w()])
-}
-
 /// 2-D max pooling over a CHW tensor. Returns the pooled tensor and the flat
 /// argmax offsets (into the input) used by backpropagation.
 ///
@@ -668,6 +638,19 @@ mod tests {
         Tensor::from_fn(Shape::d3(c, h, w), f)
     }
 
+    /// The inference lowering: `im2col_into`, then the GEMM with the
+    /// bias fused at store time.
+    fn lowered(input: &Tensor, filt: &Tensor, bias: &Tensor, g: &ConvGeometry) -> Vec<f32> {
+        let (in_c, out_c) = (input.shape().dim(0), filt.shape().dim(0));
+        let rows = in_c * g.k_h() * g.k_w();
+        let mut cols = vec![0.0; rows * g.positions()];
+        im2col_into(input.as_slice(), in_c, g, &mut cols).unwrap();
+        let mut out = vec![0.0; out_c * g.positions()];
+        let (w, b) = (filt.as_slice(), bias.as_slice());
+        crate::ops::gemm_bias_into(out_c, rows, g.positions(), w, &cols, b, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn geometry_alexnet_conv1() {
         let g = ConvGeometry::new(227, 227, 11, 11, 4, 0).unwrap();
@@ -742,8 +725,8 @@ mod tests {
         for (stride, pad) in [(1usize, 0usize), (2, 0), (1, 1), (3, 2)] {
             let g = ConvGeometry::new(9, 9, 3, 3, stride, pad).unwrap();
             let direct = conv2d(&input, &filt, None, &g).unwrap();
-            let fast = conv2d_im2col(&input, &filt, None, &g).unwrap();
-            assert_eq!(direct.shape(), fast.shape());
+            let fast = lowered(&input, &filt, &Tensor::zeros(Shape::d1(4)), &g);
+            assert_eq!(direct.len(), fast.len());
             for (a, b) in direct.iter().zip(fast.iter()) {
                 assert!(
                     (a - b).abs() < 1e-3,
@@ -760,7 +743,7 @@ mod tests {
         let bias = Tensor::from_vec(Shape::d1(2), vec![0.5, -0.5]).unwrap();
         let g = ConvGeometry::new(5, 5, 2, 2, 1, 0).unwrap();
         let a = conv2d(&input, &filt, Some(&bias), &g).unwrap();
-        let b = conv2d_im2col(&input, &filt, Some(&bias), &g).unwrap();
+        let b = lowered(&input, &filt, &bias, &g);
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() < 1e-4);
         }

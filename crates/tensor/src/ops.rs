@@ -6,18 +6,18 @@
 
 use crate::{Shape, Tensor, TensorError};
 
-/// Default row-block edge of the cache-blocked GEMM kernel.
+/// Row-block edge of the cache-blocked GEMM kernel.
 ///
 /// A block of output rows whose A-panel (`BLOCK_I × k` floats) stays
 /// register/L1-friendly while the B-panel is reused across the whole block.
-pub const GEMM_BLOCK_I: usize = 64;
+const GEMM_BLOCK_I: usize = 64;
 
-/// Default column-block edge of the cache-blocked GEMM kernel.
+/// Column-block edge of the cache-blocked GEMM kernel.
 ///
 /// The B-panel actually reused across an entire row block is
 /// `k × BLOCK_J` floats; 128 columns keeps it L2-resident for every layer
 /// geometry the AlexNet variants produce.
-pub const GEMM_BLOCK_J: usize = 128;
+const GEMM_BLOCK_J: usize = 128;
 
 /// Register accumulator tile: a `4 × 16` output patch lives in local
 /// accumulators across the *entire* k loop and is stored once, instead
@@ -93,29 +93,9 @@ pub fn gemm_bias_into(
     gemm_kernel(m, k, n, a, b, Some(bias), out, GEMM_BLOCK_I, GEMM_BLOCK_J)
 }
 
-/// [`gemm_into`] with explicit block edges — exposed so tests can force
-/// non-tile-multiple and degenerate blockings; production callers use the
-/// default blocks via [`gemm_into`].
-///
-/// # Errors
-///
-/// Returns [`TensorError::LengthMismatch`] when a slice length disagrees
-/// with the given dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into_blocked(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    block_i: usize,
-    block_j: usize,
-) -> Result<(), TensorError> {
-    gemm_kernel(m, k, n, a, b, None, out, block_i, block_j)
-}
-
-/// Shared body of the blocked GEMM entry points. `bias` is `None` for
+/// Shared body of the blocked GEMM entry points, with the block edges as
+/// arguments so the tests can force non-tile-multiple and degenerate
+/// blockings. `bias` is `None` for
 /// the plain product; `Some(per-row constants)` adds `bias[i]` to every
 /// element of row `i` at store time (after the element's accumulation
 /// is complete — never folded into the k loop, the two-pass op order is
@@ -422,7 +402,7 @@ fn gemm_remainder_cols(
 /// chains in flight hide that latency completely.
 const GEMV_ROWS: usize = 8;
 
-/// `n == 1` fast path of [`gemm_into_blocked`]: `out[m] = a[m×k] · b[k]`.
+/// `n == 1` fast path of [`gemm_kernel`]: `out[m] = a[m×k] · b[k]`.
 ///
 /// The general kernel degenerates badly here — its inner column loop has
 /// length 1, so per-k slicing and loop overhead swamp the two useful
@@ -690,46 +670,6 @@ impl Tensor {
         Tensor::from_vec(Shape::d2(m, n), out)
     }
 
-    /// Cache-blocked matrix multiplication into a caller-owned buffer —
-    /// the zero-allocation inference kernel. `out` must hold exactly
-    /// `m × n` elements; it is fully overwritten.
-    ///
-    /// Bit-identical to [`Tensor::matmul`] (see [`gemm_into`] for the
-    /// blocking contract); `matmul` stays the naive reference oracle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] if either operand is not a
-    /// matrix, [`TensorError::ShapeMismatch`] if the inner dimensions
-    /// disagree, or [`TensorError::LengthMismatch`] if `out` has the wrong
-    /// length.
-    pub fn matmul_into(&self, rhs: &Tensor, out: &mut [f32]) -> Result<(), TensorError> {
-        if self.shape().rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.shape().rank(),
-                op: "matmul_into",
-            });
-        }
-        if rhs.shape().rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: rhs.shape().rank(),
-                op: "matmul_into",
-            });
-        }
-        let (m, k) = (self.shape().dim(0), self.shape().dim(1));
-        let (k2, n) = (rhs.shape().dim(0), rhs.shape().dim(1));
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                expected: vec![k, n],
-                actual: vec![k2, n],
-                op: "matmul_into",
-            });
-        }
-        gemm_into(m, k, n, self.as_slice(), rhs.as_slice(), out)
-    }
-
     /// Applies `f` pairwise, validating shape equality.
     fn zip_with(
         &self,
@@ -758,6 +698,8 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::Rand;
+    use proptest::prelude::*;
 
     fn t(v: Vec<f32>) -> Tensor {
         let n = v.len();
@@ -851,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_bit_identical_to_matmul() {
+    fn gemm_into_bit_identical_to_matmul() {
         let a = Tensor::from_fn(Shape::d2(9, 13), |i| {
             ((i[0] * 31 + i[1] * 17) % 23) as f32 / 7.0 - 1.5
         });
@@ -861,14 +803,14 @@ mod tests {
         let reference = a.matmul(&b).unwrap();
         // Garbage-prefilled output: the kernel must fully overwrite it.
         let mut out = vec![f32::NAN; 9 * 11];
-        a.matmul_into(&b, &mut out).unwrap();
+        gemm_into(9, 13, 11, a.as_slice(), b.as_slice(), &mut out).unwrap();
         for (x, y) in out.iter().zip(reference.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
     #[test]
-    fn matmul_into_handles_nan_and_inf_payloads() {
+    fn gemm_into_handles_nan_and_inf_payloads() {
         // The a_ik == 0.0 skip means 0·inf never produces a NaN — blocked
         // and naive kernels must agree on these exact semantics.
         let a = Tensor::from_vec(
@@ -883,7 +825,7 @@ mod tests {
         .unwrap();
         let reference = a.matmul(&b).unwrap();
         let mut out = vec![0.0f32; 4];
-        a.matmul_into(&b, &mut out).unwrap();
+        gemm_into(2, 3, 2, a.as_slice(), b.as_slice(), &mut out).unwrap();
         for (x, y) in out.iter().zip(reference.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -907,7 +849,7 @@ mod tests {
             let reference = a.matmul(&b).unwrap();
             for &(bi, bj) in &[(1usize, 1usize), (2, 3), (64, 128), (1000, 1000)] {
                 let mut out = vec![f32::NAN; m * n];
-                gemm_into_blocked(m, k, n, a.as_slice(), b.as_slice(), &mut out, bi, bj).unwrap();
+                gemm_kernel(m, k, n, a.as_slice(), b.as_slice(), None, &mut out, bi, bj).unwrap();
                 for (x, y) in out.iter().zip(reference.iter()) {
                     assert_eq!(
                         x.to_bits(),
@@ -923,27 +865,17 @@ mod tests {
     fn gemm_into_validates_lengths() {
         let a = vec![0.0f32; 6];
         let b = vec![0.0f32; 6];
+        let bias = vec![0.0f32; 2];
         let mut out = vec![0.0f32; 4];
         assert!(gemm_into(2, 3, 2, &a, &b, &mut out).is_ok());
         assert!(gemm_into(2, 3, 2, &a[..5], &b, &mut out).is_err());
         assert!(gemm_into(2, 3, 2, &a, &b[..5], &mut out).is_err());
         assert!(gemm_into(2, 3, 2, &a, &b, &mut out[..3]).is_err());
-    }
-
-    #[test]
-    fn matmul_into_rejects_bad_shapes() {
-        let a = Tensor::zeros(Shape::d2(2, 3));
-        let b = Tensor::zeros(Shape::d2(2, 2));
-        let mut out = vec![0.0f32; 4];
-        assert!(a.matmul_into(&b, &mut out).is_err());
-        assert!(Tensor::zeros(Shape::d1(3))
-            .matmul_into(&b, &mut out)
-            .is_err());
-        assert!(b
-            .matmul_into(&Tensor::zeros(Shape::d1(3)), &mut out)
-            .is_err());
-        let c = Tensor::zeros(Shape::d2(3, 2));
-        assert!(a.matmul_into(&c, &mut out[..3]).is_err());
+        assert!(gemm_bias_into(2, 3, 2, &a, &b, &bias, &mut out).is_ok());
+        assert!(gemm_bias_into(2, 3, 2, &a[..5], &b, &bias, &mut out).is_err());
+        assert!(gemm_bias_into(2, 3, 2, &a, &b[..5], &bias, &mut out).is_err());
+        assert!(gemm_bias_into(2, 3, 2, &a, &b, &bias, &mut out[..3]).is_err());
+        assert!(gemm_bias_into(2, 3, 2, &a, &b, &bias[..1], &mut out).is_err());
     }
 
     #[test]
@@ -978,6 +910,68 @@ mod tests {
                     acc += a.get(&[i, k]) * b.get(&[k, j]);
                 }
                 assert!((fast.get(&[i, j]) - acc).abs() < 1e-4);
+            }
+        }
+    }
+
+    /// Fills a buffer with entries including the payloads that expose
+    /// accumulation-order drift: zeros (the skip path), NaN and both
+    /// infinities, alongside ordinary finite values.
+    fn gemm_entries(rng: &mut Rand, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.raw_u64() % 16 {
+                0 | 1 => 0.0,
+                2 => f32::NAN,
+                3 => f32::INFINITY,
+                4 => f32::NEG_INFINITY,
+                _ => ((rng.raw_u64() % 2001) as f32 - 1000.0) / 17.0,
+            })
+            .collect()
+    }
+
+    /// Bit equality modulo NaN payload: any NaN matches any NaN.
+    ///
+    /// Per-element accumulation order pins every finite, zero-signed and
+    /// infinite result bit-for-bit, and a NaN result is NaN in both
+    /// kernels. The NaN *payload* is the one non-portable bit: when *both*
+    /// operands of an add/mul are NaN, x86 returns the first source
+    /// operand's payload, and LLVM is free to commute the (value-wise
+    /// commutative) operands differently per codegen unit — so
+    /// `NaN(a) + NaN(b)` may surface either payload depending on
+    /// optimisation level. Single-NaN propagation is unaffected.
+    fn bits_match(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The blocked GEMM is bit-identical to the naive `matmul` oracle
+        /// across shapes (empty / 1-row / 1-col edges included), block
+        /// sizes that do not divide the dimensions, and zero/inf/NaN
+        /// operands (NaN results compared as a class — see [`bits_match`]).
+        #[test]
+        fn blocked_gemm_bit_identical_to_naive(
+            m in 0usize..9, k in 0usize..9, n in 0usize..9,
+            block_i in 1usize..7, block_j in 1usize..7,
+            seed in 0u64..10_000,
+        ) {
+            let mut rng = Rand::seeded(seed);
+            let a = Tensor::from_vec(Shape::d2(m, k), gemm_entries(&mut rng, m * k)).unwrap();
+            let b = Tensor::from_vec(Shape::d2(k, n), gemm_entries(&mut rng, k * n)).unwrap();
+            let oracle = a.matmul(&b).unwrap();
+            // Default blocking through the public entry point.
+            let mut out = vec![f32::NAN; m * n];
+            gemm_into(m, k, n, a.as_slice(), b.as_slice(), &mut out).unwrap();
+            for (x, y) in out.iter().zip(oracle.iter()) {
+                prop_assert!(bits_match(*x, *y), "{:#010x} vs {:#010x}", x.to_bits(), y.to_bits());
+            }
+            // Arbitrary (non-dividing) blockings through the kernel.
+            let mut out = vec![f32::NAN; m * n];
+            gemm_kernel(m, k, n, a.as_slice(), b.as_slice(), None, &mut out, block_i, block_j)
+                .unwrap();
+            for (x, y) in out.iter().zip(oracle.iter()) {
+                prop_assert!(bits_match(*x, *y), "{:#010x} vs {:#010x}", x.to_bits(), y.to_bits());
             }
         }
     }

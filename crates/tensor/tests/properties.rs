@@ -2,41 +2,12 @@
 
 use proptest::prelude::*;
 use relcnn_tensor::conv::{
-    col2im, conv2d, conv2d_im2col, im2col, im2col_into, max_pool2d, max_pool2d_into, ConvGeometry,
+    col2im, conv2d, im2col, im2col_into, max_pool2d, max_pool2d_into, ConvGeometry,
 };
 use relcnn_tensor::init::Rand;
-use relcnn_tensor::ops::gemm_into_blocked;
+use relcnn_tensor::ops::{gemm_bias_into, gemm_into};
 use relcnn_tensor::serial::{from_bytes, to_bytes};
 use relcnn_tensor::{Shape, Tensor};
-
-/// Fills a buffer with entries including the payloads that expose
-/// accumulation-order drift: zeros (the skip path), NaN and both
-/// infinities, alongside ordinary finite values.
-fn gemm_entries(rng: &mut Rand, len: usize) -> Vec<f32> {
-    (0..len)
-        .map(|_| match rng.raw_u64() % 16 {
-            0 | 1 => 0.0,
-            2 => f32::NAN,
-            3 => f32::INFINITY,
-            4 => f32::NEG_INFINITY,
-            _ => ((rng.raw_u64() % 2001) as f32 - 1000.0) / 17.0,
-        })
-        .collect()
-}
-
-/// Bit equality modulo NaN payload: any NaN matches any NaN.
-///
-/// Per-element accumulation order pins every finite, zero-signed and
-/// infinite result bit-for-bit, and a NaN result is NaN in both
-/// kernels. The NaN *payload* is the one non-portable bit: when *both*
-/// operands of an add/mul are NaN, x86 returns the first source
-/// operand's payload, and LLVM is free to commute the (value-wise
-/// commutative) operands differently per codegen unit — so
-/// `NaN(a) + NaN(b)` may surface either payload depending on
-/// optimisation level. Single-NaN propagation is unaffected.
-fn bits_match(x: f32, y: f32) -> bool {
-    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
-}
 
 fn small_tensor(max_len: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-100.0f32..100.0, 1..max_len).prop_map(|v| {
@@ -90,35 +61,6 @@ proptest! {
         }
     }
 
-    /// Blocked `matmul_into` is bit-identical to the naive `matmul` oracle
-    /// across shapes (empty / 1-row / 1-col edges included), block sizes
-    /// that do not divide the dimensions, and zero/inf/NaN operands
-    /// (NaN results compared as a class — see [`bits_match`]).
-    #[test]
-    fn blocked_gemm_bit_identical_to_naive(
-        m in 0usize..9, k in 0usize..9, n in 0usize..9,
-        block_i in 1usize..7, block_j in 1usize..7,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = Rand::seeded(seed);
-        let a = Tensor::from_vec(Shape::d2(m, k), gemm_entries(&mut rng, m * k)).unwrap();
-        let b = Tensor::from_vec(Shape::d2(k, n), gemm_entries(&mut rng, k * n)).unwrap();
-        let oracle = a.matmul(&b).unwrap();
-        // Default blocking through the public entry point.
-        let mut out = vec![f32::NAN; m * n];
-        a.matmul_into(&b, &mut out).unwrap();
-        for (x, y) in out.iter().zip(oracle.iter()) {
-            prop_assert!(bits_match(*x, *y), "{:#010x} vs {:#010x}", x.to_bits(), y.to_bits());
-        }
-        // Arbitrary (non-dividing) blockings through the test hook.
-        let mut out = vec![f32::NAN; m * n];
-        gemm_into_blocked(m, k, n, a.as_slice(), b.as_slice(), &mut out, block_i, block_j)
-            .unwrap();
-        for (x, y) in out.iter().zip(oracle.iter()) {
-            prop_assert!(bits_match(*x, *y), "{:#010x} vs {:#010x}", x.to_bits(), y.to_bits());
-        }
-    }
-
     /// `im2col_into` reproduces the allocating `im2col` byte for byte even
     /// into a garbage-prefilled scratch buffer, and `max_pool2d_into`
     /// matches `max_pool2d` the same way.
@@ -151,7 +93,9 @@ proptest! {
         }
     }
 
-    /// im2col convolution equals direct convolution for random geometry.
+    /// The inference lowering (`im2col_into`, then `gemm_into`, or
+    /// `gemm_bias_into` with a bias — what `Conv2d::infer` runs) equals
+    /// direct convolution for random geometry, with and without bias.
     #[test]
     fn conv_implementations_agree(
         in_c in 1usize..3, out_c in 1usize..3,
@@ -164,11 +108,23 @@ proptest! {
         let mut rng = Rand::seeded(seed);
         let input = rng.tensor(Shape::d3(in_c, size, size), relcnn_tensor::init::Init::Uniform { lo: -1.0, hi: 1.0 });
         let filt = rng.tensor(Shape::d4(out_c, in_c, k, k), relcnn_tensor::init::Init::Uniform { lo: -1.0, hi: 1.0 });
-        let direct = conv2d(&input, &filt, None, &geom).unwrap();
-        let fast = conv2d_im2col(&input, &filt, None, &geom).unwrap();
-        prop_assert_eq!(direct.shape(), fast.shape());
-        for (a, b) in direct.iter().zip(fast.iter()) {
-            prop_assert!((a - b).abs() < 1e-3);
+        let bias = rng.tensor(Shape::d1(out_c), relcnn_tensor::init::Init::Uniform { lo: -1.0, hi: 1.0 });
+        let (rows, positions) = (in_c * k * k, geom.positions());
+        let mut cols = vec![f32::NAN; rows * positions];
+        im2col_into(input.as_slice(), in_c, &geom, &mut cols).unwrap();
+        for bias in [None, Some(&bias)] {
+            let direct = conv2d(&input, &filt, bias, &geom).unwrap();
+            let mut fast = vec![f32::NAN; out_c * positions];
+            let w = filt.as_slice();
+            match bias {
+                None => gemm_into(out_c, rows, positions, w, &cols, &mut fast),
+                Some(b) => gemm_bias_into(out_c, rows, positions, w, &cols, b.as_slice(), &mut fast),
+            }
+            .unwrap();
+            prop_assert_eq!(direct.len(), fast.len());
+            for (a, b) in direct.iter().zip(fast.iter()) {
+                prop_assert!((a - b).abs() < 1e-3);
+            }
         }
     }
 

@@ -7,8 +7,8 @@
 //! detects any single-replica corruption regardless of magnitude.
 
 use relcnn::faults::{bits, FaultSite, ScriptedFault, ScriptedInjector};
+use relcnn::nn::alexnet;
 use relcnn::nn::ranger::{ActivationRange, RangeSupervisor};
-use relcnn::nn::{alexnet, Mode};
 use relcnn::relexec::conv::{reliable_conv2d, ReliableConvConfig};
 use relcnn::relexec::{BucketConfig, DmrAlu, PlainAlu, RetryPolicy};
 use relcnn::tensor::conv::{conv2d, ConvGeometry};
@@ -119,14 +119,14 @@ fn ranger_calibration_on_real_network() {
     // verify a corrupted intermediate activation is caught at the layer
     // where it exceeds the envelope.
     let mut rng = Rand::seeded(33);
-    let mut net = alexnet::tiny_cnn(4, 16, &mut rng).unwrap();
+    let net = alexnet::tiny_cnn(4, 16, &mut rng).unwrap();
     let calibration: Vec<Tensor> = (0..5)
         .map(|_| rng.tensor(Shape::d3(3, 16, 16), Init::Uniform { lo: 0.0, hi: 1.0 }))
         .collect();
-    let sup = RangeSupervisor::fit(&mut net, &calibration, 0.1).unwrap();
+    let sup = RangeSupervisor::fit(&net, &calibration, 0.1).unwrap();
 
     let probe = rng.tensor(Shape::d3(3, 16, 16), Init::Uniform { lo: 0.0, hi: 1.0 });
-    let mut conv_out = net.forward_trace(&probe, Mode::Eval).unwrap().remove(0);
+    let mut conv_out = net.forward_trace(&probe).unwrap().remove(0);
     // Inject an exponent upset into the conv output.
     let v = conv_out.as_slice()[7];
     conv_out.as_mut_slice()[7] = bits::flip_bit(if v == 0.0 { 0.1 } else { v }, 30);

@@ -2,7 +2,7 @@
 //! or silent misbehaviour — the API contract a safety-critical caller
 //! relies on.
 
-use relcnn::core::experiments::{fig4_filter_sweep, train_gtsrb_model, SweepDepth};
+use relcnn::core::experiments::{fig4_filter_sweep, train_gtsrb_model};
 use relcnn::core::{HybridCnn, HybridConfig};
 use relcnn::gtsrb::{DatasetConfig, SignClass, SyntheticGtsrb};
 use relcnn::nn::train::TrainConfig;
@@ -61,14 +61,11 @@ fn confidence_only_sweep_skips_accuracy() {
         seed: 4,
     };
     let (mut net, _) = train_gtsrb_model(&data, &tc, 5).expect("training");
-    let (points, baseline) =
-        fig4_filter_sweep(&mut net, &data, SignClass::Stop, SweepDepth::ConfidenceOnly)
-            .expect("sweep");
+    let (points, baseline) = fig4_filter_sweep(&mut net, &data, SignClass::Stop).expect("sweep");
     assert_eq!(points.len(), 96);
     assert!(baseline.accuracy.is_finite(), "baseline always evaluated");
     for p in &points {
         assert!(p.stop_confidence.is_finite());
-        assert!(p.accuracy.is_nan(), "per-filter accuracy skipped");
     }
 }
 

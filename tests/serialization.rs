@@ -66,7 +66,6 @@ fn experiment_artefacts_serialise() {
     let point = SweepPoint {
         filter: 3,
         stop_confidence: 0.82,
-        accuracy: 0.9,
     };
     let json = serde_json::to_string(&point).expect("serialize");
     let back: SweepPoint = serde_json::from_str(&json).expect("deserialize");
