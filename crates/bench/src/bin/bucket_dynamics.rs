@@ -14,8 +14,8 @@
 
 use relcnn_bench::write_csv;
 use relcnn_faults::{bits, FaultSite, ScriptedFault, ScriptedInjector};
-use relcnn_relexec::conv::{reliable_conv2d, ReliableConvConfig};
-use relcnn_relexec::{BucketConfig, DmrAlu, RetryPolicy};
+use relcnn_relexec::conv::{reliable_partition, ReliableConvConfig};
+use relcnn_relexec::{BucketConfig, RedundancyMode, RetryPolicy};
 use relcnn_runtime::{CollectSink, Engine, FnTrial, RunPlan, TrialCtx};
 use relcnn_tensor::conv::ConvGeometry;
 use relcnn_tensor::init::{Init, Rand};
@@ -85,8 +85,17 @@ fn main() {
                 retry: RetryPolicy::paper(),
                 pe_count: 8,
             };
-            let mut alu = DmrAlu::new(ScriptedInjector::new(faults.clone()));
-            let result = reliable_conv2d(&input, &weights, None, &geom, &mut alu, &config);
+            // `false`: the convolution alone, no ReLU stage.
+            let result = reliable_partition(
+                RedundancyMode::Dmr,
+                &input,
+                &weights,
+                None,
+                &geom,
+                false,
+                &mut ScriptedInjector::new(faults.clone()),
+                &config,
+            );
             match &result {
                 Ok(out) => (true, out.stats.retries, out.stats.recovered),
                 Err(_) => (false, 0, 0),

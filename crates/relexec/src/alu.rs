@@ -62,15 +62,25 @@ pub trait QualifiedAlu {
 /// see the three aliases [`PlainAlu`], [`DmrAlu`] and [`TmrAlu`]. Any
 /// other `N` fails to compile.
 ///
-/// `I` is an injector or a `&mut` borrow of one: an ALU built on
-/// `&mut injector` advances the caller's own fault stream and counters.
+/// Every ALU in the workspace is built around `&mut injector`: it
+/// advances the caller's own fault stream and counters, which stand where
+/// execution stopped, also on an abort. Production and the Table-1 timings
+/// build theirs inside [`reliable_partition`](crate::conv::reliable_partition).
+///
+/// How the kernel reaches the ALU moves time, not bits: called out of line
+/// on a caller's `&mut Alu`, [`reliable_conv2d`](crate::conv::reliable_conv2d)
+/// stores the ALU's operation index, its cycles and the exposure counter
+/// around every replica's `black_box`, while inlined into
+/// `reliable_partition` over a local ALU (as in every build checked) it
+/// keeps index and cycles in registers and stores only the injector's
+/// exposure counter, once per operation.
 ///
 /// ```compile_fail
 /// use relcnn_faults::NoFaults;
 /// use relcnn_relexec::{Alu, QualifiedAlu};
 ///
 /// // No redundancy mode has four replicas.
-/// Alu::<_, 4>::new(NoFaults::new()).mul(1.0, 1.0);
+/// Alu::<_, 4>::new(&mut NoFaults::new()).mul(1.0, 1.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Alu<I, const N: usize> {
@@ -119,7 +129,11 @@ impl<I: FaultInjector, const N: usize> Alu<I, N> {
         _ => panic!("an ALU has 1 (plain), 2 (DMR) or 3 (TMR) replicas"),
     };
 
-    /// Creates the ALU around a fault injector (or a borrow of one).
+    /// Creates the ALU around `injector`, which every caller in the
+    /// workspace passes as `&mut injector`. The parameter still takes any
+    /// injector only because the benchmark package's probe builds its ALUs
+    /// around an owned `NoFaults`, the owned form's last caller; it narrows
+    /// to `&'a mut I` once that probe calls `reliable_partition`.
     pub fn new(injector: I) -> Self {
         Alu {
             injector,
@@ -236,10 +250,8 @@ mod tests {
     fn plain_always_qualifies_even_when_corrupted() {
         // A transient flip at op 0 silently passes Algorithm 1's constant
         // qualifier — the motivating failure mode.
-        let mut alu = PlainAlu::new(ScriptedInjector::new([ScriptedFault::transient_flip(
-            0,
-            bits::SIGN_BIT,
-        )]));
+        let mut inj = ScriptedInjector::new([ScriptedFault::transient_flip(0, bits::SIGN_BIT)]);
+        let mut alu = PlainAlu::new(&mut inj);
         let q = alu.mul(2.0, 3.0);
         assert!(q.is_ok(), "Algorithm 1 qualifier is constantly true");
         assert_eq!(q.value(), -6.0, "…but the value is corrupted");
@@ -247,11 +259,9 @@ mod tests {
 
     #[test]
     fn dmr_detects_single_replica_fault() {
-        let mut alu = DmrAlu::new(ScriptedInjector::new([ScriptedFault::transient_flip(
-            0,
-            bits::SIGN_BIT,
-        )
-        .on_replica(1)]));
+        let mut inj =
+            ScriptedInjector::new([ScriptedFault::transient_flip(0, bits::SIGN_BIT).on_replica(1)]);
+        let mut alu = DmrAlu::new(&mut inj);
         let q = alu.mul(2.0, 3.0);
         assert!(!q.is_ok(), "replica disagreement must fail the qualifier");
         assert_eq!(q.value(), 6.0, "replica 0 was healthy");
@@ -261,11 +271,9 @@ mod tests {
     fn dmr_misses_common_mode_load_fault() {
         // Fault on the weight load corrupts the shared operand: both
         // replicas agree on the wrong product.
-        let mut alu = DmrAlu::new(ScriptedInjector::new([ScriptedFault::transient_flip(
-            0,
-            bits::SIGN_BIT,
-        )
-        .at_site(relcnn_faults::FaultSite::WeightLoad)]));
+        let mut inj = ScriptedInjector::new([ScriptedFault::transient_flip(0, bits::SIGN_BIT)
+            .at_site(relcnn_faults::FaultSite::WeightLoad)]);
+        let mut alu = DmrAlu::new(&mut inj);
         let w = alu.load_weight(2.0);
         assert_eq!(w, -2.0);
         let q = alu.mul(w, 3.0);
@@ -277,10 +285,11 @@ mod tests {
     fn dmr_identical_double_fault_is_undetectable() {
         // Same bit flipped in both replicas -> comparison passes. This is
         // the residual risk the guarantee analysis quantifies as ~p².
-        let mut alu = DmrAlu::new(ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(0, bits::SIGN_BIT).on_replica(0),
             ScriptedFault::transient_flip(0, bits::SIGN_BIT).on_replica(1),
-        ]));
+        ]);
+        let mut alu = DmrAlu::new(&mut inj);
         let q = alu.mul(2.0, 3.0);
         assert!(q.is_ok());
         assert_eq!(q.value(), -6.0);
@@ -288,11 +297,9 @@ mod tests {
 
     #[test]
     fn tmr_corrects_single_replica_fault() {
-        let mut alu = TmrAlu::new(ScriptedInjector::new([ScriptedFault::transient_flip(
-            0,
-            bits::SIGN_BIT,
-        )
-        .on_replica(0)]));
+        let mut inj =
+            ScriptedInjector::new([ScriptedFault::transient_flip(0, bits::SIGN_BIT).on_replica(0)]);
+        let mut alu = TmrAlu::new(&mut inj);
         let q = alu.mul(2.0, 3.0);
         assert!(q.is_ok(), "vote masks the minority replica");
         assert_eq!(
@@ -304,10 +311,11 @@ mod tests {
 
     #[test]
     fn tmr_two_identical_bad_replicas_outvote_truth() {
-        let mut alu = TmrAlu::new(ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(0, bits::SIGN_BIT).on_replica(0),
             ScriptedFault::transient_flip(0, bits::SIGN_BIT).on_replica(1),
-        ]));
+        ]);
+        let mut alu = TmrAlu::new(&mut inj);
         let q = alu.mul(2.0, 3.0);
         assert!(q.is_ok(), "vote cannot distinguish a corrupted majority");
         assert_eq!(q.value(), -6.0);
@@ -315,19 +323,23 @@ mod tests {
 
     #[test]
     fn tmr_three_way_disagreement_fails() {
-        let mut alu = TmrAlu::new(ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(0, bits::SIGN_BIT).on_replica(0),
             ScriptedFault::transient_flip(0, 23).on_replica(1),
-        ]));
+        ]);
+        let mut alu = TmrAlu::new(&mut inj);
         let q = alu.mul(2.0, 3.0);
         assert!(!q.is_ok());
     }
 
     #[test]
     fn fault_free_all_modes_agree_with_arithmetic() {
-        let mut plain = PlainAlu::new(NoFaults::new());
-        let mut dmr = DmrAlu::new(NoFaults::new());
-        let mut tmr = TmrAlu::new(NoFaults::new());
+        let mut plain_inj = NoFaults::new();
+        let mut plain = PlainAlu::new(&mut plain_inj);
+        let mut dmr_inj = NoFaults::new();
+        let mut dmr = DmrAlu::new(&mut dmr_inj);
+        let mut tmr_inj = NoFaults::new();
+        let mut tmr = TmrAlu::new(&mut tmr_inj);
         for (a, b) in [(1.5f32, 2.0f32), (-3.0, 0.25), (0.0, 7.0)] {
             for q in [plain.mul(a, b), dmr.mul(a, b), tmr.mul(a, b)] {
                 assert!(q.is_ok());
@@ -343,12 +355,10 @@ mod tests {
     #[test]
     fn rollback_reuses_op_index() {
         // Permanent scripted fault at op 0 must hit the retry too.
-        let mut alu = DmrAlu::new(ScriptedInjector::new([ScriptedFault::transient_flip(
-            0,
-            bits::SIGN_BIT,
-        )
-        .on_replica(1)
-        .permanent()]));
+        let mut inj = ScriptedInjector::new([ScriptedFault::transient_flip(0, bits::SIGN_BIT)
+            .on_replica(1)
+            .permanent()]);
+        let mut alu = DmrAlu::new(&mut inj);
         let q1 = alu.mul(2.0, 3.0);
         assert!(!q1.is_ok());
         assert_eq!(alu.op_count(), 1);
@@ -360,11 +370,9 @@ mod tests {
 
     #[test]
     fn transient_fault_clears_on_rollback_retry() {
-        let mut alu = DmrAlu::new(ScriptedInjector::new([ScriptedFault::transient_flip(
-            0,
-            bits::SIGN_BIT,
-        )
-        .on_replica(1)]));
+        let mut inj =
+            ScriptedInjector::new([ScriptedFault::transient_flip(0, bits::SIGN_BIT).on_replica(1)]);
+        let mut alu = DmrAlu::new(&mut inj);
         assert!(!alu.mul(2.0, 3.0).is_ok());
         alu.rollback_op();
         let retry = alu.mul(2.0, 3.0);
@@ -374,9 +382,12 @@ mod tests {
 
     #[test]
     fn cycle_accounting_ordered_by_mode() {
-        let mut plain = PlainAlu::new(NoFaults::new());
-        let mut dmr = DmrAlu::new(NoFaults::new());
-        let mut tmr = TmrAlu::new(NoFaults::new());
+        let mut plain_inj = NoFaults::new();
+        let mut plain = PlainAlu::new(&mut plain_inj);
+        let mut dmr_inj = NoFaults::new();
+        let mut dmr = DmrAlu::new(&mut dmr_inj);
+        let mut tmr_inj = NoFaults::new();
+        let mut tmr = TmrAlu::new(&mut tmr_inj);
         for _ in 0..10 {
             plain.mul(1.0, 1.0);
             dmr.mul(1.0, 1.0);
@@ -388,7 +399,8 @@ mod tests {
 
     #[test]
     fn op_counting_and_exposures() {
-        let mut dmr = DmrAlu::new(NoFaults::new());
+        let mut inj = NoFaults::new();
+        let mut dmr = DmrAlu::new(&mut inj);
         dmr.load_weight(1.0);
         dmr.load_activation(2.0);
         dmr.mul(1.0, 2.0);
@@ -404,12 +416,8 @@ mod tests {
         use relcnn_faults::{FaultSite, StuckBitInjector};
         // Both replicas run on PE 0: the stuck bit corrupts both
         // identically and the comparison passes: SILENT.
-        let mut dmr = DmrAlu::new(StuckBitInjector::new(
-            0,
-            FaultSite::Multiplier,
-            bits::SIGN_BIT,
-            true,
-        ));
+        let mut inj = StuckBitInjector::new(0, FaultSite::Multiplier, bits::SIGN_BIT, true);
+        let mut dmr = DmrAlu::new(&mut inj);
         let q = dmr.mul(2.0, 3.0);
         assert!(q.is_ok(), "temporal DMR cannot see a shared-PE defect");
         assert_eq!(q.value(), -6.0, "…and the value is silently wrong");
@@ -418,12 +426,8 @@ mod tests {
     #[test]
     fn pe_is_threaded_to_injector() {
         use relcnn_faults::{FaultSite, StuckBitInjector};
-        let mut alu = PlainAlu::new(StuckBitInjector::new(
-            5,
-            FaultSite::Multiplier,
-            bits::SIGN_BIT,
-            true,
-        ));
+        let mut inj = StuckBitInjector::new(5, FaultSite::Multiplier, bits::SIGN_BIT, true);
+        let mut alu = PlainAlu::new(&mut inj);
         alu.set_pe(4);
         assert_eq!(alu.mul(2.0, 3.0).value(), 6.0, "healthy PE");
         alu.set_pe(5);

@@ -395,10 +395,13 @@ pub fn reliable_relu<A: QualifiedAlu>(
 /// the convolution's with the ReLU stage's operations, failures, retries,
 /// recoveries and cycles added and the higher of the two bucket peaks.
 ///
-/// This is the workspace's one `RedundancyMode` → ALU type dispatch;
-/// callers that know their mode statically build a
-/// [`PlainAlu`](crate::PlainAlu), [`DmrAlu`](crate::DmrAlu) or
-/// [`TmrAlu`](crate::TmrAlu) and call the kernels directly.
+/// This is the workspace's one `RedundancyMode` → ALU type dispatch, and
+/// the way in for every caller that runs or times the kernel, also when its
+/// mode is known statically: each stage's ALU is a local here, so the
+/// kernel is the instantiation `classify` runs. Only the kernels' own tests
+/// build a [`PlainAlu`](crate::PlainAlu), [`DmrAlu`](crate::DmrAlu) or
+/// [`TmrAlu`](crate::TmrAlu) around `&mut injector` and call
+/// [`reliable_conv2d`] or [`reliable_relu`] directly.
 ///
 /// # Errors
 ///
@@ -443,7 +446,7 @@ fn partition_on<I: FaultInjector, const N: usize>(
         return Ok(conv);
     }
     // Qualified comparator ops share the bucket semantics.
-    let mut alu = Alu::<_, N>::new(injector);
+    let mut alu = Alu::<_, N>::new(&mut *injector);
     let rect = reliable_relu(&conv.output, &mut alu, config)?;
     let mut stats = conv.stats;
     stats.acc_ops += rect.stats.acc_ops;
@@ -560,15 +563,15 @@ mod tests {
 
     fn observe<I: FaultInjector, const N: usize>(
         reference: bool,
-        injector: I,
+        mut injector: I,
         case: &Case,
         config: &ReliableConvConfig,
     ) -> Observed {
-        let mut alu = Alu::<I, N>::new(injector);
+        let mut alu = Alu::<&mut I, N>::new(&mut injector);
         let kernel = if reference {
-            reference_conv2d::<Alu<I, N>>
+            reference_conv2d::<Alu<&mut I, N>>
         } else {
-            reliable_conv2d::<Alu<I, N>>
+            reliable_conv2d::<Alu<&mut I, N>>
         };
         let result = kernel(
             &case.input,
@@ -801,9 +804,12 @@ mod tests {
         let golden = conv2d(&input, &filters, Some(&bias), &geom).unwrap();
         let config = ReliableConvConfig::default();
 
-        let mut plain = PlainAlu::new(NoFaults::new());
-        let mut dmr = DmrAlu::new(NoFaults::new());
-        let mut tmr = TmrAlu::new(NoFaults::new());
+        let mut plain_inj = NoFaults::new();
+        let mut plain = PlainAlu::new(&mut plain_inj);
+        let mut dmr_inj = NoFaults::new();
+        let mut dmr = DmrAlu::new(&mut dmr_inj);
+        let mut tmr_inj = NoFaults::new();
+        let mut tmr = TmrAlu::new(&mut tmr_inj);
 
         for out in [
             reliable_conv2d(&input, &filters, Some(&bias), &geom, &mut plain, &config).unwrap(),
@@ -823,7 +829,8 @@ mod tests {
     #[test]
     fn op_counts_match_mac_count() {
         let (input, filters, bias, geom) = small_problem();
-        let mut alu = DmrAlu::new(NoFaults::new());
+        let mut inj = NoFaults::new();
+        let mut alu = DmrAlu::new(&mut inj);
         let out = reliable_conv2d(
             &input,
             &filters,
@@ -844,10 +851,10 @@ mod tests {
         let (input, filters, bias, geom) = small_problem();
         let golden = conv2d(&input, &filters, Some(&bias), &geom).unwrap();
         // Fault in replica 1 of multiply op #100.
-        let inj = ScriptedInjector::new([ScriptedFault::transient_flip(100, bits::SIGN_BIT)
+        let mut inj = ScriptedInjector::new([ScriptedFault::transient_flip(100, bits::SIGN_BIT)
             .on_replica(1)
             .at_site(FaultSite::Multiplier)]);
-        let mut alu = DmrAlu::new(inj);
+        let mut alu = DmrAlu::new(&mut inj);
         let out = reliable_conv2d(
             &input,
             &filters,
@@ -870,10 +877,10 @@ mod tests {
     fn plain_alu_silently_corrupts() {
         let (input, filters, bias, geom) = small_problem();
         let golden = conv2d(&input, &filters, Some(&bias), &geom).unwrap();
-        let inj = ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(100, bits::SIGN_BIT).at_site(FaultSite::Multiplier)
         ]);
-        let mut alu = PlainAlu::new(inj);
+        let mut alu = PlainAlu::new(&mut inj);
         let out = reliable_conv2d(
             &input,
             &filters,
@@ -896,11 +903,11 @@ mod tests {
     #[test]
     fn permanent_fault_aborts_as_persistent() {
         let (input, filters, bias, geom) = small_problem();
-        let inj = ScriptedInjector::new([ScriptedFault::transient_flip(10, bits::SIGN_BIT)
+        let mut inj = ScriptedInjector::new([ScriptedFault::transient_flip(10, bits::SIGN_BIT)
             .on_replica(1)
             .at_site(FaultSite::Multiplier)
             .permanent()]);
-        let mut alu = DmrAlu::new(inj);
+        let mut alu = DmrAlu::new(&mut inj);
         let err = reliable_conv2d(
             &input,
             &filters,
@@ -922,10 +929,10 @@ mod tests {
     fn tmr_corrects_without_retry() {
         let (input, filters, bias, geom) = small_problem();
         let golden = conv2d(&input, &filters, Some(&bias), &geom).unwrap();
-        let inj = ScriptedInjector::new([ScriptedFault::transient_flip(50, bits::SIGN_BIT)
+        let mut inj = ScriptedInjector::new([ScriptedFault::transient_flip(50, bits::SIGN_BIT)
             .on_replica(2)
             .at_site(FaultSite::Multiplier)]);
-        let mut alu = TmrAlu::new(inj);
+        let mut alu = TmrAlu::new(&mut inj);
         let out = reliable_conv2d(
             &input,
             &filters,
@@ -946,7 +953,7 @@ mod tests {
     fn two_isolated_faults_tolerated_two_adjacent_abort() {
         let (input, filters, bias, geom) = small_problem();
         // Isolated: ops 100 and 500 — plenty of successes between.
-        let inj = ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(100, bits::SIGN_BIT)
                 .on_replica(1)
                 .at_site(FaultSite::Multiplier),
@@ -954,7 +961,7 @@ mod tests {
                 .on_replica(1)
                 .at_site(FaultSite::Multiplier),
         ]);
-        let mut alu = DmrAlu::new(inj);
+        let mut alu = DmrAlu::new(&mut inj);
         let out = reliable_conv2d(
             &input,
             &filters,
@@ -968,7 +975,7 @@ mod tests {
 
         // Adjacent: ops 100 and 101 — the success between (acc of op 100's
         // MAC partner) cannot cancel the first error's +2.
-        let inj = ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(100, bits::SIGN_BIT)
                 .on_replica(1)
                 .at_site(FaultSite::Multiplier),
@@ -976,7 +983,7 @@ mod tests {
                 .on_replica(1)
                 .at_site(FaultSite::Accumulator),
         ]);
-        let mut alu = DmrAlu::new(inj);
+        let mut alu = DmrAlu::new(&mut inj);
         let err = reliable_conv2d(
             &input,
             &filters,
@@ -994,10 +1001,10 @@ mod tests {
     #[test]
     fn no_retry_policy_fails_fast() {
         let (input, filters, bias, geom) = small_problem();
-        let inj = ScriptedInjector::new([ScriptedFault::transient_flip(10, bits::SIGN_BIT)
+        let mut inj = ScriptedInjector::new([ScriptedFault::transient_flip(10, bits::SIGN_BIT)
             .on_replica(0)
             .at_site(FaultSite::Multiplier)]);
-        let mut alu = DmrAlu::new(inj);
+        let mut alu = DmrAlu::new(&mut inj);
         let config = ReliableConvConfig {
             bucket: BucketConfig::new(1, 100),
             retry: RetryPolicy::none(),
@@ -1014,7 +1021,8 @@ mod tests {
     fn shape_validation_errors() {
         let (input, filters, bias, geom) = small_problem();
         let config = ReliableConvConfig::default();
-        let mut alu = PlainAlu::new(NoFaults::new());
+        let mut inj = NoFaults::new();
+        let mut alu = PlainAlu::new(&mut inj);
         // Wrong input rank.
         let flat = input.reshape(vec![2 * 5 * 5]).unwrap();
         assert!(matches!(
@@ -1043,27 +1051,28 @@ mod tests {
         let input =
             Tensor::from_vec(Shape::d3(1, 2, 3), vec![-1.5, 2.0, 0.0, -0.25, 3.5, -7.0]).unwrap();
         // Fault-free: exact ReLU.
-        let mut alu = DmrAlu::new(NoFaults::new());
+        let mut inj = NoFaults::new();
+        let mut alu = DmrAlu::new(&mut inj);
         let out = reliable_relu(&input, &mut alu, &ReliableConvConfig::default()).unwrap();
         assert_eq!(out.output.as_slice(), &[0.0, 2.0, 0.0, 0.0, 3.5, 0.0]);
         assert_eq!(out.stats.acc_ops, 6);
         assert_eq!(out.stats.failed_ops, 0);
 
         // Transient comparator fault in one replica: detected + recovered.
-        let inj = ScriptedInjector::new([ScriptedFault::transient_flip(1, bits::SIGN_BIT)
+        let mut inj = ScriptedInjector::new([ScriptedFault::transient_flip(1, bits::SIGN_BIT)
             .on_replica(1)
             .at_site(FaultSite::Comparator)]);
-        let mut alu = DmrAlu::new(inj);
+        let mut alu = DmrAlu::new(&mut inj);
         let out = reliable_relu(&input, &mut alu, &ReliableConvConfig::default()).unwrap();
         assert_eq!(out.stats.recovered, 1);
         assert_eq!(out.output.as_slice(), &[0.0, 2.0, 0.0, 0.0, 3.5, 0.0]);
 
         // Permanent comparator fault: escalated.
-        let inj = ScriptedInjector::new([ScriptedFault::transient_flip(1, bits::SIGN_BIT)
+        let mut inj = ScriptedInjector::new([ScriptedFault::transient_flip(1, bits::SIGN_BIT)
             .on_replica(1)
             .at_site(FaultSite::Comparator)
             .permanent()]);
-        let mut alu = DmrAlu::new(inj);
+        let mut alu = DmrAlu::new(&mut inj);
         let err = reliable_relu(&input, &mut alu, &ReliableConvConfig::default());
         assert!(matches!(err, Err(ExecError::PersistentFailure { .. })));
     }
@@ -1071,10 +1080,10 @@ mod tests {
     #[test]
     fn reliable_relu_plain_is_silent_under_faults() {
         let input = Tensor::from_vec(Shape::d1(4), vec![1.0, -1.0, 2.0, -2.0]).unwrap();
-        let inj = ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(0, bits::SIGN_BIT).at_site(FaultSite::Comparator)
         ]);
-        let mut alu = PlainAlu::new(inj);
+        let mut alu = PlainAlu::new(&mut inj);
         let out = reliable_relu(&input, &mut alu, &ReliableConvConfig::default()).unwrap();
         assert_eq!(out.stats.failed_ops, 0, "Algorithm 1 qualifier blind");
         assert_eq!(out.output.as_slice()[0], -1.0, "corruption passed through");
@@ -1085,8 +1094,8 @@ mod tests {
         // Sparse random faults: DMR + rollback should converge to golden.
         let (input, filters, bias, geom) = small_problem();
         let golden = conv2d(&input, &filters, Some(&bias), &geom).unwrap();
-        let inj = BerInjector::new(33, 2e-4).with_sites(vec![FaultSite::Multiplier]);
-        let mut alu = DmrAlu::new(inj);
+        let mut inj = BerInjector::new(33, 2e-4).with_sites(vec![FaultSite::Multiplier]);
+        let mut alu = DmrAlu::new(&mut inj);
         let out = reliable_conv2d(
             &input,
             &filters,

@@ -26,22 +26,26 @@
 //!   (and optionally the ReLU after it) for a [`RedundancyMode`] known only
 //!   at run time: the one place a mode becomes an ALU type.
 //!
-//! Faults enter through the [`relcnn_faults::FaultInjector`] an ALU is
-//! built around — an injector of its own, or a `&mut` borrow of the
-//! caller's, whose fault stream and counters then advance in place. With
-//! [`relcnn_faults::NoFaults`] the operators run fault-free, which is how
-//! Table 1 is measured.
+//! Faults enter through the caller's [`relcnn_faults::FaultInjector`],
+//! which an ALU borrows (`Alu::new(&mut injector)`): the injector's fault
+//! stream and counters advance in place and stand where execution stopped,
+//! also on an abort. With [`relcnn_faults::NoFaults`] the operators run
+//! fault-free, which is how Table 1 is measured, through
+//! `reliable_partition` like every classification.
 //!
 //! # Example
 //!
 //! ```rust
 //! use relcnn_relexec::{DmrAlu, QualifiedAlu};
-//! use relcnn_faults::NoFaults;
+//! use relcnn_faults::{FaultInjector, NoFaults};
 //!
-//! let mut alu = DmrAlu::new(NoFaults::new());
+//! let mut injector = NoFaults::new();
+//! let mut alu = DmrAlu::new(&mut injector);
 //! let q = alu.mul(3.0, 4.0);
 //! assert!(q.is_ok());
 //! assert_eq!(q.value(), 12.0);
+//! // One exposure per replica, counted on the caller's injector.
+//! assert_eq!(injector.stats().exposures, 2);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -4,7 +4,10 @@
 //! every `ExecStats` field and the injector's counters — so a moved
 //! operation index, a reordered injector draw or a changed retry shows up
 //! here as a changed constant. These are also ROADMAP item 1 rung 1's
-//! pins for the conv-1 fast path.
+//! pins for the conv-1 fast path. The digests were recorded on ALUs that
+//! owned their injector; the runs now go through `reliable_partition` on
+//! a borrowed one, so they also pin that how an ALU holds its injector
+//! moves no bit.
 //!
 //! Never refresh a constant to make a refactor pass: a changed digest
 //! means the arithmetic, the operation order or the fault stream changed.
@@ -12,10 +15,8 @@
 use relcnn_faults::{
     bits, BerInjector, FaultInjector, FaultSite, NoFaults, ScriptedFault, ScriptedInjector,
 };
-use relcnn_relexec::conv::{reliable_conv2d, ReliableConvConfig};
-use relcnn_relexec::{
-    BucketConfig, DmrAlu, PlainAlu, QualifiedAlu, RedundancyMode, RetryPolicy, TmrAlu,
-};
+use relcnn_relexec::conv::{reliable_partition, ReliableConvConfig};
+use relcnn_relexec::{BucketConfig, RedundancyMode, RetryPolicy};
 use relcnn_tensor::conv::ConvGeometry;
 use relcnn_tensor::init::{Init, Rand};
 use relcnn_tensor::{Shape, Tensor};
@@ -111,19 +112,27 @@ fn unpadded() -> Problem {
     }
 }
 
-/// One run on a directly typed ALU, digested: output bits, then every
-/// `ExecStats` field (or the error's rendering), then the injector's
-/// counters and the ALU's own.
-fn digest_on<A: QualifiedAlu>(mut alu: A, p: &Problem) -> u64 {
-    let result = reliable_conv2d(
+/// One run of the convolution as `classify` runs it — `reliable_partition`
+/// without the ReLU stage, on a borrowed injector — digested: output bits,
+/// then every `ExecStats` field (or the error's rendering), then the
+/// injector's counters and the ALU's own. A completed run's ALU issued one
+/// operation index per multiply and per accumulate (a retry reuses its
+/// index) and its cycles are the statistics', so both come from
+/// `ExecStats`; an aborted run's ALU is not visible here, and no pinned
+/// run aborts.
+fn digest<I: FaultInjector>(mode: RedundancyMode, mut injector: I, p: &Problem) -> u64 {
+    let result = reliable_partition(
+        mode,
         &p.input,
         &p.filters,
         Some(&p.bias),
         &p.geom,
-        &mut alu,
+        false,
+        &mut injector,
         &p.config,
     );
     let mut h = Fnv::new();
+    let mut alu = Vec::new();
     match result {
         Ok(out) => {
             for v in out.output.iter() {
@@ -143,28 +152,18 @@ fn digest_on<A: QualifiedAlu>(mut alu: A, p: &Problem) -> u64 {
             ] {
                 h.u64(field);
             }
+            alu = vec![s.mul_ops + s.acc_ops, s.cycles];
         }
         Err(err) => h.bytes(format!("{err:?}").as_bytes()),
     }
-    let inj = alu.injector_stats();
-    for field in [
-        inj.exposures,
-        inj.injected,
-        inj.masked,
-        alu.op_count(),
-        alu.cycles(),
-    ] {
+    let inj = injector.stats();
+    for field in [inj.exposures, inj.injected, inj.masked]
+        .into_iter()
+        .chain(alu)
+    {
         h.u64(field);
     }
     h.0
-}
-
-fn digest<I: FaultInjector>(mode: RedundancyMode, injector: I, p: &Problem) -> u64 {
-    match mode {
-        RedundancyMode::Plain => digest_on(PlainAlu::new(injector), p),
-        RedundancyMode::Dmr => digest_on(DmrAlu::new(injector), p),
-        RedundancyMode::Tmr => digest_on(TmrAlu::new(injector), p),
-    }
 }
 
 #[test]

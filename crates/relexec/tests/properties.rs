@@ -109,12 +109,12 @@ proptest! {
         prop_assume!(product.is_finite());
         // A flip that lands on identical bits produces a different value
         // except… never: XOR with a set bit always changes the word.
-        let inj = ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(0, bit)
                 .on_replica(replica)
                 .at_site(FaultSite::Multiplier),
         ]);
-        let mut alu = DmrAlu::new(inj);
+        let mut alu = DmrAlu::new(&mut inj);
         let q = alu.mul(a, b);
         prop_assert!(!q.is_ok(), "flip of bit {} in replica {} undetected", bit, replica);
     }
@@ -129,12 +129,12 @@ proptest! {
     ) {
         let product = a * b;
         prop_assume!(product.is_finite());
-        let inj = ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(0, bit)
                 .on_replica(replica)
                 .at_site(FaultSite::Multiplier),
         ]);
-        let mut alu = TmrAlu::new(inj);
+        let mut alu = TmrAlu::new(&mut inj);
         let q = alu.mul(a, b);
         prop_assert!(q.is_ok());
         prop_assert_eq!(q.value().to_bits(), product.to_bits());
@@ -146,10 +146,10 @@ proptest! {
         (a, b) in arb_operands(),
         bit in 0u32..32,
     ) {
-        let inj = ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(0, bit).at_site(FaultSite::Multiplier),
         ]);
-        let mut alu = PlainAlu::new(inj);
+        let mut alu = PlainAlu::new(&mut inj);
         prop_assert!(alu.mul(a, b).is_ok());
     }
 
@@ -161,12 +161,12 @@ proptest! {
         replica in 0u8..2,
     ) {
         prop_assume!((a + b).is_finite());
-        let inj = ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(0, bit)
                 .on_replica(replica)
                 .at_site(FaultSite::Accumulator),
         ]);
-        let mut alu = DmrAlu::new(inj);
+        let mut alu = DmrAlu::new(&mut inj);
         prop_assert!(!alu.acc(a, b).is_ok());
     }
 
@@ -233,14 +233,16 @@ proptest! {
         let golden = conv2d(&input, &filters, None, &geom).unwrap();
         let config = ReliableConvConfig::default();
 
-        let mut dmr = DmrAlu::new(NoFaults::new());
+        let mut dmr_inj = NoFaults::new();
+        let mut dmr = DmrAlu::new(&mut dmr_inj);
         let out = reliable_conv2d(&input, &filters, None, &geom, &mut dmr, &config).unwrap();
         for (x, y) in out.output.iter().zip(golden.iter()) {
             prop_assert!((x - y).abs() < 1e-4);
         }
         prop_assert_eq!(out.stats.failed_ops, 0);
 
-        let mut tmr = TmrAlu::new(NoFaults::new());
+        let mut tmr_inj = NoFaults::new();
+        let mut tmr = TmrAlu::new(&mut tmr_inj);
         let out = reliable_conv2d(&input, &filters, None, &geom, &mut tmr, &config).unwrap();
         for (x, y) in out.output.iter().zip(golden.iter()) {
             prop_assert!((x - y).abs() < 1e-4);
@@ -264,12 +266,12 @@ proptest! {
         prop_assume!(op_index < 144);
         let site = if op_index % 2 == 0 { FaultSite::Multiplier } else { FaultSite::Accumulator };
         let golden = conv2d(&input, &filters, None, &geom).unwrap();
-        let inj = ScriptedInjector::new([
+        let mut inj = ScriptedInjector::new([
             ScriptedFault::transient_flip(op_index, bit)
                 .on_replica(replica)
                 .at_site(site),
         ]);
-        let mut alu = DmrAlu::new(inj);
+        let mut alu = DmrAlu::new(&mut inj);
         let out = reliable_conv2d(
             &input, &filters, None, &geom, &mut alu, &ReliableConvConfig::default(),
         ).unwrap();

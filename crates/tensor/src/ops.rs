@@ -165,7 +165,9 @@ fn gemm_kernel(
 /// each element's sequential "k ascending, skip `a_ik == 0.0`"
 /// accumulation — the bit-exactness contract — is untouched. The `fma`
 /// feature is deliberately NOT enabled: fused multiply-add skips the
-/// intermediate rounding and would change output bits.
+/// intermediate rounding and would change output bits. The test
+/// `portable_gemm_body_matches_the_dispatched_kernel` runs the portable
+/// body against the dispatched kernel, so on an AVX2 host it checks this.
 ///
 /// This module is the crate's single `unsafe` exception (see the crate
 /// root's `deny(unsafe_code)` note): the one unsafe operation is calling
@@ -971,6 +973,37 @@ mod tests {
             gemm_kernel(m, k, n, a.as_slice(), b.as_slice(), None, &mut out, block_i, block_j)
                 .unwrap();
             for (x, y) in out.iter().zip(oracle.iter()) {
+                prop_assert!(bits_match(*x, *y), "{:#010x} vs {:#010x}", x.to_bits(), y.to_bits());
+            }
+        }
+
+        /// The portable body, the code a CPU without AVX2 runs, gives the
+        /// dispatched kernel's bits. On an AVX2 host `gemm_kernel` runs the
+        /// AVX2 recompilation, so this is the check that recompiling
+        /// without `fma` moves no bit: shapes past and short of the 4 × 16
+        /// register tile, blockings that do not divide them, a bias or
+        /// none, and zero/NaN/±Inf entries (NaN results compared as a
+        /// class, see [`bits_match`]). `n ≥ 2`, because `n == 1` dispatches
+        /// to the GEMV instead of the body.
+        #[test]
+        fn portable_gemm_body_matches_the_dispatched_kernel(
+            m in 1usize..19, k in 0usize..9, n in 2usize..37,
+            block_i in 1usize..9, block_j in 1usize..41,
+            with_bias in any::<bool>(),
+            seed in 0u64..10_000,
+        ) {
+            let mut rng = Rand::seeded(seed);
+            let a = gemm_entries(&mut rng, m * k);
+            let b = gemm_entries(&mut rng, k * n);
+            let bias = gemm_entries(&mut rng, m);
+            let bias = with_bias.then_some(bias.as_slice());
+            let mut dispatched = vec![f32::NAN; m * n];
+            gemm_kernel(m, k, n, &a, &b, bias, &mut dispatched, block_i, block_j).unwrap();
+            // The remainder columns accumulate in place, into the zeroed
+            // output `gemm_kernel` hands the body.
+            let mut portable = vec![0.0f32; m * n];
+            gemm_blocked_body(m, k, n, &a, &b, bias, &mut portable, block_i, block_j);
+            for (x, y) in portable.iter().zip(&dispatched) {
                 prop_assert!(bits_match(*x, *y), "{:#010x} vs {:#010x}", x.to_bits(), y.to_bits());
             }
         }

@@ -44,7 +44,8 @@ fn setup() -> Setup {
 /// Runs a plain (unprotected) convolution with one scripted fault, then
 /// applies range supervision. Returns (caught_by_range, residual_error).
 fn plain_with_ranger(s: &Setup, fault: ScriptedFault) -> (bool, f32) {
-    let mut alu = PlainAlu::new(ScriptedInjector::new([fault]));
+    let mut inj = ScriptedInjector::new([fault]);
+    let mut alu = PlainAlu::new(&mut inj);
     let config = ReliableConvConfig {
         bucket: BucketConfig::new(1, u32::MAX),
         retry: RetryPolicy::none(),
@@ -97,7 +98,8 @@ fn ranger_blind_to_mantissa_upsets_dmr_is_not() {
     let fault = ScriptedFault::transient_flip(10, 12)
         .on_replica(1)
         .at_site(FaultSite::Multiplier);
-    let mut alu = DmrAlu::new(ScriptedInjector::new([fault]));
+    let mut inj = ScriptedInjector::new([fault]);
+    let mut alu = DmrAlu::new(&mut inj);
     let out = reliable_conv2d(
         &s.input,
         &s.weights,
