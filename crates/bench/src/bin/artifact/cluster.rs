@@ -4,19 +4,19 @@
 //! cluster fabric — head process, N forked workers, shard-range tasks on
 //! checksummed pipes — and writes the stitched JSONL stream plus the
 //! merged `{"partial_aggregate":...}` footer. The output is required
-//! byte-identical to `determinism_artifact --no-abort` at the same
+//! byte-identical to `artifact determinism --no-abort` at the same
 //! profile and to every other `--procs/--threads` topology, including
 //! `--procs 0` (head computes everything in-process, no forks): the
 //! process count joins the worker count, chunk size and steal schedule
 //! on the list of things the artefact must not depend on.
 //!
 //! ```text
-//! cluster_artifact --procs 4 --threads 2 --out /tmp/p4t2.jsonl
-//! cluster_artifact --procs 1 --threads 8 --profile cpu --out /tmp/p1t8c.jsonl
-//! cluster_artifact --procs 3 --threads 2 --chaos kill --out /tmp/chaos.jsonl
+//! artifact cluster --procs 4 --threads 2 --out /tmp/p4t2.jsonl
+//! artifact cluster --procs 1 --threads 8 --profile cpu --out /tmp/p1t8c.jsonl
+//! artifact cluster --procs 3 --threads 2 --chaos kill --out /tmp/chaos.jsonl
 //! ```
 //!
-//! The binary asserts its run's outcome in-process after writing the
+//! The subcommand asserts its run's outcome in-process after writing the
 //! artefact:
 //!
 //! * without `--chaos`, the run finishes clean: not degraded, no worker
@@ -31,71 +31,22 @@
 //!   instants (plus a `kill` instant under `--chaos kill`).
 
 use relcnn_bench::workload::{cluster_job, cluster_task, merge_cluster_outputs, Profile, SHARDS};
-use relcnn_cluster::ClusterHooks;
-use relcnn_cluster::{run_cluster, run_worker_if_spawned, ChaosPlan, ClusterConfig};
+use relcnn_bench::Args;
+use relcnn_cluster::{run_cluster, ChaosPlan, ClusterConfig, ClusterHooks};
 use relcnn_obs::trace::{export_chrome, validate, TraceRecorder};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cluster_artifact --procs N --out PATH [--threads T] [--profile latency|cpu] \
-         [--chaos none|kill|corrupt|hang] [--task-timeout-ms MS] \
-         [--trace PATH]\n\
-         Writes the stitched JSONL artefact of the canonical campaign run over the\n\
-         multi-process cluster fabric. --procs 0 computes every task in the head\n\
-         process (the no-fork reference topology). --trace flight-records the head\n\
-         and every worker and writes the merged Chrome-trace timeline to PATH;\n\
-         the artefact stays byte-identical either way."
-    );
-    std::process::exit(2)
-}
-
-fn main() {
-    // Must run before argument parsing: a forked worker re-enters this
-    // same binary and must never fall through into head code.
-    run_worker_if_spawned(cluster_task);
-
-    let mut procs = 1usize;
-    let mut threads = 2usize;
-    let mut task_timeout_ms: Option<u64> = None;
-    let mut profile = Profile::Latency;
-    let mut chaos_name = String::from("none");
-    let mut out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--procs" => {
-                procs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--task-timeout-ms" => {
-                task_timeout_ms = args.next().and_then(|v| v.parse().ok());
-                if task_timeout_ms.is_none() {
-                    usage()
-                }
-            }
-            "--profile" => {
-                profile = args
-                    .next()
-                    .as_deref()
-                    .and_then(Profile::parse)
-                    .unwrap_or_else(|| usage())
-            }
-            "--chaos" => chaos_name = args.next().unwrap_or_else(|| usage()),
-            "--out" => out = Some(args.next().unwrap_or_else(|| usage())),
-            "--trace" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
-    let Some(out) = out else { usage() };
+/// Runs in the head: `main` has already diverted forked workers into
+/// `run_worker_if_spawned`.
+pub fn run(args: &Args) {
+    let procs = args.value("--procs").unwrap_or(1usize);
+    let threads = args.value("--threads").unwrap_or(2usize);
+    let task_timeout_ms: Option<u64> = args.value("--task-timeout-ms");
+    let profile = (args.value_with("--profile", Profile::parse)).unwrap_or(Profile::Latency);
+    let chaos_name = (args.value("--chaos")).unwrap_or_else(|| "none".to_string());
+    let out: String = args
+        .value("--out")
+        .unwrap_or_else(|| args.fail("--out is required"));
+    let trace_out: Option<String> = args.value("--trace");
 
     let job = cluster_job(profile, threads);
     let chaos = match chaos_name.as_str() {
@@ -103,11 +54,10 @@ fn main() {
         "kill" => ChaosPlan::kill_one(job.seed, procs),
         "corrupt" => ChaosPlan::corrupt_one(job.seed, procs),
         "hang" => ChaosPlan::hang_one(job.seed, procs),
-        _ => usage(),
+        _ => args.fail(&format!("unknown chaos plan `{chaos_name}`")),
     };
     if !chaos.is_none() && procs == 0 {
-        eprintln!("--chaos needs worker processes to injure (--procs >= 1)");
-        std::process::exit(2);
+        args.fail("--chaos needs worker processes to injure (--procs >= 1)");
     }
 
     let mut config = ClusterConfig::new(procs).with_chaos(chaos);

@@ -5,13 +5,13 @@
 //! JSONL result stream to a file. The stream is a pure function of the
 //! campaign identity `(trials, seed, shards)` — *not* of the worker
 //! count, the chunk size, the steal schedule or the ingestion path — so
-//! CI runs this binary at workers 1/2/8 (and different chunkings and
+//! CI runs this subcommand at workers 1/2/8 (and different chunkings and
 //! sources) and diffs the artefacts byte for byte.
 //!
 //! ```text
-//! determinism_artifact --workers 8 --chunk 1 --out /tmp/w8.jsonl
-//! determinism_artifact --workers 8 --profile cpu --out /tmp/w8_cpu.jsonl
-//! determinism_artifact --workers 8 --source streaming --out /tmp/w8_s.jsonl
+//! artifact determinism --workers 8 --chunk 1 --out /tmp/w8.jsonl
+//! artifact determinism --workers 8 --profile cpu --out /tmp/w8_cpu.jsonl
+//! artifact determinism --workers 8 --source streaming --out /tmp/w8_s.jsonl
 //! ```
 //!
 //! Two workload profiles cover the engine's two scheduling regimes:
@@ -51,6 +51,7 @@
 //! both sinks, not just the one that feeds the JSONL lines.
 
 use relcnn_bench::workload::{Profile, BASE_SEED, SHARDS, TRIALS};
+use relcnn_bench::Args;
 use relcnn_runtime::{
     CampaignSink, EarlyStop, Engine, FnSource, FnSourcedTrial, FnTrial, JsonlSink, RunOutcome,
     RunPlan, Sink, SliceSource, TrialCtx, TrialResult,
@@ -102,66 +103,28 @@ fn run_one<S: Sink<TrialResult>>(
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: determinism_artifact --workers N --out PATH [--chunk C] [--no-abort] \
-         [--profile latency|cpu] [--source plan|eager|streaming] [--metrics] [--trace]\n\
-         Writes the footerless JSONL result stream of a fixed skewed campaign.\n\
-         --metrics runs the campaign on a registry-observed engine (live metrics \
-         publication on); --trace runs it on a flight-recorded engine (span rings \
-         on, export validated in-process); the artefact bytes must be identical \
-         either way — the CI matrix diffs exactly that."
-    );
-    std::process::exit(2)
-}
+/// The `--source` spellings.
+const SOURCES: [(&str, Source); 3] = [
+    ("plan", Source::Plan),
+    ("eager", Source::Eager),
+    ("streaming", Source::Streaming),
+];
 
-fn main() {
-    let mut workers = 1usize;
-    let mut chunk = 0u64;
-    let mut out: Option<String> = None;
-    let mut early_stop = true;
-    let mut metrics = false;
-    let mut trace = false;
-    let mut profile = Profile::Latency;
-    let mut source = Source::Plan;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--metrics" => metrics = true,
-            "--trace" => trace = true,
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--chunk" => {
-                chunk = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--out" => out = Some(args.next().unwrap_or_else(|| usage())),
-            "--no-abort" => early_stop = false,
-            "--profile" => {
-                profile = args
-                    .next()
-                    .as_deref()
-                    .and_then(Profile::parse)
-                    .unwrap_or_else(|| usage())
-            }
-            "--source" => {
-                source = match args.next().as_deref() {
-                    Some("plan") => Source::Plan,
-                    Some("eager") => Source::Eager,
-                    Some("streaming") => Source::Streaming,
-                    _ => usage(),
-                }
-            }
-            _ => usage(),
-        }
-    }
-    let Some(out) = out else { usage() };
+pub fn run(args: &Args) {
+    let workers = args.value("--workers").unwrap_or(1usize);
+    let chunk = args.value("--chunk").unwrap_or(0u64);
+    let out: String = args
+        .value("--out")
+        .unwrap_or_else(|| args.fail("--out is required"));
+    let early_stop = !args.switch("--no-abort");
+    let metrics = args.switch("--metrics");
+    let trace = args.switch("--trace");
+    let profile = (args.value_with("--profile", Profile::parse)).unwrap_or(Profile::Latency);
+    let (source_name, source) = args
+        .value_with("--source", |v| {
+            SOURCES.into_iter().find(|(name, _)| *name == v)
+        })
+        .unwrap_or(SOURCES[0]);
 
     let plan = RunPlan::new(TRIALS, BASE_SEED)
         .with_shards(SHARDS)
@@ -183,6 +146,7 @@ fn main() {
     // rings on, spans recorded; the artefact bytes must again be
     // identical (the CI matrix leg byte-diffs trace-on vs trace-off).
     let recorder = if trace {
+        // The process name the exported timeline shows.
         relcnn_obs::TraceRecorder::new("determinism_artifact")
     } else {
         relcnn_obs::TraceRecorder::off()
@@ -286,11 +250,6 @@ fn main() {
     }
 
     let profile_name = profile.name();
-    let source_name = match source {
-        Source::Plan => "plan",
-        Source::Eager => "eager",
-        Source::Streaming => "streaming",
-    };
     eprintln!(
         "{out}: profile={profile_name} source={source_name} workers={workers} chunk={chunk} \
          trials={} shards={}/{} aborted={} steals={} max_reorder_depth={} safety={:.4}",

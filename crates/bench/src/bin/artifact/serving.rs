@@ -8,58 +8,30 @@
 //! line, and one line per controller decision. The serving history runs
 //! on a *virtual* clock with a deterministic service model, so the
 //! artefact is a pure function of `(arrival seed, arrival process)`:
-//! CI runs this binary at workers {1, 2, 8} × two arrival seeds and
+//! CI runs this subcommand at workers {1, 2, 8} × two arrival seeds and
 //! diffs the outputs byte for byte. The worker count only changes *how
 //! fast* the batches classify, never what any line says.
 //!
 //! ```text
-//! serving_artifact --workers 8 --seed 201 --out /tmp/serve.jsonl
-//! serving_artifact --workers 2 --seed 202 --arrival burst --out /tmp/b.jsonl
+//! artifact serving --workers 8 --seed 201 --out /tmp/serve.jsonl
+//! artifact serving --workers 2 --seed 202 --arrival burst --out /tmp/b.jsonl
 //! ```
 
 use relcnn_bench::workload::{artifact_load, artifact_server, cnn_backend};
+use relcnn_bench::Args;
 use relcnn_runtime::Engine;
 use relcnn_serve::{LoadGen, Outcome, Server};
 use std::io::Write;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: serving_artifact --workers N --seed S --out PATH [--arrival poisson|burst]\n\
-         Writes the deterministic JSONL serving replay of a fixed trace."
-    );
-    std::process::exit(2)
-}
-
-fn main() {
-    let mut workers = 1usize;
-    let mut seed = 201u64;
-    let mut arrival = "poisson".to_string();
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--arrival" => arrival = args.next().unwrap_or_else(|| usage()),
-            "--out" => out = Some(args.next().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
-    let Some(out) = out else { usage() };
-
+pub fn run(args: &Args) {
+    let workers = args.value("--workers").unwrap_or(1usize);
+    let seed = args.value("--seed").unwrap_or(201u64);
+    let arrival = (args.value("--arrival")).unwrap_or_else(|| "poisson".to_string());
+    let out: String = args
+        .value("--out")
+        .unwrap_or_else(|| args.fail("--out is required"));
     let Some(load) = artifact_load(seed, &arrival) else {
-        eprintln!("unknown arrival process `{arrival}`");
-        usage()
+        args.fail(&format!("unknown arrival process `{arrival}`"))
     };
     let trace = LoadGen::new(load).generate();
     let backend = cnn_backend();

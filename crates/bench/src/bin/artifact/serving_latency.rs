@@ -26,8 +26,8 @@ use std::time::Instant;
 
 const WORKERS: usize = 8;
 
-fn main() {
-    let requests = if relcnn_bench::quick_mode() {
+pub fn run(quick: bool) {
+    let requests = if quick {
         BENCH_REQUESTS / 4
     } else {
         BENCH_REQUESTS
@@ -110,7 +110,7 @@ fn main() {
 
     let path = relcnn_bench::results_dir().join("serving_latency.json");
     // The quick smoke run must not clobber the gated full-scale artefact.
-    if relcnn_bench::quick_mode() {
+    if quick {
         println!("quick mode: skipping write of {}", path.display());
     } else {
         std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));

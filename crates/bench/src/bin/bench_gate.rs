@@ -1,5 +1,5 @@
 //! CI bench-regression gate: one rule table over the artefacts the
-//! scaling benches and `serve_bench` write.
+//! scaling benches and `artifact serving-latency` write.
 //!
 //! Every check is a row of [`RULES`]: a file under `results/`, a path
 //! into its JSON and a [`Rule`]. A path is dot-separated keys; a
@@ -15,7 +15,7 @@
 //! * `runtime_scaling.json`, `skewed_steal.json` — `cargo bench -p
 //!   relcnn-bench --bench runtime_scaling --bench skewed_steal`;
 //! * `serving_latency.json` — `cargo run --release -p relcnn-bench --bin
-//!   serve_bench`.
+//!   artifact -- serving-latency`.
 //!
 //! [`TOLERANCE`] (10 %) is the relative tolerance of every baseline
 //! comparison. Counter lines ([`COUNTERS`]) are printed,
@@ -47,7 +47,7 @@ const SKEWED: &str = "skewed_steal.json";
 const SERVING: &str = "serving_latency.json";
 
 const BENCH_HINT: &str = "cargo bench -p relcnn-bench --bench runtime_scaling --bench skewed_steal";
-const SERVE_HINT: &str = "cargo run --release -p relcnn-bench --bin serve_bench";
+const SERVE_HINT: &str = "cargo run --release -p relcnn-bench --bin artifact -- serving-latency";
 
 /// Every artefact the gate reads, with its regeneration command.
 const ARTEFACTS: [(&str, &str); 3] = [
@@ -299,6 +299,16 @@ fn load(results: &Path) -> (Docs, Vec<String>) {
     (docs, failures)
 }
 
+/// Formats a set of named monotonic counters as one comma-separated
+/// line (`"steals 3, send_block_us 12, ..."`).
+fn counters_line(pairs: &[(&str, u64)]) -> String {
+    pairs
+        .iter()
+        .map(|(name, value)| format!("{name} {value}"))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 /// Prints the informational counter lines of every loaded artefact.
 fn print_counters(docs: &Docs) {
     for (file, path) in COUNTERS {
@@ -312,7 +322,7 @@ fn print_counters(docs: &Docs) {
                     _ => None,
                 })
                 .collect();
-            relcnn_bench::counters_line(&ints)
+            counters_line(&ints)
         };
         for entry in at.as_seq().unwrap_or(std::slice::from_ref(at)) {
             println!("  {file} {path}: {}", line(entry));
@@ -485,7 +495,20 @@ mod tests {
         let (docs, failures) = load(&dir);
         assert_eq!(docs.keys().copied().collect::<Vec<_>>(), [SCALING, SKEWED]);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains(SERVING) && failures[0].contains("serve_bench"));
+        assert!(failures[0].contains(SERVING) && failures[0].contains("serving-latency"));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn counters_line_formats_name_value_pairs() {
+        assert_eq!(
+            counters_line(&[
+                ("steals", 3),
+                ("send_block_us", 0),
+                ("max_reorder_depth", 12)
+            ]),
+            "steals 3, send_block_us 0, max_reorder_depth 12"
+        );
+        assert_eq!(counters_line(&[]), "");
     }
 }

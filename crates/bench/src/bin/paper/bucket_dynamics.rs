@@ -5,7 +5,7 @@
 //! number of errors required to report an error condition serious enough
 //! to consider the application irrecoverable."
 //!
-//! This binary measures availability (fraction of convolution runs that
+//! This experiment measures availability (fraction of convolution runs that
 //! complete) under scripted fault patterns across bucket configurations,
 //! making the factor/ceiling trade-off the paper alludes to concrete. The
 //! `pattern × bucket` grid is embarrassingly parallel, so the cells run as
@@ -55,7 +55,7 @@ fn patterns() -> Vec<(&'static str, Vec<ScriptedFault>)> {
     ]
 }
 
-fn main() {
+pub fn run() {
     println!("== X3: leaky-bucket dynamics and availability ==");
     let mut rng = Rand::seeded(3);
     let input = rng.tensor(Shape::d3(2, 12, 12), Init::Uniform { lo: -1.0, hi: 1.0 });

@@ -5,27 +5,12 @@
 //! Trains the scaled AlexNet, replaces conv-1 filter 0 with the Sobel
 //! bank, and prints both confusion matrices plus the accuracy delta.
 
-use relcnn_bench::{quick_mode, write_csv};
-use relcnn_core::experiments::{confusion_compare, paper_train_config, train_gtsrb_model};
-use relcnn_gtsrb::{DatasetConfig, SignClass, SyntheticGtsrb};
+use relcnn_bench::write_csv;
+use relcnn_core::experiments::{confusion_compare, train_gtsrb_model};
+use relcnn_gtsrb::SyntheticGtsrb;
 
-fn main() {
-    let quick = quick_mode();
-    let dataset_config = if quick {
-        DatasetConfig {
-            image_size: 96,
-            train_per_class: 8,
-            test_per_class: 3,
-            seed: 111,
-            classes: SignClass::ALL.to_vec(),
-        }
-    } else {
-        DatasetConfig::standard(111)
-    };
-    let mut train_config = paper_train_config(222);
-    if quick {
-        train_config.epochs = 1;
-    }
+pub fn run(quick: bool) {
+    let (dataset_config, train_config) = crate::trained_setup(quick, 111, 222);
 
     println!("== X1: confusion matrices, original vs Sobel-replaced filter 0 ==");
     let data = SyntheticGtsrb::generate(&dataset_config).expect("dataset");

@@ -16,7 +16,7 @@
 //! header, followed by its `{"trial":..}` lines (indices restart at 0 per
 //! point) and a `{"run":..}` footer with the engine counters.
 
-use relcnn_bench::{quick_mode, results_dir, write_csv};
+use relcnn_bench::{results_dir, write_csv};
 use relcnn_core::guarantee::{silent_layer_bound, silent_layer_probability};
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite};
 use relcnn_relexec::conv::{reliable_partition, ReliableConvConfig};
@@ -31,8 +31,7 @@ use relcnn_tensor::Shape;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 
-fn main() {
-    let quick = quick_mode();
+pub fn run(quick: bool) {
     let trials: u64 = if quick { 100 } else { 400 };
     println!("== X4: detection coverage & silent-corruption rate vs BER ==");
 

@@ -10,7 +10,7 @@ use relcnn_bench::{ascii_plot, write_csv};
 use relcnn_core::experiments::fig3_series;
 use relcnn_sax::SaxConfig;
 
-fn main() {
+pub fn run() {
     let tilt = 0.12f32; // the "slightly angled" pose
     let out = fig3_series(227, tilt, 256, SaxConfig::default(), 7).expect("fig3 series generation");
 

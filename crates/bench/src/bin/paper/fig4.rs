@@ -10,26 +10,13 @@
 //! few depress the confidence substantially — "the accuracy varies
 //! substantially depending on which filter has been replaced".
 
-use relcnn_bench::{ascii_plot, quick_mode, write_csv};
-use relcnn_core::experiments::{paper_train_config, train_gtsrb_model};
-use relcnn_gtsrb::{DatasetConfig, SignClass, SyntheticGtsrb};
-use relcnn_nn::serial;
+use relcnn_bench::{ascii_plot, write_csv};
+use relcnn_core::experiments::train_gtsrb_model;
+use relcnn_gtsrb::{SignClass, SyntheticGtsrb};
 use relcnn_runtime::{experiments::fig4_filter_sweep_parallel, Engine};
 
-fn main() {
-    let quick = quick_mode();
-    let mut dataset_config = DatasetConfig::standard(101);
-    let mut train_config = paper_train_config(202);
-    if quick {
-        dataset_config = DatasetConfig {
-            image_size: 96,
-            train_per_class: 8,
-            test_per_class: 3,
-            seed: 101,
-            classes: SignClass::ALL.to_vec(),
-        };
-        train_config.epochs = 1;
-    }
+pub fn run(quick: bool) {
+    let (dataset_config, train_config) = crate::trained_setup(quick, 101, 202);
 
     println!("== Figure 4: per-filter Sobel replacement sweep ==");
     println!(
@@ -42,36 +29,8 @@ fn main() {
 
     let data = SyntheticGtsrb::generate(&dataset_config).expect("dataset");
 
-    // Reuse a cached trained model when present (the sweep is the point).
-    let ckpt = relcnn_bench::results_dir().join(if quick {
-        "fig4_model_quick.ckpt"
-    } else {
-        "fig4_model.ckpt"
-    });
-    let (mut net, matrix) = train_gtsrb_model(
-        &data,
-        &if ckpt.exists() {
-            // Minimal retrain pass replaced by checkpoint load below.
-            let mut tc = train_config;
-            tc.epochs = 0;
-            tc
-        } else {
-            train_config
-        },
-        303,
-    )
-    .expect("training");
-    if ckpt.exists() {
-        serial::load(&mut net, &ckpt).expect("checkpoint load");
-        println!("loaded cached model {}", ckpt.display());
-    } else {
-        serial::save(&mut net, &ckpt).expect("checkpoint save");
-        println!(
-            "trained model (test accuracy {:.3}), cached at {}",
-            matrix.accuracy(),
-            ckpt.display()
-        );
-    }
+    let (net, matrix) = train_gtsrb_model(&data, &train_config, 303).expect("training");
+    println!("trained model (test accuracy {:.3})", matrix.accuracy());
 
     // The 96 per-filter evaluations are independent: fan them out over
     // the runtime's worker pool (one filter per shard, deterministic

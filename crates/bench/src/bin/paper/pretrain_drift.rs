@@ -12,28 +12,13 @@
 //! Reproduction: train under four freeze policies and report the final
 //! accuracy plus the filter drift in the three domains the paper names.
 
-use relcnn_bench::{quick_mode, write_csv};
-use relcnn_core::experiments::{paper_train_config, pretrain_drift};
-use relcnn_gtsrb::{DatasetConfig, SignClass, SyntheticGtsrb};
+use relcnn_bench::write_csv;
+use relcnn_core::experiments::pretrain_drift;
+use relcnn_gtsrb::SyntheticGtsrb;
 use relcnn_nn::freeze::FreezePolicy;
 
-fn main() {
-    let quick = quick_mode();
-    let dataset_config = if quick {
-        DatasetConfig {
-            image_size: 96,
-            train_per_class: 8,
-            test_per_class: 3,
-            seed: 121,
-            classes: SignClass::ALL.to_vec(),
-        }
-    } else {
-        DatasetConfig::standard(121)
-    };
-    let mut train_config = paper_train_config(232);
-    if quick {
-        train_config.epochs = 1;
-    }
+pub fn run(quick: bool) {
+    let (dataset_config, train_config) = crate::trained_setup(quick, 121, 232);
 
     println!("== X2: pre-initialised Sobel filter, freeze-policy comparison ==");
     let data = SyntheticGtsrb::generate(&dataset_config).expect("dataset");

@@ -17,7 +17,7 @@
 //! counters; the per-run stats are appended to `results/table1_runs.jsonl`
 //! for the perf trajectory.
 
-use relcnn_bench::{quick_mode, results_dir, write_csv};
+use relcnn_bench::{results_dir, write_csv};
 use relcnn_faults::NoFaults;
 use relcnn_relexec::conv::{reliable_partition, ReliableConvConfig};
 use relcnn_relexec::RedundancyMode;
@@ -49,8 +49,7 @@ fn median<T: PartialOrd + Copy, const N: usize>(mut samples: [T; N]) -> T {
     samples[N / 2]
 }
 
-fn main() {
-    let quick = quick_mode();
+pub fn run(quick: bool) {
     let (size, filters) = if quick { (64, 16) } else { (227, 96) };
     println!("== Table 1: reliable convolution of AlexNet conv-1 ==");
     println!(

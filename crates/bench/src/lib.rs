@@ -1,15 +1,17 @@
 //! Shared plumbing for the `relcnn` benchmark harness.
 //!
-//! The binaries in `src/bin/` serve three purposes: they regenerate
-//! every table and figure of the paper (see the README's *Paper ↔ repo
-//! map* for the experiment index), write the byte-diffed determinism
-//! artefacts (`*_artifact`, each asserting its own invariants
-//! in-process), and gate the committed baselines (`bench_gate`). The
-//! two benches in `benches/` (`runtime_scaling`, `skewed_steal`) are
-//! plain `main`s that write the scaling artefacts `bench_gate` reads.
-//! Per-image and per-layer timing lives in the standalone `benchmark/`
-//! package. This library holds the shared output plumbing and the
-//! canonical [`workload`]s.
+//! The crate builds three binaries. `paper <experiment> [--quick]`
+//! regenerates every table and figure of the paper (see the README's
+//! *Paper ↔ repo map* for the experiment index). `artifact <kind> …`
+//! writes the byte-diffed determinism artefacts (`determinism`,
+//! `serving`, `cluster`, each asserting its own invariants in-process)
+//! and the gated `serving-latency` artefact. `bench_gate` gates the
+//! committed baselines. The two benches in `benches/` (`runtime_scaling`,
+//! `skewed_steal`) are plain `main`s that write the scaling artefacts
+//! `bench_gate` reads. Per-image and per-layer timing lives in the
+//! standalone `benchmark/` package. This library holds the shared
+//! output plumbing, the command-line parser ([`Args`]) and the canonical
+//! [`workload`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,6 +20,7 @@ pub mod workload;
 
 use std::fs;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Directory where experiment binaries drop their CSV/JSON artefacts.
 pub fn results_dir() -> PathBuf {
@@ -70,21 +73,113 @@ pub fn ascii_plot(series: &[f32], width: usize, height: usize) -> String {
     out
 }
 
-/// Formats a set of named monotonic counters as one comma-separated
-/// line (`"steals 3, send_block_us 12, ..."`). Its one caller is
-/// `bench_gate`'s informational counter lines (`print_counters`).
-pub fn counters_line(pairs: &[(&str, u64)]) -> String {
-    pairs
-        .iter()
-        .map(|(name, value)| format!("{name} {value}"))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// A bench binary's command line: one subcommand and the flags it takes.
+///
+/// Each entry of `commands` is a subcommand's synopsis: its name, then
+/// its flags, each `--flag` followed by a placeholder when it takes a
+/// value (`"serving --workers N --arrival poisson|burst"`). Flags come
+/// in any order and may repeat (the last value wins). No subcommand, one
+/// not in the list, a flag the subcommand does not take, or a missing or
+/// unparsable value prints the error, the synopses and `about`, and exits
+/// with status 2.
+#[derive(Debug)]
+pub struct Args {
+    usage: String,
+    command: &'static str,
+    given: Vec<(&'static str, Option<String>)>,
 }
 
-/// Returns true when the binary should run at smoke scale (`--quick`
-/// argument).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
+impl Args {
+    /// Parses the process's arguments after the program name.
+    pub fn from_env(about: &str, commands: &[&'static str]) -> Args {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let program = program.rsplit('/').next().unwrap_or_default();
+        let mut usage = String::from("usage:");
+        for synopsis in commands {
+            usage += &format!("\n  {program} {synopsis}");
+        }
+        usage += &format!("\n{about}");
+        match Args::parse(commands, args) {
+            Ok(parsed) => Args { usage, ..parsed },
+            Err(e) => exit_with_usage(&usage, &e),
+        }
+    }
+
+    fn parse(
+        commands: &[&'static str],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Args, String> {
+        let mut args = args.into_iter();
+        let name = args.next().ok_or("no subcommand")?;
+        let words: Vec<&'static str> = (commands.iter())
+            .map(|c| c.split_whitespace().collect())
+            .find(|words: &Vec<_>| words[0] == name)
+            .ok_or_else(|| format!("unknown subcommand `{name}`"))?;
+        let mut given = Vec::new();
+        while let Some(arg) = args.next() {
+            let at = (words.iter().position(|w| w.starts_with("--") && *w == arg))
+                .ok_or_else(|| format!("`{name}` takes no `{arg}`"))?;
+            let value = match words.get(at + 1) {
+                Some(next) if !next.starts_with("--") => {
+                    Some(args.next().ok_or_else(|| format!("{arg} needs a value"))?)
+                }
+                _ => None,
+            };
+            given.push((words[at], value));
+        }
+        Ok(Args {
+            usage: String::new(),
+            command: words[0],
+            given,
+        })
+    }
+
+    /// The subcommand, one of the names [`Args::from_env`] was given.
+    pub fn command(&self) -> &'static str {
+        self.command
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The last value given for `flag`, parsed; `None` when it is absent.
+    pub fn value<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.value_with(flag, |v| v.parse().ok())
+    }
+
+    /// [`Args::value`] with `parse` in place of [`FromStr`]; a value it
+    /// maps to `None` is unparsable.
+    pub fn value_with<T>(&self, flag: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        self.try_value(flag, parse)
+            .unwrap_or_else(|e| self.fail(&e))
+    }
+
+    fn try_value<T>(
+        &self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let last = self.given.iter().rev().find(|(f, _)| *f == flag);
+        let Some(value) = last.and_then(|(_, v)| v.as_deref()) else {
+            return Ok(None);
+        };
+        parse(value)
+            .map(Some)
+            .ok_or_else(|| format!("{flag}: cannot parse `{value}`"))
+    }
+
+    /// Prints `message` and the usage text, then exits with status 2.
+    pub fn fail(&self, message: &str) -> ! {
+        exit_with_usage(&self.usage, message)
+    }
+}
+
+fn exit_with_usage(usage: &str, message: &str) -> ! {
+    eprintln!("{message}\n{usage}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
@@ -165,16 +260,64 @@ mod tests {
         assert!(results_dir().is_dir());
     }
 
+    const COMMANDS: [&str; 2] = ["fig4 --quick", "determinism --workers N --out PATH --trace"];
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(&COMMANDS, args.iter().map(|a| a.to_string()))
+    }
+
     #[test]
-    fn counters_line_formats_name_value_pairs() {
+    fn args_take_their_flags_in_any_order_and_the_last_value_wins() {
+        let args = parse(&["determinism", "--trace", "--workers", "1", "--workers", "8"]).unwrap();
+        assert_eq!(args.command(), "determinism");
+        assert!(args.switch("--trace"));
         assert_eq!(
-            counters_line(&[
-                ("steals", 3),
-                ("send_block_us", 0),
-                ("max_reorder_depth", 12)
-            ]),
-            "steals 3, send_block_us 0, max_reorder_depth 12"
+            args.try_value("--workers", |v| v.parse().ok()),
+            Ok(Some(8usize))
         );
-        assert_eq!(counters_line(&[]), "");
+        assert_eq!(args.try_value("--out", |v| Some(v.to_string())), Ok(None));
+    }
+
+    #[test]
+    fn a_repeated_switch_is_accepted() {
+        let args = parse(&["fig4", "--quick", "--quick"]).unwrap();
+        assert!(args.switch("--quick"));
+        assert!(!parse(&["fig4"]).unwrap().switch("--quick"));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error() {
+        for args in [
+            &["fig4", "--quik"][..],
+            &["fig4", "--help"],
+            &["fig4", "quick"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?}");
+        }
+        // A flag of another subcommand is unknown too.
+        assert!(parse(&["fig4", "--trace"]).is_err());
+    }
+
+    #[test]
+    fn a_missing_value_is_an_error() {
+        assert_eq!(
+            parse(&["determinism", "--out", "a", "--workers"]).unwrap_err(),
+            "--workers needs a value"
+        );
+    }
+
+    #[test]
+    fn a_bad_number_is_an_error() {
+        let args = parse(&["determinism", "--workers", "eight"]).unwrap();
+        assert!(args
+            .try_value("--workers", |v| v.parse::<usize>().ok())
+            .is_err());
+    }
+
+    #[test]
+    fn a_subcommand_missing_from_the_list_is_an_error() {
+        assert!(parse(&["fig5", "--quick"]).is_err());
+        assert!(parse(&["--quick"]).is_err());
+        assert!(parse(&[]).is_err());
     }
 }

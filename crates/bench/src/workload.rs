@@ -1,17 +1,18 @@
-//! The canonical deterministic workloads the artefact binaries share.
+//! The canonical deterministic workloads the `artifact` subcommands share.
 //!
-//! `determinism_artifact` (single process, worker/chunk/source matrix)
-//! and `cluster_artifact` (multi-process topology and chaos matrix) must
+//! `artifact determinism` (single process, worker/chunk/source matrix)
+//! and `artifact cluster` (multi-process topology and chaos matrix) must
 //! byte-diff against each other, so the campaign identity — trial count,
 //! seed, shard count and the per-trial work itself — lives here exactly
-//! once. Drift between the binaries would silently turn every
+//! once. Drift between the subcommands would silently turn every
 //! cross-artefact diff into a guaranteed mismatch.
 //!
 //! The two serving workloads live here for the same reason: the
 //! *artefact* workload ([`artifact_server`] + [`artifact_load`]) is what
-//! `serving_artifact` byte-diffs, and the *bench* workload
-//! ([`bench_server`] + [`bench_load`]) is what `serve_bench` gates.
-//! Every serving binary classifies with [`cnn_backend`].
+//! `artifact serving` byte-diffs, and the *bench* workload
+//! ([`bench_server`] + [`bench_load`]) is what `artifact serving-latency`
+//! writes for `bench_gate`. Every serving subcommand classifies with
+//! [`cnn_backend`].
 
 use relcnn_cluster::{JobSpec, TaskOutput};
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite, OpContext, SkewedCost};

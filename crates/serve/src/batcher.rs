@@ -22,7 +22,7 @@
 //! history — batch composition, shedding, expiry, controller decisions,
 //! latencies — a pure function of `(trace, server config)`, independent
 //! of the engine's worker count, which is what the CI byte-diff of
-//! `serving_artifact` across worker schedules pins, and what makes the
+//! `artifact serving` across worker schedules pins, and what makes the
 //! virtual run the wall-clock front-end's correctness oracle. The
 //! *real* inference still happens: every closed batch is dispatched
 //! through the backend on the shared engine, and the engine's

@@ -32,7 +32,7 @@
 //!   serving history — batch composition, shedding, controller
 //!   decisions, latencies — is a pure function of `(trace, config)`,
 //!   independent of engine worker count. The CI determinism matrix
-//!   byte-diffs `serving_artifact` across worker counts {1, 2, 8} on
+//!   byte-diffs `artifact serving` across worker counts {1, 2, 8} on
 //!   exactly this property.
 //! * **Wall clock**: a load-generator thread sleeps to each trace
 //!   arrival and offers against the live queue while the batcher thread

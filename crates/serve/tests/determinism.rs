@@ -1,6 +1,6 @@
 //! End-to-end serving determinism on the real inference backend.
 //!
-//! The CI determinism matrix byte-diffs the `serving_artifact` binary
+//! The CI determinism matrix byte-diffs the `artifact serving` replay
 //! across worker counts and seeds; this test pins the same property
 //! in-process at a smaller scale: a replay's outcomes — including the
 //! CNN verdicts dispatched through `classify_many` — are bit-identical
