@@ -277,16 +277,11 @@ fn steal_racing_early_abort_is_deterministic() {
     }
 }
 
-/// CI's determinism matrix sets `RELCNN_WORKERS` per leg (1/2/8): this
-/// test pins the engine's worker pool to that count — not just libtest's
-/// thread count — and checks the full and early-stopped aggregates, at
+/// Pins the engine's worker pool (not just libtest's thread count) to 1,
+/// 2 and 8 workers and checks the full and early-stopped aggregates, at
 /// fine and whole-shard chunking, against the serial reference.
 #[test]
 fn matrix_worker_count_agrees_with_serial() {
-    let workers: usize = std::env::var("RELCNN_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
     for chunk in [1u64, 3, 1_000] {
         let plan = RunPlan::new(300, 0xA11).with_shards(24).with_chunk(chunk);
         let full = |workers: usize| {
@@ -298,11 +293,6 @@ fn matrix_worker_count_agrees_with_serial() {
             )
             .summary
         };
-        assert_eq!(
-            full(workers),
-            full(1),
-            "full campaign, workers={workers} chunk={chunk}"
-        );
         let stopped = |workers| {
             run_campaign(
                 &Engine::with_workers(workers),
@@ -311,13 +301,20 @@ fn matrix_worker_count_agrees_with_serial() {
                 trial,
             )
         };
-        let ours = stopped(workers);
-        let serial = stopped(1);
-        assert_eq!(
-            ours.summary, serial.summary,
-            "stopped campaign, workers={workers} chunk={chunk}"
-        );
-        assert_eq!(ours.stats.shards, serial.stats.shards);
+        let (full_serial, stopped_serial) = (full(1), stopped(1));
+        for workers in [1, 2, 8] {
+            assert_eq!(
+                full(workers),
+                full_serial,
+                "full campaign, workers={workers} chunk={chunk}"
+            );
+            let ours = stopped(workers);
+            assert_eq!(
+                ours.summary, stopped_serial.summary,
+                "stopped campaign, workers={workers} chunk={chunk}"
+            );
+            assert_eq!(ours.stats.shards, stopped_serial.stats.shards);
+        }
     }
 }
 
