@@ -32,7 +32,7 @@
 
 use relcnn_bench::workload::{cluster_job, cluster_task, merge_cluster_outputs, Profile, SHARDS};
 use relcnn_bench::Args;
-use relcnn_cluster::{run_cluster, ChaosPlan, ClusterConfig, ClusterHooks};
+use relcnn_cluster::{run_cluster, ChaosPlan, ClusterConfig};
 use relcnn_obs::trace::{export_chrome, validate, TraceRecorder};
 
 /// Runs in the head: `main` has already diverted forked workers into
@@ -70,12 +70,7 @@ pub fn run(args: &Args) {
     } else {
         TraceRecorder::off()
     };
-    let mut hooks = ClusterHooks::none();
-    if trace_out.is_some() {
-        hooks = hooks.with_trace(&recorder);
-    }
-
-    let outcome = run_cluster(&config, &job, cluster_task, &hooks)
+    let outcome = run_cluster(&config, &job, cluster_task, &recorder)
         .unwrap_or_else(|e| panic!("cluster run failed: {e}"));
     let (merged, payload) = merge_cluster_outputs(&outcome.outputs);
 
@@ -104,18 +99,17 @@ pub fn run(args: &Args) {
     });
 
     let s = &outcome.stats;
+    let stats = serde_json::to_string(s).unwrap_or_else(|e| panic!("serialize stats: {e}"));
     eprintln!(
         "{out}: profile={} procs={procs} threads={threads} shards={SHARDS} \
-         chaos={chaos_name} degraded={} stats={}",
+         chaos={chaos_name} degraded={} stats={stats}",
         profile.name(),
         s.degraded,
-        s.to_json(),
     );
     if chaos.is_none() {
         assert!(
             !s.degraded && s.workers_lost == 0 && s.tasks_requeued == 0,
-            "a chaos-free run must finish clean: {}",
-            s.to_json()
+            "a chaos-free run must finish clean: {stats}"
         );
         return;
     }
@@ -129,8 +123,7 @@ pub fn run(args: &Args) {
     assert!(
         s.degraded && s.workers_lost > 0 && s.tasks_requeued > 0 && detected,
         "chaos {chaos_name} must finish degraded with loss/requeue counters and its \
-         detector fired: {}",
-        s.to_json()
+         detector fired: {stats}"
     );
     // The recovery story reaches the merged timeline: every process that
     // shipped a ring home has a pid track, and the head narrates the

@@ -185,7 +185,6 @@ fn exit_with_usage(usage: &str, message: &str) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relcnn_cluster::ClusterMetrics;
     use relcnn_obs::Registry;
     use relcnn_runtime::EngineMetrics;
     use relcnn_serve::ServeMetrics;
@@ -204,13 +203,12 @@ mod tests {
 
     /// Adding or removing a metric family without a README row fails
     /// here: the *Metric families* table's first column, expanded, must
-    /// name exactly what the three bundles register.
+    /// name exactly what the two bundles register.
     #[test]
     fn readme_metric_family_table_matches_the_registered_families() {
         let registry = Registry::new();
         EngineMetrics::registered(&registry);
         ServeMetrics::registered(&registry);
-        ClusterMetrics::registered(&registry);
         let registered: BTreeSet<String> =
             registry.snapshot().into_iter().map(|f| f.name).collect();
 

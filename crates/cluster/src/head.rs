@@ -22,11 +22,10 @@
 
 use crate::chaos::ChaosPlan;
 use crate::frame::{read_frame, write_frame, FrameError};
-use crate::metrics::ClusterMetrics;
 use crate::proto::{decode, encode, FromWorker, JobSpec, ToWorker};
 use crate::worker::{HEARTBEAT_MS, WORKER_ENV};
 use relcnn_obs::trace::{Arg, TraceRecorder, TraceSnapshot};
-use relcnn_obs::Registry;
+use serde::Serialize;
 use std::io;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
@@ -107,8 +106,10 @@ pub struct TaskOutput {
 }
 
 /// Fabric counters for one cluster run — the distribution-level analog
-/// of the engine's `RunStats`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// of the engine's `RunStats`, and the run's only record of them.
+/// Serialises (`serde_json::to_string`) as one JSON object, fields in
+/// declaration order, for the stats line of a run log.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct ClusterStats {
     /// Worker processes spawned.
     pub workers_spawned: u64,
@@ -142,33 +143,6 @@ pub struct ClusterStats {
     pub wall_us: u64,
 }
 
-impl ClusterStats {
-    /// Renders the counters as a JSON object (for JSONL run logs).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"workers_spawned\":{},\"workers_lost\":{},\"tasks\":{},\
-             \"tasks_completed\":{},\"tasks_requeued\":{},\"task_retries\":{},\
-             \"frames_sent\":{},\"frames_received\":{},\"corrupt_frames\":{},\
-             \"task_timeouts\":{},\"heartbeat_timeouts\":{},\"local_fallbacks\":{},\
-             \"degraded\":{},\"wall_us\":{}}}",
-            self.workers_spawned,
-            self.workers_lost,
-            self.tasks,
-            self.tasks_completed,
-            self.tasks_requeued,
-            self.task_retries,
-            self.frames_sent,
-            self.frames_received,
-            self.corrupt_frames,
-            self.task_timeouts,
-            self.heartbeat_timeouts,
-            self.local_fallbacks,
-            self.degraded,
-            self.wall_us
-        )
-    }
-}
-
 /// Result of [`run_cluster`]: every task's output in task (= shard)
 /// order, plus the fabric counters.
 #[derive(Debug, Clone)]
@@ -180,46 +154,12 @@ pub struct ClusterOutcome {
     /// Fabric counters.
     pub stats: ClusterStats,
     /// Flight-recorder snapshots shipped by traced workers, sorted by
-    /// worker index. Empty when tracing is off (no hooks recorder) — and
+    /// worker index. Empty when the run's recorder is off — and
     /// best-effort when on: a worker that died before shipping simply
     /// contributes no track. Merge with the head's own drained recorder
     /// via [`relcnn_obs::trace::export_chrome`] for one multi-process
     /// timeline.
     pub traces: Vec<TraceSnapshot>,
-}
-
-/// Optional observability side-channels for a cluster run. All of them
-/// are write-only taps: hooking a run cannot change a byte of its
-/// aggregate (CI byte-diffs hooked vs bare runs at every topology).
-#[derive(Default)]
-pub struct ClusterHooks<'a> {
-    /// Publish live `relcnn_cluster_*` metrics here. The head binds no
-    /// port: serve this registry with `relcnn_obs::ScrapeServer` to
-    /// scrape it mid-run.
-    pub registry: Option<&'a Registry>,
-    /// Flight-record the head's orchestration timeline on this recorder
-    /// (ring `"head"`), and tell every worker to record too — their
-    /// shipped rings land in [`ClusterOutcome::traces`].
-    pub trace: Option<&'a TraceRecorder>,
-}
-
-impl<'a> ClusterHooks<'a> {
-    /// No hooks: bare run.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Sets the metrics registry.
-    pub fn with_registry(mut self, registry: &'a Registry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Sets the flight recorder.
-    pub fn with_trace(mut self, recorder: &'a TraceRecorder) -> Self {
-        self.trace = Some(recorder);
-        self
-    }
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -253,20 +193,18 @@ struct Seat {
 
 /// The event loop's state: what every loss, requeue and frame write
 /// reads or updates, plus the head's own flight-recorder handles.
-struct Head<'a> {
+struct Head {
     tasks: Vec<Task>,
     stats: ClusterStats,
-    cm: &'a ClusterMetrics,
     rec: TraceRecorder,
     ring: relcnn_obs::TraceRing,
 }
 
-impl Head<'_> {
+impl Head {
     fn send(&mut self, seat: &mut Seat, msg: &ToWorker) -> bool {
         let ok = write_frame(&mut seat.stdin, &encode(msg)).is_ok();
         if ok {
             self.stats.frames_sent += 1;
-            self.cm.frames_sent.inc();
         }
         ok
     }
@@ -280,9 +218,6 @@ impl Head<'_> {
         seat.alive = false;
         self.stats.workers_lost += 1;
         self.stats.degraded = true;
-        self.cm.workers_lost.inc();
-        self.cm.workers_live.sub(1);
-        self.cm.degraded.set(1);
         self.ring.instant(
             "kill",
             "cluster",
@@ -298,7 +233,6 @@ impl Head<'_> {
                 task.retries += 1;
                 task.not_before = Instant::now() + backoff(task.retries);
                 self.stats.tasks_requeued += 1;
-                self.cm.tasks_requeued.inc();
                 self.ring.instant(
                     "requeue",
                     "cluster",
@@ -319,10 +253,12 @@ impl Head<'_> {
     }
 }
 
-/// Runs `job` over `config.workers` worker processes. `hooks` carries
-/// the optional observability side-channels — live metrics and
-/// flight-recorder tracing across the head and every worker; a bare run
-/// passes [`ClusterHooks::none`].
+/// Runs `job` over `config.workers` worker processes, flight-recording
+/// on `recorder`: the head's orchestration timeline lands in its ring
+/// `"head"`, and every worker is told to record too — their shipped
+/// rings land in [`ClusterOutcome::traces`]. A bare run passes
+/// [`TraceRecorder::off`]. Tracing is a write-only tap: it cannot change
+/// a byte of the outputs, nor any [`ClusterStats`] counter.
 ///
 /// `task_fn` is used twice: shipped implicitly (the workers are this
 /// binary, whose `main` passes the same function to
@@ -333,22 +269,14 @@ pub fn run_cluster<F>(
     config: &ClusterConfig,
     job: &JobSpec,
     task_fn: F,
-    hooks: &ClusterHooks<'_>,
+    recorder: &TraceRecorder,
 ) -> io::Result<ClusterOutcome>
 where
     F: Fn(&JobSpec, usize, usize) -> (String, String),
 {
-    let cm = &match hooks.registry {
-        Some(registry) => ClusterMetrics::registered(registry),
-        None => ClusterMetrics::default(),
-    };
     let started = Instant::now();
-    cm.degraded.set(0);
-
-    // Head-side flight recorder (off = every record call is a no-op).
-    let rec = hooks.trace.cloned().unwrap_or_default();
-    let ring = rec.ring("head");
-    let run_begin = rec.now_us();
+    let ring = recorder.ring("head");
+    let run_begin = recorder.now_us();
 
     let now = Instant::now();
     let tasks: Vec<Task> = (0..job.shards)
@@ -368,19 +296,18 @@ where
             ..ClusterStats::default()
         },
         tasks,
-        cm,
-        rec: rec.clone(),
+        rec: recorder.clone(),
         ring: ring.clone(),
     };
-    let run_local = |i: usize, head: &mut Head<'_>, outputs: &mut Vec<Option<TaskOutput>>| {
+    let run_local = |i: usize, head: &mut Head, outputs: &mut Vec<Option<TaskOutput>>| {
         let (tasks, stats) = (&mut head.tasks, &mut head.stats);
-        let fallback_begin = rec.now_us();
+        let fallback_begin = recorder.now_us();
         let (partial, payload) = task_fn(job, tasks[i].lo, tasks[i].hi);
         ring.span(
             "local_fallback",
             "cluster",
             fallback_begin,
-            rec.now_us(),
+            recorder.now_us(),
             &[
                 Arg::U("task", i as u64),
                 Arg::U("shard_lo", tasks[i].lo as u64),
@@ -396,14 +323,13 @@ where
         });
         tasks[i].state = TaskState::Done;
         stats.local_fallbacks += 1;
-        cm.local_fallbacks.inc();
     };
     let finish_trace = |stats: &ClusterStats| {
         if stats.degraded {
             ring.instant(
                 "degraded_completion",
                 "cluster",
-                rec.now_us(),
+                recorder.now_us(),
                 &[
                     Arg::U("workers_lost", stats.workers_lost),
                     Arg::U("tasks_requeued", stats.tasks_requeued),
@@ -415,7 +341,7 @@ where
             "cluster_run",
             "cluster",
             run_begin,
-            rec.now_us(),
+            recorder.now_us(),
             &[
                 Arg::U("workers", config.workers as u64),
                 Arg::U("tasks", stats.tasks),
@@ -453,12 +379,10 @@ where
             .stderr(Stdio::inherit())
             .spawn()?;
         head.stats.workers_spawned += 1;
-        cm.workers_spawned.inc();
-        cm.workers_live.add(1);
         ring.instant(
             "spawn",
             "cluster",
-            rec.now_us(),
+            recorder.now_us(),
             &[Arg::U("worker", w as u64)],
         );
         let stdin = child.stdin.take().expect("piped child stdin");
@@ -500,7 +424,7 @@ where
             worker: w,
             job: job.clone(),
             chaos: config.chaos,
-            trace: rec.is_on(),
+            trace: recorder.is_on(),
         };
         if !head.send(&mut seat, &setup) {
             head.lose(w, &mut seat, "setup write failed");
@@ -560,12 +484,11 @@ where
                 seat.running = Some((i, now));
                 if head.tasks[i].retries > 0 {
                     head.stats.task_retries += 1;
-                    cm.task_retries.inc();
                 }
                 ring.instant(
                     "assign",
                     "cluster",
-                    rec.now_us(),
+                    recorder.now_us(),
                     &[
                         Arg::U("worker", w as u64),
                         Arg::U("task", i as u64),
@@ -597,7 +520,6 @@ where
                     match event {
                         Event::Msg(msg) => {
                             head.stats.frames_received += 1;
-                            cm.frames_received.inc();
                             seats[w].last_seen = Instant::now();
                             if let FromWorker::Done {
                                 task,
@@ -608,7 +530,6 @@ where
                             {
                                 if task >= head.tasks.len() {
                                     head.stats.corrupt_frames += 1;
-                                    cm.corrupt_frames.inc();
                                     head.lose(w, &mut seats[w], "task id out of range");
                                     continue;
                                 }
@@ -624,11 +545,10 @@ where
                                     head.tasks[task].state = TaskState::Done;
                                     remaining -= 1;
                                     head.stats.tasks_completed += 1;
-                                    cm.tasks_completed.inc();
                                     ring.instant(
                                         "task_done",
                                         "cluster",
-                                        rec.now_us(),
+                                        recorder.now_us(),
                                         &[Arg::U("worker", w as u64), Arg::U("task", task as u64)],
                                     );
                                 }
@@ -637,12 +557,10 @@ where
                         Event::Corrupt(detail) => {
                             head.stats.frames_received += 1;
                             head.stats.corrupt_frames += 1;
-                            cm.frames_received.inc();
-                            cm.corrupt_frames.inc();
                             ring.instant(
                                 "corrupt_frame",
                                 "cluster",
-                                rec.now_us(),
+                                recorder.now_us(),
                                 &[Arg::U("worker", w as u64)],
                             );
                             head.lose(w, &mut seats[w], &format!("corrupt frame: {detail}"));
@@ -673,22 +591,20 @@ where
             if let Some((t, at)) = seat.running {
                 if now.duration_since(at) > Duration::from_millis(config.task_timeout_ms) {
                     head.stats.task_timeouts += 1;
-                    cm.task_timeouts.inc();
                     ring.instant(
                         "task_timeout",
                         "cluster",
-                        rec.now_us(),
+                        recorder.now_us(),
                         &[Arg::U("worker", w as u64), Arg::U("task", t as u64)],
                     );
                     head.lose(w, seat, &format!("task {t} deadline"));
                 }
             } else if now.duration_since(seat.last_seen) > LIVENESS_TIMEOUT {
                 head.stats.heartbeat_timeouts += 1;
-                cm.heartbeat_timeouts.inc();
                 ring.instant(
                     "heartbeat_timeout",
                     "cluster",
-                    rec.now_us(),
+                    recorder.now_us(),
                     &[Arg::U("worker", w as u64)],
                 );
                 head.lose(w, seat, "heartbeat silence");
@@ -700,7 +616,6 @@ where
     for seat in seats.iter_mut() {
         if seat.alive {
             let _ = head.send(seat, &ToWorker::Shutdown);
-            cm.workers_live.sub(1);
         }
     }
     for mut seat in seats {
@@ -736,7 +651,6 @@ where
 mod tests {
     use super::*;
     use relcnn_obs::trace::export_chrome;
-    use std::sync::Mutex;
 
     fn tiny_job() -> JobSpec {
         JobSpec {
@@ -749,49 +663,37 @@ mod tests {
         }
     }
 
-    /// The no-fork topology exercises every hook without spawning
-    /// processes (the test binary's `main` is not worker-aware): the
-    /// registry must be live *during* the run — proven by scraping it
-    /// over TCP from inside the task function — and the head's flight
-    /// recorder must narrate a validator-clean timeline without changing
-    /// the outputs.
+    /// The no-fork topology (the test binary's `main` is not
+    /// worker-aware), run bare and traced: the recorder is a write-only
+    /// tap, so outputs and every counter but the wall clock agree, and
+    /// the traced head narrates a validator-clean timeline.
     #[test]
-    fn hooked_local_run_scrapes_live_and_traces() {
-        let registry = Registry::new();
-        let recorder = TraceRecorder::new("cluster-head");
-        let scrape = relcnn_obs::ScrapeServer::bind("127.0.0.1:0", registry.clone()).expect("bind");
-        let scraped: Mutex<Option<String>> = Mutex::new(None);
-
+    fn local_run_is_the_same_bare_and_traced() {
         let config = ClusterConfig::new(0);
         let job = tiny_job();
         let task_fn = |job: &JobSpec, lo: usize, hi: usize| {
-            let mut page = scraped.lock().expect("scrape cell");
-            if page.is_none() {
-                let (status, body) =
-                    relcnn_obs::scrape_once(scrape.addr(), "/metrics").expect("live scrape");
-                assert!(status.contains("200"), "{status}");
-                *page = Some(body);
-            }
             (
                 format!("{{\"trials\":{}}}", job.trials),
                 format!("{lo}..{hi}\n"),
             )
         };
-        let hooks = ClusterHooks::none()
-            .with_registry(&registry)
-            .with_trace(&recorder);
-        let outcome = run_cluster(&config, &job, task_fn, &hooks).expect("local run");
-        scrape.shutdown();
+        let bare = run_cluster(&config, &job, task_fn, &TraceRecorder::off()).expect("bare run");
+        let recorder = TraceRecorder::new("cluster-head");
+        let traced = run_cluster(&config, &job, task_fn, &recorder).expect("traced run");
 
-        assert_eq!(outcome.outputs.len(), 2);
-        assert_eq!(outcome.outputs[1].payload, "2..4\n");
-        assert_eq!(outcome.stats.local_fallbacks, 2);
-        assert!(outcome.traces.is_empty(), "no workers, no shipped rings");
-        let page = scraped.lock().expect("scrape cell");
-        let page = page.as_deref().expect("task scraped the live endpoint");
+        assert_eq!(traced.outputs, bare.outputs);
+        assert_eq!(bare.outputs.len(), 2);
+        assert_eq!(bare.outputs[1].payload, "2..4\n");
+        let without_wall = |s: &ClusterStats| ClusterStats {
+            wall_us: 0,
+            ..s.clone()
+        };
+        assert_eq!(without_wall(&traced.stats), without_wall(&bare.stats));
+        assert_eq!(bare.stats.local_fallbacks, 2);
+        assert!(!bare.stats.degraded);
         assert!(
-            page.contains("relcnn_cluster_local_fallbacks_total"),
-            "{page}"
+            bare.traces.is_empty() && traced.traces.is_empty(),
+            "no workers, no shipped rings"
         );
 
         let chrome = export_chrome(&[recorder.drain()]);
@@ -801,20 +703,33 @@ mod tests {
         assert_eq!(parsed.count('i', "degraded_completion"), 0);
     }
 
-    /// Bare runs keep tracing fully off: the outcome carries no
-    /// snapshots and an off recorder records nothing.
+    /// The stats line's JSON, pinned byte for byte: field order, integer
+    /// and bool spelling.
     #[test]
-    fn unhooked_local_run_records_nothing() {
-        let config = ClusterConfig::new(0);
-        let outcome = run_cluster(
-            &config,
-            &tiny_job(),
-            |_, lo, hi| (String::from("{}"), format!("{lo}..{hi}\n")),
-            &ClusterHooks::none(),
-        )
-        .expect("local run");
-        assert_eq!(outcome.outputs.len(), 2);
-        assert!(outcome.traces.is_empty());
-        assert!(!outcome.stats.degraded);
+    fn stats_json_is_pinned() {
+        let stats = ClusterStats {
+            workers_spawned: 3,
+            workers_lost: 1,
+            tasks: 12,
+            tasks_completed: 10,
+            tasks_requeued: 2,
+            task_retries: 2,
+            frames_sent: 17,
+            frames_received: 40,
+            corrupt_frames: 1,
+            task_timeouts: 0,
+            heartbeat_timeouts: 0,
+            local_fallbacks: 2,
+            degraded: true,
+            wall_us: 18_446_744_073_709_551_615,
+        };
+        assert_eq!(
+            serde_json::to_string(&stats).unwrap(),
+            "{\"workers_spawned\":3,\"workers_lost\":1,\"tasks\":12,\
+             \"tasks_completed\":10,\"tasks_requeued\":2,\"task_retries\":2,\
+             \"frames_sent\":17,\"frames_received\":40,\"corrupt_frames\":1,\
+             \"task_timeouts\":0,\"heartbeat_timeouts\":0,\"local_fallbacks\":2,\
+             \"degraded\":true,\"wall_us\":18446744073709551615}"
+        );
     }
 }

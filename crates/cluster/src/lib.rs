@@ -48,14 +48,16 @@
 //! | crash          | process exits                    | pipe EOF                | kill + requeue |
 //! | hang           | heartbeats, but no result        | per-task deadline       | kill + requeue |
 //! | corrupt frame  | checksum mismatch on the pipe    | codec `FrameError`      | kill + requeue |
+//! | malformed message | CRC-valid frame, unparseable message | decode error, counted in `corrupt_frames` | kill + requeue |
 //!
 //! Requeues use bounded exponential backoff; a task that exhausts its
 //! two retries — or outlives the last worker — is computed in-process by
 //! the head. Any loss marks the run **degraded**
-//! ([`ClusterStats::degraded`], `relcnn_cluster_degraded`), with the
-//! same byte-identical aggregate. The [`ChaosPlan`] layer injects all
-//! three failures deterministically from the campaign seed, so CI can
-//! assert exactly that.
+//! ([`ClusterStats::degraded`]), with the same byte-identical aggregate;
+//! [`ClusterStats`] is the run's one record of its fabric counters. The
+//! [`ChaosPlan`] layer injects the first three failures
+//! deterministically from the campaign seed, so CI can assert exactly
+//! that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,7 +65,6 @@
 pub mod chaos;
 pub mod frame;
 pub mod head;
-pub mod metrics;
 pub mod proto;
 pub mod worker;
 
@@ -71,9 +72,6 @@ pub use chaos::ChaosPlan;
 pub use frame::{
     crc32, encode_frame, read_frame, write_frame, FrameError, FRAME_MAGIC, MAX_FRAME_LEN,
 };
-pub use head::{
-    run_cluster, ClusterConfig, ClusterHooks, ClusterOutcome, ClusterStats, TaskOutput,
-};
-pub use metrics::ClusterMetrics;
+pub use head::{run_cluster, ClusterConfig, ClusterOutcome, ClusterStats, TaskOutput};
 pub use proto::{FromWorker, JobSpec, ToWorker};
 pub use worker::{run_worker_if_spawned, CHAOS_CORRUPT_EXIT, CHAOS_KILL_EXIT, WORKER_ENV};
