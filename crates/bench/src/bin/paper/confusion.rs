@@ -5,12 +5,12 @@
 //! Trains the scaled AlexNet, replaces conv-1 filter 0 with the Sobel
 //! bank, and prints both confusion matrices plus the accuracy delta.
 
+use relcnn_bench::experiments::{confusion_compare, train_gtsrb_model, trained_setup};
 use relcnn_bench::write_csv;
-use relcnn_core::experiments::{confusion_compare, train_gtsrb_model};
 use relcnn_gtsrb::SyntheticGtsrb;
 
 pub fn run(quick: bool) {
-    let (dataset_config, train_config) = crate::trained_setup(quick, 111, 222);
+    let (dataset_config, train_config) = trained_setup(quick, 111, 222);
 
     println!("== X1: confusion matrices, original vs Sobel-replaced filter 0 ==");
     let data = SyntheticGtsrb::generate(&dataset_config).expect("dataset");

@@ -6,8 +6,8 @@
 //! sign at the same slight tilt; the artefact is the same: the radial
 //! time series, an ASCII rendering of the plot, and the SAX word.
 
+use relcnn_bench::experiments::fig3_series;
 use relcnn_bench::{ascii_plot, write_csv};
-use relcnn_core::experiments::fig3_series;
 use relcnn_sax::SaxConfig;
 
 pub fn run() {

@@ -10,13 +10,13 @@
 //! few depress the confidence substantially — "the accuracy varies
 //! substantially depending on which filter has been replaced".
 
+use relcnn_bench::experiments::{fig4_filter_sweep, train_gtsrb_model, trained_setup};
 use relcnn_bench::{ascii_plot, write_csv};
-use relcnn_core::experiments::train_gtsrb_model;
 use relcnn_gtsrb::{SignClass, SyntheticGtsrb};
-use relcnn_runtime::{experiments::fig4_filter_sweep_parallel, Engine};
+use relcnn_runtime::Engine;
 
 pub fn run(quick: bool) {
-    let (dataset_config, train_config) = crate::trained_setup(quick, 101, 202);
+    let (dataset_config, train_config) = trained_setup(quick, 101, 202);
 
     println!("== Figure 4: per-filter Sobel replacement sweep ==");
     println!(
@@ -35,8 +35,8 @@ pub fn run(quick: bool) {
     // The 96 per-filter evaluations are independent: fan them out over
     // the runtime's worker pool (one filter per shard, deterministic
     // result order).
-    let outcome = fig4_filter_sweep_parallel(&Engine::default(), &net, &data, SignClass::Stop)
-        .expect("sweep");
+    let outcome =
+        fig4_filter_sweep(&Engine::default(), &net, &data, SignClass::Stop).expect("sweep");
     let (points, baseline) = outcome.summary;
     println!(
         "sweep: {} filters in {:?} ({:.2} filters/s across {} workers)",

@@ -19,29 +19,11 @@ mod pretrain_drift;
 mod table1;
 
 use relcnn_bench::Args;
-use relcnn_core::experiments::paper_train_config;
-use relcnn_gtsrb::DatasetConfig;
-use relcnn_nn::train::TrainConfig;
 
 const ABOUT: &str =
     "Table 1, Fig. 3 and Fig. 4 of the paper, and its in-text claims X1 (confusion),\n\
     X2 (pretrain_drift), X3 (bucket_dynamics) and X4 (coverage_sweep). --quick runs at\n\
     smoke scale.";
-
-/// The dataset and training setup of the trained experiments (`fig4`,
-/// `confusion`, `pretrain_drift`), each at its own seeds: the standard
-/// synthetic GTSRB at the paper's epochs, or with `quick` 8 training and
-/// 3 test images per class and one epoch.
-fn trained_setup(quick: bool, data_seed: u64, train_seed: u64) -> (DatasetConfig, TrainConfig) {
-    let (mut data, mut train) = (
-        DatasetConfig::standard(data_seed),
-        paper_train_config(train_seed),
-    );
-    if quick {
-        (data.train_per_class, data.test_per_class, train.epochs) = (8, 3, 1);
-    }
-    (data, train)
-}
 
 fn main() {
     let args = Args::from_env(

@@ -12,13 +12,13 @@
 //! Reproduction: train under four freeze policies and report the final
 //! accuracy plus the filter drift in the three domains the paper names.
 
+use relcnn_bench::experiments::{pretrain_drift, trained_setup};
 use relcnn_bench::write_csv;
-use relcnn_core::experiments::pretrain_drift;
 use relcnn_gtsrb::SyntheticGtsrb;
 use relcnn_nn::freeze::FreezePolicy;
 
 pub fn run(quick: bool) {
-    let (dataset_config, train_config) = crate::trained_setup(quick, 121, 232);
+    let (dataset_config, train_config) = trained_setup(quick, 121, 232);
 
     println!("== X2: pre-initialised Sobel filter, freeze-policy comparison ==");
     let data = SyntheticGtsrb::generate(&dataset_config).expect("dataset");

@@ -9,13 +9,15 @@
 //! committed baselines. The two benches in `benches/` (`runtime_scaling`,
 //! `skewed_steal`) are plain `main`s that write the scaling artefacts
 //! `bench_gate` reads. Per-image and per-layer timing lives in the
-//! standalone `benchmark/` package. This library holds the shared
-//! output plumbing, the command-line parser ([`Args`]) and the canonical
-//! [`workload`]s.
+//! standalone `benchmark/` package. This library holds the paper's
+//! §III-B [`experiments`] (Figures 3 and 4, X1, X2) with their shared
+//! dataset and training setup, the shared output plumbing, the
+//! command-line parser ([`Args`]) and the canonical [`workload`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod workload;
 
 use std::fs;

@@ -36,7 +36,7 @@ pub const SHARDS: usize = 12;
 /// outcome. Both profiles share it (and the `(seed, 0.3)` injector), so
 /// they make the same early-stop decision at the same shard — only the
 /// exposure counts in the artefact differ.
-pub fn outcome_of(inj: &mut BerInjector, extra_ops: u64) -> TrialOutcome {
+fn outcome_of(inj: &mut BerInjector, extra_ops: u64) -> TrialOutcome {
     let mut flips = 0u32;
     let mut acc = 0.0f32;
     for op in 0..(16 + extra_ops) {

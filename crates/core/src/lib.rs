@@ -16,6 +16,11 @@
 //!   corrupted value silently escapes each redundancy mode, validated
 //!   against fault-injection campaigns.
 //!
+//! The paper's §III-B experiments that run on this network (Figure 3's
+//! SAX series, Figure 4's per-filter Sobel sweep, the confusion
+//! comparison and the frozen-filter pre-training) live in
+//! `relcnn_bench::experiments`, not here.
+//!
 //! # Example
 //!
 //! ```rust
@@ -39,8 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiments;
-pub mod filter_swap;
 pub mod guarantee;
 pub mod manifest;
 

@@ -151,7 +151,7 @@ impl ShapeQualifier {
 
     /// The analytic radial signature of a regular `sides`-gon (unit
     /// circumradius): `r(θ) = cos(π/k) / cos(((θ + φ) mod 2π/k) − π/k)`.
-    pub fn reference_signature(&self, sides: usize) -> Vec<f32> {
+    fn reference_signature(&self, sides: usize) -> Vec<f32> {
         let n = self.config.angles;
         let k = sides.max(3) as f32;
         let seg = std::f32::consts::TAU / k;

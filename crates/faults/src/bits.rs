@@ -11,12 +11,6 @@ pub const WORD_BITS: u32 = 32;
 /// Index of the sign bit.
 pub const SIGN_BIT: u32 = 31;
 
-/// Inclusive bit range of the exponent field (`23..=30`).
-pub const EXPONENT_BITS: std::ops::RangeInclusive<u32> = 23..=30;
-
-/// Inclusive bit range of the mantissa field (`0..=22`).
-pub const MANTISSA_BITS: std::ops::RangeInclusive<u32> = 0..=22;
-
 /// Flips bit `bit` of `value`'s IEEE-754 representation.
 ///
 /// # Panics
@@ -51,35 +45,6 @@ pub fn stick_bit(value: f32, bit: u32, high: bool) -> f32 {
 pub fn bit_is_set(value: f32, bit: u32) -> bool {
     assert!(bit < WORD_BITS, "bit index {bit} out of range");
     value.to_bits() & (1u32 << bit) != 0
-}
-
-/// Classifies which IEEE-754 field a bit index belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BitField {
-    /// Sign bit (31).
-    Sign,
-    /// Exponent bits (23–30); flips here change magnitude by powers of two
-    /// and dominate silent-data-corruption severity.
-    Exponent,
-    /// Mantissa bits (0–22); flips here perturb the value by at most a
-    /// relative 2⁻¹ and are often masked downstream.
-    Mantissa,
-}
-
-/// Returns the [`BitField`] containing `bit`.
-///
-/// # Panics
-///
-/// Panics if `bit >= 32`.
-pub fn classify_bit(bit: u32) -> BitField {
-    assert!(bit < WORD_BITS, "bit index {bit} out of range");
-    if bit == SIGN_BIT {
-        BitField::Sign
-    } else if EXPONENT_BITS.contains(&bit) {
-        BitField::Exponent
-    } else {
-        BitField::Mantissa
-    }
 }
 
 /// Hamming distance between the representations of two `f32` values —
@@ -135,15 +100,6 @@ mod tests {
                 assert_eq!(bit_is_set(once, bit), high);
             }
         }
-    }
-
-    #[test]
-    fn classify_fields() {
-        assert_eq!(classify_bit(31), BitField::Sign);
-        assert_eq!(classify_bit(30), BitField::Exponent);
-        assert_eq!(classify_bit(23), BitField::Exponent);
-        assert_eq!(classify_bit(22), BitField::Mantissa);
-        assert_eq!(classify_bit(0), BitField::Mantissa);
     }
 
     #[test]

@@ -39,13 +39,6 @@ pub enum TrialOutcome {
     SilentCorruption,
 }
 
-impl TrialOutcome {
-    /// Whether the trial ended safely (no undetected wrong output).
-    pub fn is_safe(&self) -> bool {
-        !matches!(self, TrialOutcome::SilentCorruption)
-    }
-}
-
 /// Result of a single campaign trial.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrialResult {
@@ -314,13 +307,5 @@ mod tests {
         assert_eq!(report.trials, 0);
         assert_eq!(report.safety_rate(), 1.0);
         assert_eq!(report.availability(), 1.0);
-    }
-
-    #[test]
-    fn outcome_safety_classification() {
-        assert!(TrialOutcome::Correct.is_safe());
-        assert!(TrialOutcome::DetectedRecovered.is_safe());
-        assert!(TrialOutcome::DetectedAborted.is_safe());
-        assert!(!TrialOutcome::SilentCorruption.is_safe());
     }
 }

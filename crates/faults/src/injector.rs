@@ -18,17 +18,6 @@ pub struct InjectorStats {
     pub masked: u64,
 }
 
-impl InjectorStats {
-    /// Fired-fault rate per exposure.
-    pub fn injection_rate(&self) -> f64 {
-        if self.exposures == 0 {
-            0.0
-        } else {
-            self.injected as f64 / self.exposures as f64
-        }
-    }
-}
-
 /// A source of (possible) corruption for elementary `f32` operations.
 ///
 /// Implementations must be deterministic given their seed so that every
@@ -417,7 +406,7 @@ mod tests {
         for i in 0..20_000 {
             inj.perturb(ctx(i), 1.0);
         }
-        let rate = inj.stats().injection_rate();
+        let rate = inj.stats().injected as f64 / inj.stats().exposures as f64;
         assert!((rate - 0.05).abs() < 0.01, "rate {rate}");
     }
 

@@ -83,7 +83,7 @@ impl SkewedCost {
 
     /// Total evaluations over trials `0..trials` (the work a scheduler
     /// must balance).
-    pub fn total_evals(&self, trials: u64) -> u64 {
+    fn total_evals(&self, trials: u64) -> u64 {
         (0..trials).map(|i| self.evals(i)).sum()
     }
 

@@ -174,11 +174,6 @@ impl FilterDrift {
             .abs(),
         }
     }
-
-    /// Whether the filter is unchanged to within `tol` in every domain.
-    pub fn is_unchanged(&self, tol: f32) -> bool {
-        self.l2 <= tol
-    }
 }
 
 /// Fraction of a `[c, k, k]` filter's energy in first differences — a
@@ -340,7 +335,7 @@ mod tests {
         assert!(d.highfreq_shift > 0.1);
         // Identity.
         let d = FilterDrift::between(&reference, &reference);
-        assert!(d.is_unchanged(1e-9));
+        assert_eq!(d.l2, 0.0);
     }
 
     #[test]

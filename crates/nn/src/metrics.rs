@@ -73,17 +73,6 @@ impl ConfusionMatrix {
         correct as f64 / total as f64
     }
 
-    /// Recall (true-positive rate) of one class; `None` when the class has
-    /// no observations.
-    pub fn recall(&self, class: usize) -> Option<f64> {
-        let row: u64 = (0..self.classes).map(|p| self.count(class, p)).sum();
-        if row == 0 {
-            None
-        } else {
-            Some(self.count(class, class) as f64 / row as f64)
-        }
-    }
-
     /// Precision of one class; `None` when the class was never predicted.
     pub fn precision(&self, class: usize) -> Option<f64> {
         let col: u64 = (0..self.classes).map(|a| self.count(a, class)).sum();
@@ -92,24 +81,6 @@ impl ConfusionMatrix {
         } else {
             Some(self.count(class, class) as f64 / col as f64)
         }
-    }
-
-    /// False-negative count for one class — for safety-critical classes
-    /// (a missed stop sign) this is the number the qualifier architecture
-    /// exists to bound.
-    pub fn false_negatives(&self, class: usize) -> u64 {
-        (0..self.classes)
-            .filter(|&p| p != class)
-            .map(|p| self.count(class, p))
-            .sum()
-    }
-
-    /// False-positive count for one class.
-    pub fn false_positives(&self, class: usize) -> u64 {
-        (0..self.classes)
-            .filter(|&a| a != class)
-            .map(|a| self.count(a, class))
-            .sum()
     }
 
     /// Element-wise absolute difference from another matrix — the
@@ -202,19 +173,13 @@ mod tests {
     #[test]
     fn per_class_metrics() {
         let m = sample_matrix();
-        assert!((m.recall(0).unwrap() - 0.8).abs() < 1e-12);
-        assert!((m.recall(2).unwrap() - 1.0).abs() < 1e-12);
         // Precision of class 1: 9 true / (9 + 2 from class 0) = 9/11.
         assert!((m.precision(1).unwrap() - 9.0 / 11.0).abs() < 1e-12);
-        assert_eq!(m.false_negatives(0), 2);
-        assert_eq!(m.false_positives(1), 2);
-        assert_eq!(m.false_positives(0), 0);
     }
 
     #[test]
     fn empty_classes_give_none() {
         let m = ConfusionMatrix::new(2);
-        assert_eq!(m.recall(0), None);
         assert_eq!(m.precision(0), None);
         assert_eq!(m.accuracy(), 1.0);
     }

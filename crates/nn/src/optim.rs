@@ -63,16 +63,6 @@ impl Sgd {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> SgdConfig {
-        self.config
-    }
-
-    /// Changes the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.config.lr = lr;
-    }
-
     /// Applies one update step to `params`, dividing accumulated gradients
     /// by `batch_size`.
     ///
@@ -250,12 +240,5 @@ mod tests {
             1,
         );
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn lr_schedule_hook() {
-        let mut sgd = Sgd::new(SgdConfig::plain(0.1));
-        sgd.set_lr(0.01);
-        assert_eq!(sgd.config().lr, 0.01);
     }
 }

@@ -1,9 +1,12 @@
 //! Model checkpointing: save/load a network's parameter state to disk.
 //!
-//! The Figure-4 sweep trains one model and then evaluates 96 filter
-//! replacements against it; checkpointing lets the expensive training run
-//! happen once. Format: a JSON manifest line (layer names, tensor count)
-//! followed by the raw `RCNT` tensor records of `relcnn-tensor::serial`.
+//! A checkpoint persists a trained network and restores it into a
+//! structurally matching one. (No experiment reads one: each trained
+//! experiment retrains from its seeds.) Format: a JSON manifest line
+//! (layer names, tensor count) followed by the raw `RCNT` tensor records
+//! of `relcnn-tensor::serial`. The loader takes untrusted bytes: every
+//! malformed checkpoint is an [`NnError::Checkpoint`], and it reserves no
+//! more than the checkpoint's own bytes justify.
 
 use crate::error::NnError;
 use crate::network::Network;
@@ -45,8 +48,10 @@ pub fn to_checkpoint_bytes(net: &mut Network) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`NnError::Checkpoint`] for malformed buffers or structural
-/// mismatches (different layers or tensor shapes).
+/// Returns [`NnError::Checkpoint`] for every malformed buffer (a
+/// truncated or unparsable manifest, a tensor count the bytes cannot
+/// hold, a corrupt tensor record, overflowing dimensions included) and
+/// for structural mismatches (different layers or tensor shapes).
 pub fn load_checkpoint_bytes(net: &mut Network, bytes: &[u8]) -> Result<(), NnError> {
     let mut buf = bytes;
     if buf.remaining() < 8 {
@@ -79,7 +84,9 @@ pub fn load_checkpoint_bytes(net: &mut Network, bytes: &[u8]) -> Result<(), NnEr
             ),
         });
     }
-    let mut state = Vec::with_capacity(manifest.tensor_count);
+    // The count is the file's claim: reserve no more records than the
+    // remaining bytes can hold (a record is at least an 8-byte header).
+    let mut state = Vec::with_capacity(manifest.tensor_count.min(buf.remaining() / 8));
     for i in 0..manifest.tensor_count {
         let t = from_bytes(&mut buf).map_err(|e| NnError::Checkpoint {
             reason: format!("tensor {i}: {e}"),
@@ -104,7 +111,8 @@ pub fn save(net: &mut Network, path: impl AsRef<Path>) -> Result<(), NnError> {
 ///
 /// # Errors
 ///
-/// Returns [`NnError::Checkpoint`] on I/O failure or structural mismatch.
+/// Returns [`NnError::Checkpoint`] on I/O failure, on every malformed
+/// checkpoint (as [`load_checkpoint_bytes`]) and on structural mismatch.
 pub fn load(net: &mut Network, path: impl AsRef<Path>) -> Result<(), NnError> {
     let bytes = fs::read(path.as_ref()).map_err(|e| NnError::Checkpoint {
         reason: format!("read {}: {e}", path.as_ref().display()),

@@ -27,7 +27,7 @@ pub const NUM_BUCKETS: usize = 8 + 61 * 8;
 
 /// Bucket index of a sample: exact below 8, log-linear above (the top
 /// three bits below the most significant bit select the sub-bucket).
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < 8 {
         return v as usize;
     }
@@ -37,7 +37,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive lower bound of a bucket.
-pub fn bucket_lo(index: usize) -> u64 {
+fn bucket_lo(index: usize) -> u64 {
     if index < 8 {
         return index as u64;
     }
@@ -47,7 +47,7 @@ pub fn bucket_lo(index: usize) -> u64 {
 }
 
 /// Width of a bucket in sample units.
-pub fn bucket_width(index: usize) -> u64 {
+fn bucket_width(index: usize) -> u64 {
     if index < 8 {
         1
     } else {
@@ -57,7 +57,7 @@ pub fn bucket_width(index: usize) -> u64 {
 
 /// Inclusive upper bound of a bucket — the Prometheus `le` value for
 /// integer samples (`lo + width - 1`, saturating at `u64::MAX`).
-pub fn bucket_le(index: usize) -> u64 {
+fn bucket_le(index: usize) -> u64 {
     bucket_lo(index).saturating_add(bucket_width(index) - 1)
 }
 

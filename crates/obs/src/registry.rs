@@ -241,15 +241,6 @@ impl Registry {
     pub fn render(&self) -> String {
         encode::encode(&self.snapshot())
     }
-
-    /// Number of registered families (diagnostic).
-    pub fn family_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("metric registry poisoned")
-            .families
-            .len()
-    }
 }
 
 #[cfg(test)]
@@ -271,7 +262,7 @@ mod tests {
         // Different labels → a distinct series in the same family.
         let c = reg.counter("relcnn_test_total", "help", &[("worker", "1")]);
         assert!(!a.same_as(&c));
-        assert_eq!(reg.family_count(), 1);
+        assert_eq!(reg.snapshot().len(), 1);
     }
 
     #[test]

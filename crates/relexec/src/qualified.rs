@@ -48,16 +48,6 @@ impl<T> Qualified<T> {
         self.ok
     }
 
-    /// The (possibly suspect) value, consuming the wrapper.
-    pub fn into_value(self) -> T {
-        self.value
-    }
-
-    /// Borrows the value.
-    pub fn value_ref(&self) -> &T {
-        &self.value
-    }
-
     /// Converts to `Some(value)` when qualified, `None` otherwise.
     pub fn ok(self) -> Option<T> {
         if self.ok {
@@ -119,8 +109,6 @@ mod tests {
         let g = Qualified::passed(7);
         assert!(g.is_ok());
         assert_eq!(g.value(), 7);
-        assert_eq!(*g.value_ref(), 7);
-        assert_eq!(g.into_value(), 7);
 
         let b = Qualified::failed(9);
         assert!(!b.is_ok());
@@ -153,7 +141,7 @@ mod tests {
         assert!(!Qualified::passed(1).zip(Qualified::failed(2)).is_ok());
         assert!(!Qualified::failed(1).zip(Qualified::passed(2)).is_ok());
         let z = Qualified::passed("a").zip(Qualified::passed(9));
-        assert_eq!(z.value_ref(), &("a", 9));
+        assert_eq!(z.value(), ("a", 9));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The single execution substrate for everything in the `relcnn`
 //! workspace that runs *many independent units of work*: fault-injection
-//! campaigns, batched hybrid-CNN classification, and per-filter
-//! experiment sweeps.
+//! campaigns, batched hybrid-CNN classification, serving batches, and
+//! the paper's parallel experiment sweeps (`relcnn-bench`).
 //!
 //! ## Architecture
 //!
@@ -122,7 +122,6 @@ mod agg;
 mod batch;
 pub mod campaign;
 mod engine;
-pub mod experiments;
 pub mod metrics;
 mod sched;
 mod sink;

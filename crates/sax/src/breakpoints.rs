@@ -21,7 +21,7 @@ pub const MAX_ALPHABET: usize = 26;
 /// # Panics
 ///
 /// Panics if `p` is outside the open interval `(0, 1)`.
-pub fn inverse_normal_cdf(p: f64) -> f64 {
+fn inverse_normal_cdf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "p={p} outside (0,1)");
 
     // Coefficients for the central and tail rational approximations.

@@ -17,7 +17,7 @@ use crate::{SaxError, SaxWord};
 /// # Errors
 ///
 /// Returns [`SaxError::BadAlphabet`] for unsupported alphabet sizes.
-pub fn dist_table(alphabet: usize) -> Result<Vec<Vec<f64>>, SaxError> {
+fn dist_table(alphabet: usize) -> Result<Vec<Vec<f64>>, SaxError> {
     let bp = gaussian_breakpoints(alphabet)?;
     let mut table = vec![vec![0.0f64; alphabet]; alphabet];
     for (r, row) in table.iter_mut().enumerate() {

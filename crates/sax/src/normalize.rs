@@ -34,12 +34,6 @@ pub fn z_normalize(series: &[f32]) -> Vec<f32> {
     series.iter().map(|v| (v - mean) / std_dev).collect()
 }
 
-/// In-place variant of [`z_normalize`].
-pub fn z_normalize_inplace(series: &mut [f32]) {
-    let out = z_normalize(series);
-    series.copy_from_slice(&out);
-}
-
 /// Returns `(mean, std_dev)` of a series (population convention).
 ///
 /// Returns `(0.0, 0.0)` for an empty series.
@@ -83,14 +77,6 @@ mod tests {
     fn empty_series_ok() {
         assert!(z_normalize(&[]).is_empty());
         assert_eq!(moments(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn inplace_matches_owned() {
-        let mut a = vec![1.0, 5.0, 3.0, 9.0];
-        let b = z_normalize(&a);
-        z_normalize_inplace(&mut a);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl SaxWord {
     /// * [`SaxError::BadAlphabet`] for an unsupported alphabet;
     /// * [`SaxError::BadSymbol`] if any index is `>= alphabet`;
     /// * [`SaxError::ZeroSegments`] for an empty symbol list.
-    pub fn from_symbols(
+    fn from_symbols(
         symbols: Vec<u8>,
         alphabet: usize,
         series_len: usize,
@@ -99,8 +99,9 @@ impl SaxWord {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SaxWord::from_symbols`], plus
-    /// [`SaxError::BadSymbol`] for characters outside `'a'..alphabet`.
+    /// * [`SaxError::BadAlphabet`] for an unsupported alphabet;
+    /// * [`SaxError::BadSymbol`] for characters outside `'a'..alphabet`;
+    /// * [`SaxError::ZeroSegments`] for an empty word.
     pub fn parse(text: &str, alphabet: usize, series_len: usize) -> Result<Self, SaxError> {
         gaussian_breakpoints(alphabet)?;
         let mut symbols = Vec::with_capacity(text.len());
@@ -140,21 +141,6 @@ impl SaxWord {
     /// Whether the word is empty (never true for validly constructed words).
     pub fn is_empty(&self) -> bool {
         self.symbols.is_empty()
-    }
-
-    /// Number of positions at which two words differ (Hamming distance).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SaxError::ConfigMismatch`] if lengths or alphabets differ.
-    pub fn hamming(&self, other: &SaxWord) -> Result<usize, SaxError> {
-        self.check_comparable(other)?;
-        Ok(self
-            .symbols
-            .iter()
-            .zip(other.symbols.iter())
-            .filter(|(a, b)| a != b)
-            .count())
     }
 
     /// Maximum absolute symbol-index difference across positions — the
@@ -335,15 +321,13 @@ mod tests {
     }
 
     #[test]
-    fn hamming_and_gap() {
+    fn symbol_gap() {
         let a = SaxWord::parse("aabb", 4, 16).unwrap();
         let b = SaxWord::parse("aabd", 4, 16).unwrap();
-        assert_eq!(a.hamming(&b).unwrap(), 1);
         assert_eq!(a.max_symbol_gap(&b).unwrap(), 2);
-        assert_eq!(a.hamming(&a).unwrap(), 0);
         assert_eq!(a.max_symbol_gap(&a).unwrap(), 0);
         let c = SaxWord::parse("aab", 4, 12).unwrap();
-        assert!(a.hamming(&c).is_err());
+        assert!(a.max_symbol_gap(&c).is_err());
         let d = SaxWord::parse("aabb", 5, 16).unwrap();
         assert!(a.max_symbol_gap(&d).is_err());
     }

@@ -75,7 +75,7 @@ impl BatchPolicy {
     }
 
     /// The window budget of one lane.
-    pub fn delay_us(&self, class: RequestClass) -> u64 {
+    fn delay_us(&self, class: RequestClass) -> u64 {
         match class {
             RequestClass::Critical => self.critical_delay_us,
             _ => self.max_delay_us,
@@ -107,14 +107,9 @@ pub struct ServiceModel {
 }
 
 impl ServiceModel {
-    /// Virtual service cost of one request.
-    pub fn request_cost_us(&self, req: &Request) -> u64 {
-        self.cost.evals(req.id)
-    }
-
     /// Virtual service cost of one batch.
-    pub fn batch_cost_us(&self, batch: &[Request]) -> u64 {
-        self.batch_overhead_us + batch.iter().map(|r| self.request_cost_us(r)).sum::<u64>()
+    fn batch_cost_us(&self, batch: &[Request]) -> u64 {
+        self.batch_overhead_us + batch.iter().map(|r| self.cost.evals(r.id)).sum::<u64>()
     }
 }
 

@@ -142,7 +142,7 @@ impl LoadGenConfig {
     }
 
     /// The deadline budget class `class` runs on.
-    pub fn class_budget_us(&self, class: RequestClass) -> u64 {
+    fn class_budget_us(&self, class: RequestClass) -> u64 {
         match self.class_deadline_us[class.lane()] {
             0 => self.deadline_us,
             b => b,

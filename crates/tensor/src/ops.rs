@@ -521,25 +521,6 @@ impl Tensor {
         self.map(|v| v + k)
     }
 
-    /// In-place AXPY update: `self += alpha * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn axpy(&mut self, alpha: f32, rhs: &Tensor) -> Result<(), TensorError> {
-        if self.shape() != rhs.shape() {
-            return Err(TensorError::ShapeMismatch {
-                expected: self.shape().dims().to_vec(),
-                actual: rhs.shape().dims().to_vec(),
-                op: "axpy",
-            });
-        }
-        for (a, b) in self.iter_mut().zip(rhs.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.iter().sum()
@@ -728,15 +709,6 @@ mod tests {
         let mut b = a.clone();
         b.map_inplace(|v| v * v);
         assert_eq!(b.as_slice(), &[1., 4., 9.]);
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let mut a = t(vec![1., 1.]);
-        let g = t(vec![2., 4.]);
-        a.axpy(-0.5, &g).unwrap();
-        assert_eq!(a.as_slice(), &[0., -1.]);
-        assert!(a.axpy(1.0, &Tensor::zeros(Shape::d1(3))).is_err());
     }
 
     #[test]

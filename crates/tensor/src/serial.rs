@@ -10,8 +10,9 @@
 //! data    f32 * volume
 //! ```
 //!
-//! Used for model checkpoints so experiments (e.g. the Figure-4 filter
-//! sweep) can reuse a trained network without retraining.
+//! The records of a model checkpoint (`relcnn_nn::serial`). The decoder
+//! takes untrusted bytes: every malformed record is an error value, and
+//! it allocates no more than the record's own bytes justify.
 
 use crate::{Shape, Tensor, TensorError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -39,8 +40,10 @@ pub fn to_bytes(tensor: &Tensor) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::Corrupt`] for bad magic, unsupported version or a
-/// truncated stream.
+/// Returns [`TensorError::Corrupt`] for every malformed record: bad magic,
+/// unsupported version, a truncated stream, or dimensions whose element
+/// or byte count overflows `usize`. An `Ok` tensor's data length always
+/// equals its shape's volume.
 pub fn from_bytes(buf: &mut impl Buf) -> Result<Tensor, TensorError> {
     if buf.remaining() < 8 {
         return Err(TensorError::Corrupt {
@@ -68,29 +71,27 @@ pub fn from_bytes(buf: &mut impl Buf) -> Result<Tensor, TensorError> {
     let mut dims = Vec::with_capacity(rank);
     for _ in 0..rank {
         let d = buf.get_u64_le();
-        if d > usize::MAX as u64 {
-            return Err(TensorError::Corrupt {
-                reason: format!("dimension {d} exceeds platform usize"),
-            });
-        }
-        dims.push(d as usize);
+        dims.push(usize::try_from(d).map_err(|_| TensorError::Corrupt {
+            reason: format!("dimension {d} exceeds platform usize"),
+        })?);
     }
-    let shape = Shape::new(dims);
-    let volume = shape.volume();
-    if buf.remaining() < volume * 4 {
+    // The payload's byte count, 4 × volume, checked: a prefix of the
+    // dimensions overflows here whenever it overflows in `Shape::volume`.
+    let need = (dims.iter())
+        .try_fold(4usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| TensorError::Corrupt {
+            reason: format!("{rank} dimensions overflow the payload size"),
+        })?;
+    if buf.remaining() < need {
         return Err(TensorError::Corrupt {
             reason: format!(
-                "payload truncated: need {} bytes, have {}",
-                volume * 4,
+                "payload truncated: need {need} bytes, have {}",
                 buf.remaining()
             ),
         });
     }
-    let mut data = Vec::with_capacity(volume);
-    for _ in 0..volume {
-        data.push(buf.get_f32_le());
-    }
-    Tensor::from_vec(shape, data)
+    let data = (0..need / 4).map(|_| buf.get_f32_le()).collect();
+    Tensor::from_vec(Shape::new(dims), data)
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@ use std::fmt;
 /// let s = Shape::d3(2, 3, 4);
 /// assert_eq!(s.rank(), 3);
 /// assert_eq!(s.volume(), 24);
-/// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Shape {
@@ -87,7 +86,7 @@ impl Shape {
     ///
     /// The last axis has stride 1; each preceding axis has the stride of the
     /// following axis multiplied by that axis' size.
-    pub fn strides(&self) -> Vec<usize> {
+    fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];

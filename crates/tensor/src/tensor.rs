@@ -115,32 +115,17 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-index.
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of bounds; use [`Tensor::try_get`] for a
-    /// fallible variant.
+    /// Panics if the index is out of bounds.
     pub fn get(&self, index: &[usize]) -> f32 {
         let off = self
             .shape
             .offset(index)
             .unwrap_or_else(|e| panic!("tensor get: {e}"));
         self.data[off]
-    }
-
-    /// Fallible element access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] for invalid indices.
-    pub fn try_get(&self, index: &[usize]) -> Result<f32, TensorError> {
-        Ok(self.data[self.shape.offset(index)?])
     }
 
     /// Sets the element at a multi-index.
@@ -154,17 +139,6 @@ impl Tensor {
             .offset(index)
             .unwrap_or_else(|e| panic!("tensor set: {e}"));
         self.data[off] = value;
-    }
-
-    /// Fallible element update.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] for invalid indices.
-    pub fn try_set(&mut self, index: &[usize], value: f32) -> Result<(), TensorError> {
-        let off = self.shape.offset(index)?;
-        self.data[off] = value;
-        Ok(())
     }
 
     /// Returns a copy with the same data and a new shape of equal volume.
@@ -352,9 +326,6 @@ mod tests {
         let mut t = Tensor::zeros(Shape::d3(2, 2, 2));
         t.set(&[1, 0, 1], 7.0);
         assert_eq!(t.get(&[1, 0, 1]), 7.0);
-        assert_eq!(t.try_get(&[1, 0, 1]).unwrap(), 7.0);
-        assert!(t.try_get(&[2, 0, 0]).is_err());
-        assert!(t.try_set(&[0, 0, 9], 0.0).is_err());
     }
 
     #[test]

@@ -13,8 +13,6 @@ use std::collections::VecDeque;
 pub struct Blob {
     /// Pixel coordinates `(y, x)` belonging to the component.
     pixels: Vec<(usize, usize)>,
-    /// Bounding box `(min_y, min_x, max_y, max_x)`.
-    bbox: (usize, usize, usize, usize),
 }
 
 impl Blob {
@@ -26,11 +24,6 @@ impl Blob {
     /// The component's pixels as `(y, x)` pairs.
     pub fn pixels(&self) -> &[(usize, usize)] {
         &self.pixels
-    }
-
-    /// Bounding box `(min_y, min_x, max_y, max_x)` (inclusive).
-    pub fn bbox(&self) -> (usize, usize, usize, usize) {
-        self.bbox
     }
 
     /// Centroid `(cy, cx)` of the component.
@@ -83,14 +76,9 @@ pub fn connected_components(mask: &Tensor) -> Result<Vec<Blob>, VisionError> {
         let mut queue = VecDeque::new();
         queue.push_back(start);
         visited[start] = true;
-        let (mut min_y, mut min_x, mut max_y, mut max_x) = (h, w, 0usize, 0usize);
         while let Some(p) = queue.pop_front() {
             let (y, x) = (p / w, p % w);
             pixels.push((y, x));
-            min_y = min_y.min(y);
-            min_x = min_x.min(x);
-            max_y = max_y.max(y);
-            max_x = max_x.max(x);
             for dy in -1i64..=1 {
                 for dx in -1i64..=1 {
                     if dy == 0 && dx == 0 {
@@ -109,10 +97,7 @@ pub fn connected_components(mask: &Tensor) -> Result<Vec<Blob>, VisionError> {
                 }
             }
         }
-        blobs.push(Blob {
-            pixels,
-            bbox: (min_y, min_x, max_y, max_x),
-        });
+        blobs.push(Blob { pixels });
     }
     Ok(blobs)
 }
@@ -180,7 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn bbox_and_mask_roundtrip() {
+    fn mask_roundtrip() {
         let mut mask = Tensor::zeros(Shape::d2(16, 16));
         draw::fill_polygon(
             &mut mask,
@@ -188,9 +173,6 @@ mod tests {
             1.0,
         );
         let blob = largest_component(&mask).unwrap();
-        let (min_y, min_x, max_y, max_x) = blob.bbox();
-        assert!(min_y >= 4 && min_x >= 4);
-        assert!(max_y <= 10 && max_x <= 12);
         let rendered = blob.to_mask(16, 16);
         assert_eq!(rendered, mask);
     }

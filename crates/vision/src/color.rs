@@ -43,16 +43,6 @@ impl Rgb {
         Rgb::new(0.0, 0.0, 0.0)
     }
 
-    /// Uniform gray of the given level.
-    pub fn gray(level: f32) -> Self {
-        Rgb::new(level, level, level)
-    }
-
-    /// ITU-R BT.601 luma of the colour.
-    pub fn luma(&self) -> f32 {
-        0.299 * self.r + 0.587 * self.g + 0.114 * self.b
-    }
-
     /// Linear interpolation towards `other` (`t` clamped to `[0, 1]`).
     pub fn lerp(&self, other: Rgb, t: f32) -> Rgb {
         let t = t.clamp(0.0, 1.0);
@@ -92,13 +82,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clamping_and_luma() {
+    fn clamping() {
         let c = Rgb::new(2.0, -1.0, 0.5);
         assert_eq!((c.r, c.g, c.b), (1.0, 0.0, 0.5));
-        assert!((Rgb::white().luma() - 1.0).abs() < 1e-6);
-        assert_eq!(Rgb::black().luma(), 0.0);
-        // Green dominates perceived brightness.
-        assert!(Rgb::new(0.0, 1.0, 0.0).luma() > Rgb::new(1.0, 0.0, 0.0).luma());
     }
 
     #[test]
@@ -107,7 +93,7 @@ mod tests {
         let b = Rgb::white();
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Rgb::gray(0.5));
+        assert_eq!(a.lerp(b, 0.5), Rgb::new(0.5, 0.5, 0.5));
         assert_eq!(a.lerp(b, 7.0), b, "t clamped");
     }
 

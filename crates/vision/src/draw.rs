@@ -33,7 +33,7 @@ pub fn regular_polygon(
 }
 
 /// Tests whether a point lies inside a polygon (even-odd rule).
-pub fn point_in_polygon(point: (f32, f32), vertices: &[(f32, f32)]) -> bool {
+fn point_in_polygon(point: (f32, f32), vertices: &[(f32, f32)]) -> bool {
     let (px, py) = point;
     let mut inside = false;
     let n = vertices.len();
@@ -202,25 +202,6 @@ fn for_each_circle_pixel(
     }
 }
 
-/// Fills the whole image with a constant colour.
-///
-/// # Panics
-///
-/// Panics if `image` is not `[3, h, w]`.
-pub fn fill_rgb(image: &mut Tensor, color: Rgb) {
-    assert!(
-        image.shape().rank() == 3 && image.shape().dim(0) == 3,
-        "fill_rgb needs a [3,h,w] image"
-    );
-    let plane = image.shape().dim(1) * image.shape().dim(2);
-    let data = image.as_mut_slice();
-    for i in 0..plane {
-        data[i] = color.r;
-        data[plane + i] = color.g;
-        data[2 * plane + i] = color.b;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,9 +273,7 @@ mod tests {
 
     #[test]
     fn rgb_fills() {
-        let mut img = Tensor::zeros(Shape::d3(3, 16, 16));
-        fill_rgb(&mut img, Rgb::gray(0.5));
-        assert!((img.mean() - 0.5).abs() < 1e-6);
+        let mut img = Tensor::full(Shape::d3(3, 16, 16), 0.5);
         fill_circle_rgb(&mut img, (8.0, 8.0), 4.0, Rgb::sign_red());
         fill_polygon_rgb(
             &mut img,

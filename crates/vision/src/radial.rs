@@ -116,7 +116,7 @@ impl RadialSignature {
 ///
 /// * [`VisionError::NotGrayscale`] for non-rank-2 masks;
 /// * [`VisionError::BadParameter`] when `n_angles == 0`.
-pub fn radial_signature_from(
+fn radial_signature_from(
     mask: &Tensor,
     centroid: (f32, f32),
     n_angles: usize,
@@ -165,7 +165,8 @@ pub fn radial_signature_from(
 /// # Errors
 ///
 /// * [`VisionError::EmptyMask`] when the mask has no foreground;
-/// * plus the conditions of [`radial_signature_from`].
+/// * [`VisionError::NotGrayscale`] for non-rank-2 masks;
+/// * [`VisionError::BadParameter`] when `n_angles == 0`.
 pub fn radial_signature(mask: &Tensor, n_angles: usize) -> Result<RadialSignature, VisionError> {
     let blob = largest_component(mask)?;
     let centroid = blob.centroid();

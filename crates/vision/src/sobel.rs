@@ -92,7 +92,7 @@ pub fn extended_sobel(size: usize, axis: SobelAxis) -> Result<Tensor, VisionErro
 /// # Errors
 ///
 /// Returns [`VisionError::NotGrayscale`] for non-rank-2 input.
-pub fn sobel_response(image: &Tensor, axis: SobelAxis) -> Result<Tensor, VisionError> {
+fn sobel_response(image: &Tensor, axis: SobelAxis) -> Result<Tensor, VisionError> {
     if image.shape().rank() != 2 {
         return Err(VisionError::NotGrayscale {
             rank: image.shape().rank(),

@@ -2,12 +2,13 @@
 //! or silent misbehaviour — the API contract a safety-critical caller
 //! relies on.
 
-use relcnn::core::experiments::{fig4_filter_sweep, train_gtsrb_model};
 use relcnn::core::{HybridCnn, HybridConfig};
 use relcnn::gtsrb::{DatasetConfig, SignClass, SyntheticGtsrb};
 use relcnn::nn::train::TrainConfig;
 use relcnn::nn::SgdConfig;
+use relcnn::runtime::Engine;
 use relcnn::tensor::{Shape, Tensor};
+use relcnn_bench::experiments::{fig4_filter_sweep, train_gtsrb_model};
 
 #[test]
 fn wrong_image_sizes_error_gracefully() {
@@ -60,8 +61,10 @@ fn confidence_only_sweep_skips_accuracy() {
         sgd: SgdConfig::plain(0.02),
         seed: 4,
     };
-    let (mut net, _) = train_gtsrb_model(&data, &tc, 5).expect("training");
-    let (points, baseline) = fig4_filter_sweep(&mut net, &data, SignClass::Stop).expect("sweep");
+    let (net, _) = train_gtsrb_model(&data, &tc, 5).expect("training");
+    let outcome =
+        fig4_filter_sweep(&Engine::with_workers(2), &net, &data, SignClass::Stop).expect("sweep");
+    let (points, baseline) = outcome.summary;
     assert_eq!(points.len(), 96);
     assert!(baseline.accuracy.is_finite(), "baseline always evaluated");
     for p in &points {

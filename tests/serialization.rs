@@ -2,7 +2,6 @@
 //! wrapper, JSON round-trips of the public result/report types, and the
 //! experiment artefact types.
 
-use relcnn::core::experiments::{fig3_series, SweepPoint};
 use relcnn::core::{HybridCnn, HybridConfig};
 use relcnn::gtsrb::{DatasetConfig, RenderParams, SignClass, SyntheticGtsrb};
 use relcnn::nn::serial;
@@ -10,6 +9,7 @@ use relcnn::nn::train::TrainConfig;
 use relcnn::nn::SgdConfig;
 use relcnn::sax::SaxConfig;
 use relcnn::tensor::init::Rand;
+use relcnn_bench::experiments::{fig3_series, SweepPoint};
 
 #[test]
 fn hybrid_checkpoint_roundtrip_preserves_verdicts() {
