@@ -19,7 +19,7 @@
 use relcnn_bench::{results_dir, write_csv};
 use relcnn_core::guarantee::{silent_layer_bound, silent_layer_probability};
 use relcnn_faults::{BerInjector, FaultInjector, FaultSite};
-use relcnn_relexec::conv::{reliable_partition, ReliableConvConfig};
+use relcnn_relexec::conv::{reliable_partition, ConvPlan, ReliableConvConfig};
 use relcnn_relexec::{BucketConfig, RedundancyMode, RetryPolicy};
 use relcnn_runtime::{
     CampaignSink, EarlyStop, Engine, FnTrial, JsonlSink, RunPlan, TrialCtx, TrialOutcome,
@@ -35,13 +35,13 @@ pub fn run(quick: bool) {
     let trials: u64 = if quick { 100 } else { 400 };
     println!("== X4: detection coverage & silent-corruption rate vs BER ==");
 
-    // Small conv so each trial is cheap; ops = 2 * macs.
+    // Small conv so each trial is cheap: no bias and no ReLU stage.
     let mut rng = Rand::seeded(4);
     let input = rng.tensor(Shape::d3(2, 10, 10), Init::Uniform { lo: -1.0, hi: 1.0 });
     let weights = rng.tensor(Shape::d4(4, 2, 3, 3), Init::HeNormal { fan_in: 18 });
     let geom = ConvGeometry::new(10, 10, 3, 3, 1, 0).expect("geometry");
     let golden = conv2d(&input, &weights, None, &geom).expect("golden");
-    let ops = 2 * geom.mac_count(2, 4);
+    let ops = ConvPlan::new(&geom, 2, 4, false, false).qualified_ops();
     println!(
         "layer: {} qualified ops per trial, up to {} trials per point\n",
         ops, trials

@@ -19,7 +19,8 @@
 
 use relcnn_bench::{results_dir, write_csv};
 use relcnn_faults::NoFaults;
-use relcnn_relexec::conv::{reliable_partition, ReliableConvConfig};
+use relcnn_relexec::conv::{reliable_partition, ConvPlan, ReliableConvConfig};
+use relcnn_relexec::cost::OpCost;
 use relcnn_relexec::RedundancyMode;
 use relcnn_runtime::{CollectSink, Engine, FnTrial, RunPlan, RunStats, TrialCtx};
 use relcnn_sax::{SaxConfig, SaxEncoder};
@@ -66,7 +67,9 @@ pub fn run(quick: bool) {
     let bias = Tensor::zeros(Shape::d1(filters));
     let geom = ConvGeometry::new(size, size, 11, 11, 4, 0).expect("valid geometry");
     let config = ReliableConvConfig::default();
-    let macs = geom.mac_count(3, filters);
+    // `classify`'s partition: a bias per filter and no ReLU stage.
+    let plan = ConvPlan::new(&geom, 3, filters, true, false);
+    let macs = plan.executed_macs();
     println!("MAC count: {macs}");
 
     let mut run_log: Vec<String> = Vec::new();
@@ -116,6 +119,11 @@ pub fn run(quick: bool) {
             for (a, b) in native_out.iter().zip(out.output.iter()) {
                 assert!((a - b).abs() < 1e-2, "{mode} deviates from native");
             }
+            assert_eq!(
+                out.stats.cycles,
+                plan.bcet(mode, &OpCost::default()),
+                "a fault-free {mode} run costs the plan's best case"
+            );
             (round_walls[m], cycles[m]) = (wall, out.stats.cycles);
             run_log.push(format!(
                 "{{\"config\":\"{name}\",\"round\":{round},\"run\":{}}}",

@@ -30,10 +30,9 @@
 //! comparison scheme* — the paper's §II-C points at memory ECC for that
 //! class, and `relcnn-faults` lets you measure the distinction.
 
-use relcnn_relexec::conv::ExecStats;
-use relcnn_relexec::cost::{conv_bcet, conv_wcet, OpCost};
+use relcnn_relexec::conv::{ConvPlan, ExecStats};
+use relcnn_relexec::cost::OpCost;
 use relcnn_relexec::{RedundancyMode, RetryPolicy};
-use relcnn_tensor::conv::ConvGeometry;
 use serde::{Deserialize, Serialize};
 
 /// Number of bit positions in the modelled word (see `relcnn-faults`).
@@ -94,7 +93,8 @@ pub struct LayerGuarantee {
     pub mode: RedundancyMode,
     /// Assumed per-exposure bit error rate.
     pub ber: f64,
-    /// Qualified operations in the layer (2 per MAC).
+    /// Qualified operations in the partition: 2 per executed MAC, and 1
+    /// per output of the ReLU stage when it runs.
     pub ops: u64,
     /// Upper bound on silent corruption probability for the whole layer.
     pub silent_bound: f64,
@@ -106,17 +106,15 @@ pub struct LayerGuarantee {
     pub wcet_cycles: u64,
 }
 
-/// Computes the guarantee for a convolution layer geometry.
+/// Computes the guarantee for the reliable partition `plan` describes: its
+/// qualified operations, and their best- and worst-case cycles.
 pub fn conv_layer_guarantee(
-    geom: &ConvGeometry,
-    in_c: usize,
-    out_c: usize,
+    plan: &ConvPlan,
     mode: RedundancyMode,
     ber: f64,
     retry: RetryPolicy,
 ) -> LayerGuarantee {
-    let macs = geom.mac_count(in_c, out_c);
-    let ops = 2 * macs; // one multiply + one accumulate per MAC
+    let ops = plan.qualified_ops();
     let cost = OpCost::default();
     LayerGuarantee {
         mode,
@@ -124,8 +122,8 @@ pub fn conv_layer_guarantee(
         ops,
         silent_bound: silent_layer_bound(mode, ber, ops),
         expected_detections: ops as f64 * detect_op_probability(mode, ber),
-        bcet_cycles: conv_bcet(geom, in_c, out_c, mode, &cost),
-        wcet_cycles: conv_wcet(geom, in_c, out_c, mode, &cost, retry),
+        bcet_cycles: plan.bcet(mode, &cost),
+        wcet_cycles: plan.wcet(mode, &cost, retry),
     }
 }
 
@@ -169,6 +167,11 @@ impl GuaranteeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relcnn_faults::NoFaults;
+    use relcnn_relexec::conv::{reliable_partition, ReliableConvConfig};
+    use relcnn_tensor::conv::ConvGeometry;
+    use relcnn_tensor::init::{Init, Rand};
+    use relcnn_tensor::Shape;
 
     #[test]
     fn plain_has_no_protection() {
@@ -230,16 +233,21 @@ mod tests {
     }
 
     #[test]
+    fn tmr_detection_is_two_plus_faults_less_the_silent_pairs() {
+        // Two or more replicas faulted (3·ber²·(1 − ber) + ber³), less the
+        // outcomes the vote passes silently (3·ber²/32 + ber³).
+        let ber = 1e-3;
+        let closed = 3.0 * ber * ber * (1.0 - ber) - 3.0 * ber * ber / 32.0;
+        let d = detect_op_probability(RedundancyMode::Tmr, ber);
+        assert!((d - closed).abs() < 1e-12 * closed, "{d} vs {closed}");
+        assert!((d - 2.903_25e-6).abs() < 1e-15, "{d}");
+    }
+
+    #[test]
     fn alexnet_conv1_guarantee_numbers() {
         let geom = ConvGeometry::new(227, 227, 11, 11, 4, 0).unwrap();
-        let g = conv_layer_guarantee(
-            &geom,
-            3,
-            96,
-            RedundancyMode::Dmr,
-            1e-7,
-            RetryPolicy::paper(),
-        );
+        let plan = ConvPlan::new(&geom, 3, 96, true, false);
+        let g = conv_layer_guarantee(&plan, RedundancyMode::Dmr, 1e-7, RetryPolicy::paper());
         assert_eq!(g.ops, 2 * 3025 * 363 * 96);
         // ~2.1e8 ops at ber 1e-7: expected detections ≈ ops·2·ber ≈ 42.
         assert!(g.expected_detections > 10.0 && g.expected_detections < 100.0);
@@ -251,17 +259,43 @@ mod tests {
     #[test]
     fn plain_guarantee_is_vacuous_by_comparison() {
         let geom = ConvGeometry::new(32, 32, 3, 3, 1, 0).unwrap();
-        let plain = conv_layer_guarantee(
-            &geom,
-            3,
-            8,
-            RedundancyMode::Plain,
-            1e-6,
-            RetryPolicy::none(),
-        );
-        let dmr =
-            conv_layer_guarantee(&geom, 3, 8, RedundancyMode::Dmr, 1e-6, RetryPolicy::paper());
+        let plan = ConvPlan::new(&geom, 3, 8, true, false);
+        let plain = conv_layer_guarantee(&plan, RedundancyMode::Plain, 1e-6, RetryPolicy::none());
+        let dmr = conv_layer_guarantee(&plan, RedundancyMode::Dmr, 1e-6, RetryPolicy::paper());
         assert!(plain.silent_bound > 1e4 * dmr.silent_bound);
+    }
+
+    #[test]
+    fn static_guarantee_counts_what_a_clean_run_reports() {
+        let mut rng = Rand::seeded(5);
+        let uniform = Init::Uniform { lo: -1.0, hi: 1.0 };
+        let input = rng.tensor(Shape::d3(3, 7, 6), uniform);
+        let filters = rng.tensor(Shape::d4(4, 3, 3, 3), uniform);
+        let bias = rng.tensor(Shape::d1(4), uniform);
+        for pad in [0, 2] {
+            let geom = ConvGeometry::new(7, 6, 3, 3, 2, pad).unwrap();
+            for (with_bias, relu) in [(false, false), (true, false), (true, true)] {
+                let plan = ConvPlan::new(&geom, 3, 4, with_bias, relu);
+                for mode in RedundancyMode::ALL {
+                    let g = conv_layer_guarantee(&plan, mode, 1e-6, RetryPolicy::paper());
+                    let run = reliable_partition(
+                        mode,
+                        &input,
+                        &filters,
+                        with_bias.then_some(&bias),
+                        &geom,
+                        relu,
+                        &mut NoFaults::new(),
+                        &ReliableConvConfig::default(),
+                    )
+                    .unwrap();
+                    let report = GuaranteeReport::from_stats(mode, &run.stats);
+                    let case = format!("pad {pad}, bias {with_bias}, relu {relu}, {mode}");
+                    assert_eq!(g.ops, report.ops, "{case}");
+                    assert_eq!(g.bcet_cycles, report.cycles, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

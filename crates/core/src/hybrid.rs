@@ -447,14 +447,13 @@ impl HybridCnn {
             injector,
             &self.config.conv,
         )?;
-        let conv_out = partition.output;
         let tail_start = if self.config.reliable_relu { 2 } else { 1 };
         let guarantee = GuaranteeReport::from_stats(self.config.redundancy, &partition.stats);
 
         // --- Unprotected remainder of the CNN. ---------------------------
         // Allocation-free after the first image warms the arena.
         self.net
-            .forward_from_scratch(&conv_out, tail_start, scratch)?;
+            .forward_from_scratch(&partition.output, tail_start, scratch)?;
         let (class, confidence) = {
             let probs = scratch.softmax_front();
             let class = argmax_slice(probs).ok_or_else(|| HybridError::BadConfig {
@@ -473,7 +472,12 @@ impl HybridCnn {
         let expected_shape = self.config.class_shapes.get(class).copied().flatten();
         let qualifier = if safety_critical {
             match expected_shape {
-                Some(shape) => Some(self.run_qualifier(image, &conv_out, shape)?),
+                // The Sobel planes as conv-1 computed them, before any
+                // ReLU stage rectified them.
+                Some(shape) => {
+                    let conv_out = partition.pre_relu.as_ref().unwrap_or(&partition.output);
+                    Some(self.run_qualifier(image, conv_out, shape)?)
+                }
                 // No shape model: the class can never be qualified.
                 None => None,
             }
@@ -510,8 +514,9 @@ impl HybridCnn {
         }
     }
 
-    /// Builds the gradient-magnitude map from the reliably computed Sobel
-    /// feature maps (the Figure-2 bifurcation).
+    /// Builds the gradient-magnitude map `sqrt(gx² + gy²)` from the reliably
+    /// computed Sobel feature maps (the Figure-2 bifurcation), as conv-1
+    /// emits them: before any ReLU stage.
     fn edge_map_from_conv(&self, conv_out: &Tensor) -> Result<Tensor, HybridError> {
         let gx = conv_out.index_axis0(self.sobel_x_filter)?;
         let gy = conv_out.index_axis0(self.sobel_y_filter)?;
@@ -761,6 +766,46 @@ mod tests {
         let noisy = ext.classify_under_faults(&img, &mut inj).unwrap();
         assert_eq!(noisy.class(), ext_v.class());
         assert_eq!(noisy.guarantee().recovered, noisy.guarantee().detected);
+    }
+
+    #[test]
+    fn hybrid_verdicts_read_the_unrectified_sobel_planes() {
+        // Every class is critical and expects the render's shape, so the
+        // Figure-2 qualifier judges every render, whatever the untrained
+        // tail predicts. Fault-free, the mode does not move a bit: Plain is
+        // the cheapest.
+        for sign in [SignClass::Stop, SignClass::Yield] {
+            let build = |reliable_relu| {
+                let mut config = HybridConfig::hybrid_path(9);
+                config.redundancy = RedundancyMode::Plain;
+                config.safety_critical = vec![true; config.num_classes];
+                config.class_shapes = vec![Some(sign.shape()); config.num_classes];
+                config.reliable_relu = reliable_relu;
+                HybridCnn::untrained(&config).unwrap()
+            };
+            let (mut base, mut ext) = (build(false), build(true));
+            for seed in 3..=8 {
+                let img = render(sign, 96, seed);
+                let (b, e) = (base.classify(&img).unwrap(), ext.classify(&img).unwrap());
+                assert_eq!(b.class(), e.class(), "{sign} seed {seed}");
+                assert!(b.qualifier().is_some(), "{sign} seed {seed}");
+                assert_eq!(b.qualifier(), e.qualifier(), "{sign} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn edge_map_is_the_magnitude_of_the_two_sobel_planes() {
+        let hybrid = tiny_hybrid(1);
+        // Planes 0 and 1 are the Sobel pair; plane 2 must not enter.
+        let planes = Tensor::from_vec(
+            Shape::d3(3, 1, 3),
+            vec![3.0, -5.0, 0.0, 4.0, 12.0, -2.0, 9.0, 9.0, 9.0],
+        )
+        .unwrap();
+        let edges = hybrid.edge_map_from_conv(&planes).unwrap();
+        assert_eq!(edges.shape().dims(), &[1, 3]);
+        assert_eq!(edges.as_slice(), &[5.0, 13.0, 2.0]);
     }
 
     #[test]

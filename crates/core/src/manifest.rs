@@ -12,7 +12,8 @@
 use crate::error::HybridError;
 use crate::guarantee::{conv_layer_guarantee, LayerGuarantee};
 use crate::hybrid::{HybridCnn, QualificationMode};
-use relcnn_relexec::{RedundancyMode, RetryPolicy};
+use relcnn_relexec::conv::ConvPlan;
+use relcnn_relexec::RedundancyMode;
 use relcnn_tensor::conv::ConvGeometry;
 use serde::{Deserialize, Serialize};
 
@@ -38,7 +39,9 @@ pub struct ReliabilityContract {
     pub bucket_ceiling: u32,
     /// Per-operation retry budget.
     pub max_retries: u32,
-    /// The quantified guarantee for conv-1 at the declared reference BER.
+    /// The quantified guarantee for the reliable partition (conv-1, and
+    /// its ReLU when the partition extends through it) at the declared
+    /// reference BER.
     pub conv1_guarantee: LayerGuarantee,
     /// The BER the guarantee is quoted at.
     pub reference_ber: f64,
@@ -123,16 +126,12 @@ impl HybridCnn {
             conv.stride(),
             conv.padding(),
         )?;
-        let conv1_guarantee = conv_layer_guarantee(
-            &geom,
-            conv.in_channels(),
-            conv.out_channels(),
-            config.redundancy,
-            reference_ber,
-            RetryPolicy {
-                max_retries: config.conv.retry.max_retries,
-            },
-        );
+        // `classify` runs conv-1 with the layer's bias, and the ReLU stage
+        // when the partition extends through it.
+        let (in_c, out_c) = (conv.in_channels(), conv.out_channels());
+        let plan = ConvPlan::new(&geom, in_c, out_c, true, config.reliable_relu);
+        let conv1_guarantee =
+            conv_layer_guarantee(&plan, config.redundancy, reference_ber, config.conv.retry);
         let layers = self
             .network_ref()
             .layer_names()

@@ -50,8 +50,9 @@ pub fn to_checkpoint_bytes(net: &mut Network) -> Vec<u8> {
 ///
 /// Returns [`NnError::Checkpoint`] for every malformed buffer (a
 /// truncated or unparsable manifest, a tensor count the bytes cannot
-/// hold, a corrupt tensor record, overflowing dimensions included) and
-/// for structural mismatches (different layers or tensor shapes).
+/// hold, a corrupt tensor record, overflowing dimensions included, bytes
+/// after the last record) and for structural mismatches (different layers
+/// or tensor shapes).
 pub fn load_checkpoint_bytes(net: &mut Network, bytes: &[u8]) -> Result<(), NnError> {
     let mut buf = bytes;
     if buf.remaining() < 8 {
@@ -92,6 +93,11 @@ pub fn load_checkpoint_bytes(net: &mut Network, bytes: &[u8]) -> Result<(), NnEr
             reason: format!("tensor {i}: {e}"),
         })?;
         state.push(t);
+    }
+    if buf.has_remaining() {
+        return Err(NnError::Checkpoint {
+            reason: format!("{} bytes after the last tensor record", buf.remaining()),
+        });
     }
     net.load_state(&state)
 }

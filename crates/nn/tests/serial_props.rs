@@ -6,11 +6,13 @@
 //! A checkpoint file is untrusted input. For arbitrary bytes, and for
 //! every strict prefix and every single-byte mutation of a valid image,
 //! both decoders must return `Ok` or `Err` and never panic; a decoded
-//! tensor's data length must equal its shape's volume; and no call may
+//! tensor's data length must equal its shape's volume; a checkpoint with
+//! any bytes after its last record must be an `Err`; and no call may
 //! request a heap block larger than its input justifies. Generated
 //! tensors and checkpoints must round-trip bit for bit.
 
 use proptest::prelude::*;
+use relcnn_nn::alexnet::tiny_cnn;
 use relcnn_nn::serial::{load_checkpoint_bytes, to_checkpoint_bytes};
 use relcnn_nn::{Dense, Network, NnError, ReLU};
 use relcnn_tensor::init::Rand;
@@ -200,6 +202,20 @@ fn a_tensor_count_the_bytes_cannot_hold_is_an_error() {
     );
 }
 
+#[test]
+fn a_checkpoint_with_trailing_text_is_an_error() {
+    let mut net = tiny_cnn(4, 16, &mut Rand::seeded(1)).expect("tiny_cnn");
+    let mut bytes = to_checkpoint_bytes(&mut net);
+    let text = b"# appended by a careless copy";
+    assert_eq!(text.len(), 29);
+    bytes.extend_from_slice(text);
+    let loaded = decode_checkpoint(&mut net, &bytes).expect("within budget");
+    assert!(
+        matches!(loaded, Err(NnError::Checkpoint { .. })),
+        "{loaded:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -232,6 +248,19 @@ proptest! {
             let _ = decode_tensor(&bytes)?;
             let _ = decode_checkpoint(&mut net, &bytes)?;
         }
+    }
+
+    #[test]
+    fn any_non_empty_suffix_is_rejected(
+        (i, h, o, seed) in nets(),
+        suffix in collection::vec(any::<u8>(), 1..64),
+    ) {
+        let mut net = small_net(i, h, o, seed);
+        let bytes = [to_checkpoint_bytes(&mut net), suffix].concat();
+        let mut other = small_net(i, h, o, seed ^ 1);
+        let before = bits(&other.state());
+        prop_assert!(decode_checkpoint(&mut other, &bytes)?.is_err());
+        prop_assert_eq!(bits(&other.state()), before, "a rejected checkpoint loaded");
     }
 
     #[test]

@@ -111,12 +111,14 @@ pub type PlainAlu<I> = Alu<I, 1>;
 /// identical inputs must yield identical bits on a healthy unit.
 pub type DmrAlu<I> = Alu<I, 2>;
 
-/// Triple modular redundancy with bitwise 2-of-3 majority vote: the
-/// paper's "in the case of triple modular redundancy, agreed upon by
+/// Triple modular redundancy with a 2-of-3 majority vote on whole words:
+/// the paper's "in the case of triple modular redundancy, agreed upon by
 /// execution of the algorithm three times and voting on the result".
 ///
-/// A fault confined to one replica is *corrected* in place (qualifier
-/// true, no retry needed); three-way disagreement fails the qualifier.
+/// Two replicas whose results are bit-identical outvote the third. A fault
+/// confined to one replica is *corrected* in place (qualifier true, no
+/// retry needed). The vote is not bitwise: two replicas faulted in
+/// different bits leave no two words equal, and the qualifier fails.
 pub type TmrAlu<I> = Alu<I, 3>;
 
 impl<I: FaultInjector, const N: usize> Alu<I, N> {
@@ -307,6 +309,18 @@ mod tests {
             6.0,
             "majority value wins even when replica 0 is bad"
         );
+    }
+
+    #[test]
+    fn tmr_corrects_a_fault_in_any_single_replica() {
+        for replica in 0..3 {
+            let mut inj = ScriptedInjector::new([
+                ScriptedFault::transient_flip(0, bits::SIGN_BIT).on_replica(replica)
+            ]);
+            let q = TmrAlu::new(&mut inj).mul(2.0, 3.0);
+            assert!(q.is_ok(), "replica {replica}: the other two agree");
+            assert_eq!(q.value(), 6.0, "replica {replica}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::alu::{Alu, QualifiedAlu};
 use crate::bucket::{BucketConfig, BucketState, LeakyBucket};
+use crate::cost::OpCost;
 use crate::error::ExecError;
 use crate::policy::{RedundancyMode, RetryPolicy};
 use crate::qualified::Qualified;
@@ -76,6 +77,11 @@ pub struct ConvOutput {
     pub output: Tensor,
     /// Execution statistics.
     pub stats: ExecStats,
+    /// The convolution's output before the ReLU stage, when
+    /// [`reliable_partition`] ran one; `None` otherwise. Handed on, not
+    /// copied: consumers of the unrectified maps (the Figure-2 qualifier)
+    /// read these qualified results.
+    pub pre_relu: Option<Tensor>,
 }
 
 /// Algorithm 3's regime around one ALU: every operation is assumed failed
@@ -215,69 +221,112 @@ impl Taps {
     }
 }
 
-/// What the reliable kernel executes for one geometry: each output row's
-/// and column's valid taps, and how many MACs each output pixel executes.
-/// Built once per call; the kernel then walks each window's valid taps as
-/// slices, with no border test and no bounds-checked load per tap.
+/// What the reliable partition executes for one convolution: each output
+/// row's and column's valid taps, whether a bias enters every output pixel,
+/// and whether the ReLU stage rectifies every output. The one count of
+/// Algorithm 3's qualified operations: the kernel walks its taps as slices,
+/// with no border test and no bounds-checked load per tap, and the cost
+/// model and the guarantee read their operation counts and cycles from it.
+///
+/// Per output pixel, the bias (when there is one) enters as one weight
+/// load; each MAC is a weight load, an activation load, a qualified
+/// multiply and a qualified accumulate over a tap that is not padding; the
+/// ReLU stage (when it runs) adds one qualified rectification per output.
+///
+/// ```rust
+/// use relcnn_relexec::conv::ConvPlan;
+/// use relcnn_relexec::cost::OpCost;
+/// use relcnn_relexec::RedundancyMode;
+/// use relcnn_tensor::conv::ConvGeometry;
+///
+/// // 3 -> 4 channels, 3x3 kernel, stride 1, padding 1, on a 5x5 input:
+/// // the border pixels skip the taps that fall in padding.
+/// let geom = ConvGeometry::new(5, 5, 3, 3, 1, 1).unwrap();
+/// let plan = ConvPlan::new(&geom, 3, 4, true, false);
+/// assert_eq!(plan.executed_macs(), 2028);
+/// assert_eq!(plan.qualified_ops(), 2 * 2028);
+/// assert_eq!(plan.bcet(RedundancyMode::Plain, &OpCost::default()), 14_296);
+/// ```
 #[derive(Debug)]
-struct ConvPlan {
+pub struct ConvPlan {
     rows: Vec<Taps>,
     cols: Vec<Taps>,
+    geom: ConvGeometry,
+    in_c: usize,
     out_c: usize,
-    /// Executed MACs of the pixels before each pixel of one output channel
-    /// (row-major), with the channel's total as the last entry.
-    macs_before: Vec<u64>,
+    bias: bool,
+    relu: bool,
 }
 
 impl ConvPlan {
-    fn new(geom: &ConvGeometry, in_c: usize, out_c: usize) -> ConvPlan {
+    /// The plan of a convolution of `in_c` input channels under `out_c`
+    /// filters over `geom`, with a bias per filter when `bias`, followed
+    /// by the reliable ReLU stage when `relu`.
+    pub fn new(geom: &ConvGeometry, in_c: usize, out_c: usize, bias: bool, relu: bool) -> Self {
         let (stride, pad) = (geom.stride(), geom.padding());
-        let rows: Vec<Taps> = (0..geom.out_h())
-            .map(|oy| Taps::new(oy, stride, pad, geom.k_h(), geom.in_h()))
-            .collect();
-        let cols: Vec<Taps> = (0..geom.out_w())
-            .map(|ox| Taps::new(ox, stride, pad, geom.k_w(), geom.in_w()))
-            .collect();
-        let mut macs_before = Vec::with_capacity(rows.len() * cols.len() + 1);
-        let mut total = 0u64;
-        macs_before.push(total);
-        for row in &rows {
-            for col in &cols {
-                total += (in_c * row.len() * col.len()) as u64;
-                macs_before.push(total);
-            }
-        }
         ConvPlan {
-            rows,
-            cols,
+            rows: (0..geom.out_h())
+                .map(|oy| Taps::new(oy, stride, pad, geom.k_h(), geom.in_h()))
+                .collect(),
+            cols: (0..geom.out_w())
+                .map(|ox| Taps::new(ox, stride, pad, geom.k_w(), geom.in_w()))
+                .collect(),
+            geom: *geom,
+            in_c,
             out_c,
-            macs_before,
+            bias,
+            relu,
         }
     }
 
-    /// MACs one output channel executes.
-    fn plane_macs(&self) -> u64 {
-        self.macs_before[self.macs_before.len() - 1]
+    /// MACs executed: the taps that are not padding, over every input and
+    /// output channel, `in_c · out_c · Σ row taps · Σ column taps`.
+    pub fn executed_macs(&self) -> u64 {
+        let taps = |axis: &[Taps]| axis.iter().map(|t| t.len() as u64).sum::<u64>();
+        (self.in_c * self.out_c) as u64 * taps(&self.rows) * taps(&self.cols)
     }
 
-    /// MACs one call executes: the taps that are not padding, over every
-    /// input and output channel.
-    fn executed_macs(&self) -> u64 {
-        self.out_c as u64 * self.plane_macs()
+    /// Output elements: one per filter and window position.
+    fn outputs(&self) -> u64 {
+        (self.out_c * self.geom.positions()) as u64
     }
 
-    /// The flat output index (`oc`, `oy`, `ox`, row-major) of the pixel
-    /// whose MAC runs qualified operation `op_index` (each MAC runs a
-    /// multiply, then an accumulate), or `None` past the last operation.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn pixel_of_op(&self, op_index: u64) -> Option<usize> {
-        let mac = op_index / 2;
-        if mac >= self.executed_macs() {
-            return None;
-        }
-        let (oc, mac) = (mac / self.plane_macs(), mac % self.plane_macs());
-        let pixel = self.macs_before.partition_point(|&before| before <= mac) - 1;
-        Some(oc as usize * (self.macs_before.len() - 1) + pixel)
+    /// Rectifications the ReLU stage executes: one per output, or none.
+    fn relu_ops(&self) -> u64 {
+        u64::from(self.relu) * self.outputs()
+    }
+
+    /// Bias loads: one per output pixel when there is a bias.
+    fn bias_loads(&self) -> u64 {
+        u64::from(self.bias) * self.outputs()
+    }
+
+    /// Qualified operations issued (retries re-use their operation's
+    /// index): a multiply and an accumulate per MAC, and a rectification
+    /// per output of the ReLU stage.
+    pub fn qualified_ops(&self) -> u64 {
+        2 * self.executed_macs() + self.relu_ops()
+    }
+
+    /// Best-case cycles of the partition under `mode`: every operation
+    /// qualifies at its first attempt. A fault-free run consumes exactly
+    /// this many.
+    pub fn bcet(&self, mode: RedundancyMode, cost: &OpCost) -> u64 {
+        self.executed_macs() * cost.mac_best(mode)
+            + self.bias_loads() * cost.load
+            + self.relu_ops() * cost.acc_op(mode)
+    }
+
+    /// Worst-case cycles of the partition under `mode` and `retry`: every
+    /// attempt of every qualified operation fails until the retry budget is
+    /// exhausted, each retry paying the rollback penalty. The leaky bucket
+    /// is not modelled, so this bounds every completed run from above.
+    pub fn wcet(&self, mode: RedundancyMode, cost: &OpCost, retry: RetryPolicy) -> u64 {
+        let retries = u64::from(retry.max_retries);
+        let relu_worst = (1 + retries) * cost.acc_op(mode) + retries * cost.rollback;
+        self.executed_macs() * cost.mac_worst(mode, retry)
+            + self.bias_loads() * cost.load
+            + self.relu_ops() * relu_worst
     }
 }
 
@@ -309,7 +358,7 @@ pub fn reliable_conv2d<A: QualifiedAlu>(
     let (k_h, k_w) = (geom.k_h(), geom.k_w());
     let (in_h, in_w) = (geom.in_h(), geom.in_w());
     let pe_count = config.pe_count.max(1);
-    let plan = ConvPlan::new(geom, in_c, out_c);
+    let plan = ConvPlan::new(geom, in_c, out_c, bias.is_some(), false);
 
     let x = input.as_slice();
     let f = filters.as_slice();
@@ -356,6 +405,7 @@ pub fn reliable_conv2d<A: QualifiedAlu>(
     Ok(ConvOutput {
         output: Tensor::from_vec(Shape::d3(out_c, out_h, out_w), out)?,
         stats: ops.finish(),
+        pre_relu: None,
     })
 }
 
@@ -383,6 +433,7 @@ pub fn reliable_relu<A: QualifiedAlu>(
     Ok(ConvOutput {
         output: Tensor::from_vec(input.shape().clone(), out)?,
         stats: ops.finish(),
+        pre_relu: None,
     })
 }
 
@@ -393,7 +444,9 @@ pub fn reliable_relu<A: QualifiedAlu>(
 /// fault stream and counters therefore run on from stage to stage and stand
 /// where execution stopped, also on an abort. The returned statistics are
 /// the convolution's with the ReLU stage's operations, failures, retries,
-/// recoveries and cycles added and the higher of the two bucket peaks.
+/// recoveries and cycles added and the higher of the two bucket peaks; the
+/// convolution's own output is then [`ConvOutput::pre_relu`]. A fault-free
+/// run's counters are [`ConvPlan`]'s.
 ///
 /// This is the workspace's one `RedundancyMode` → ALU type dispatch, and
 /// the way in for every caller that runs or times the kernel, also when its
@@ -458,6 +511,7 @@ fn partition_on<I: FaultInjector, const N: usize>(
     Ok(ConvOutput {
         output: rect.output,
         stats,
+        pre_relu: Some(conv.output),
     })
 }
 
@@ -541,6 +595,7 @@ mod tests {
         Ok(ConvOutput {
             output: Tensor::from_vec(Shape::d3(out_c, out_h, out_w), out)?,
             stats: ops.finish(),
+            pre_relu: None,
         })
     }
 
@@ -630,35 +685,27 @@ mod tests {
         }
     }
 
-    /// Every executed tap of the reference loop nest, in execution order, as
-    /// the flat output index of its pixel.
-    fn brute_force_taps(geom: &ConvGeometry, in_c: usize, out_c: usize) -> Vec<usize> {
+    /// The MACs the reference loop nest executes: its taps that are not
+    /// padding, counted one by one.
+    fn brute_force_macs(geom: &ConvGeometry, in_c: usize, out_c: usize) -> u64 {
         let pad = geom.padding() as isize;
-        let mut taps = Vec::new();
-        for oc in 0..out_c {
-            for oy in 0..geom.out_h() {
-                for ox in 0..geom.out_w() {
-                    let iy0 = (oy * geom.stride()) as isize - pad;
-                    let ix0 = (ox * geom.stride()) as isize - pad;
-                    for _ic in 0..in_c {
-                        for ky in 0..geom.k_h() {
-                            let iy = iy0 + ky as isize;
-                            if iy < 0 || iy >= geom.in_h() as isize {
-                                continue;
-                            }
-                            for kx in 0..geom.k_w() {
-                                let ix = ix0 + kx as isize;
-                                if ix < 0 || ix >= geom.in_w() as isize {
-                                    continue;
-                                }
-                                taps.push((oc * geom.out_h() + oy) * geom.out_w() + ox);
-                            }
+        let inside = |o: usize, k: usize, len: usize| {
+            let i = (o * geom.stride()) as isize - pad + k as isize;
+            (0..len as isize).contains(&i)
+        };
+        let mut macs = 0;
+        for oy in 0..geom.out_h() {
+            for ox in 0..geom.out_w() {
+                for ky in 0..geom.k_h() {
+                    for kx in 0..geom.k_w() {
+                        if inside(oy, ky, geom.in_h()) && inside(ox, kx, geom.in_w()) {
+                            macs += (in_c * out_c) as u64;
                         }
                     }
                 }
             }
         }
-        taps
+        macs
     }
 
     proptest! {
@@ -709,7 +756,7 @@ mod tests {
                 pe_count,
             };
             matches_reference(NoFaults::new, &case, &paper)?;
-            let ops = 2 * ConvPlan::new(&case.geom, in_c, out_c).executed_macs();
+            let ops = ConvPlan::new(&case.geom, in_c, out_c, with_bias, false).qualified_ops();
             let site = FaultSite::ALL[fault_site];
             let scripted = || {
                 let fault = ScriptedFault::transient_flip((fault_at * ops as f64) as u64, bits::SIGN_BIT)
@@ -723,10 +770,9 @@ mod tests {
             }
         }
 
-        /// Under no faults every counter is a closed form of the plan: one
-        /// multiply and one accumulate per executed MAC, the best-case
-        /// cycles plus one load per bias, and one exposure per bias load,
-        /// per operand load and per replica of each qualified operation.
+        /// Under no faults every counter of `reliable_partition` is a
+        /// closed form of the plan, with and without a bias and the ReLU
+        /// stage, in every mode.
         #[test]
         fn fault_free_counters_are_closed_forms_of_the_plan(
             in_h in 1usize..=9,
@@ -737,52 +783,116 @@ mod tests {
             pad in 0usize..=4,
             in_c in 1usize..=3,
             out_c in 1usize..=3,
+            with_bias in any::<bool>(),
+            relu in any::<bool>(),
             seed in any::<u64>(),
         ) {
             prop_assume!(in_h + 2 * pad >= k_h && in_w + 2 * pad >= k_w);
             let case = random_case(
-                in_h, in_w, k_h, k_w, stride, pad, in_c, out_c, true, seed,
+                in_h, in_w, k_h, k_w, stride, pad, in_c, out_c, with_bias, seed,
             );
-            let plan = ConvPlan::new(&case.geom, in_c, out_c);
-            let macs = plan.executed_macs();
-            let pixels = (out_c * case.geom.positions()) as u64;
-            let cost = OpCost::default();
-            let config = ReliableConvConfig::default();
-            let observed = [
-                observe::<_, 1>(false, NoFaults::new(), &case, &config),
-                observe::<_, 2>(false, NoFaults::new(), &case, &config),
-                observe::<_, 3>(false, NoFaults::new(), &case, &config),
-            ];
-            for (mode, (result, injector, op_count, cycles)) in
-                RedundancyMode::ALL.into_iter().zip(observed)
-            {
-                let replicas = mode.replicas() as u64;
-                let (_, stats) = result.expect("no faults, no abort");
-                prop_assert_eq!(stats.mul_ops, macs);
-                prop_assert_eq!(stats.acc_ops, macs);
-                prop_assert_eq!(op_count, 2 * macs);
-                prop_assert_eq!(cycles, macs * cost.mac_best(mode) + pixels * cost.load);
-                prop_assert_eq!(stats.cycles, cycles);
-                prop_assert_eq!(injector.exposures, pixels + macs * (2 + 2 * replicas));
+            for mode in RedundancyMode::ALL {
+                run_clean(&case, relu, mode)?;
             }
         }
     }
 
+    /// Runs `case` fault-free through [`reliable_partition`] and checks
+    /// every counter against the plan's closed forms: one multiply per
+    /// executed MAC, an accumulate per MAC and per rectification, one
+    /// exposure per bias load, per operand load and per replica of each
+    /// qualified operation, and the plan's best-case cycles. Returns the
+    /// cycles.
+    fn run_clean(case: &Case, relu: bool, mode: RedundancyMode) -> Result<u64, TestCaseError> {
+        let (in_c, out_c) = (case.input.shape().dim(0), case.filters.shape().dim(0));
+        let with_bias = case.bias.is_some();
+        let plan = ConvPlan::new(&case.geom, in_c, out_c, with_bias, relu);
+        let mut injector = NoFaults::new();
+        let out = reliable_partition(
+            mode,
+            &case.input,
+            &case.filters,
+            case.bias.as_ref(),
+            &case.geom,
+            relu,
+            &mut injector,
+            &ReliableConvConfig::default(),
+        )
+        .expect("no faults, no abort");
+        let (macs, ops) = (plan.executed_macs(), plan.qualified_ops());
+        let outputs = (out_c * case.geom.positions()) as u64;
+        let loads = 2 * macs + if with_bias { outputs } else { 0 };
+        prop_assert_eq!(out.stats.mul_ops, macs);
+        prop_assert_eq!(out.stats.mul_ops + out.stats.acc_ops, ops);
+        prop_assert_eq!(out.stats.cycles, plan.bcet(mode, &OpCost::default()));
+        prop_assert_eq!(
+            injector.stats().exposures,
+            loads + mode.replicas() as u64 * ops
+        );
+        prop_assert_eq!(out.pre_relu.is_some(), relu);
+        Ok(out.stats.cycles)
+    }
+
+    /// 3 -> 4 channels, a 3x3 kernel and stride 1 on a 5x5 input.
+    fn probe_case(pad: usize, with_bias: bool) -> Case {
+        random_case(5, 5, 3, 3, 1, pad, 3, 4, with_bias, 7)
+    }
+
     #[test]
-    fn op_to_pixel_lookup_is_the_loop_nest() {
+    fn padded_conv_costs_its_executed_taps() {
+        // 2 028 of the 2 700 window taps lie inside the image.
+        let case = probe_case(1, true);
+        assert_eq!(
+            ConvPlan::new(&case.geom, 3, 4, true, false).executed_macs(),
+            2028
+        );
+        assert_eq!(
+            run_clean(&case, false, RedundancyMode::Plain).unwrap(),
+            14_296
+        );
+    }
+
+    #[test]
+    fn conv_without_bias_loads_none() {
+        let case = probe_case(0, false);
+        assert_eq!(
+            run_clean(&case, false, RedundancyMode::Plain).unwrap(),
+            6_804
+        );
+    }
+
+    #[test]
+    fn relu_stage_costs_one_rectification_per_output() {
+        let case = probe_case(0, true);
+        assert_eq!(
+            run_clean(&case, true, RedundancyMode::Plain).unwrap(),
+            6_876
+        );
+    }
+
+    #[test]
+    fn production_conv1_costs_what_the_plan_says() {
+        // Conv-1 of the 96 px model: 96 filters of 11x11x3 at stride 4.
+        let case = random_case(96, 96, 11, 11, 4, 0, 3, 96, true, 1);
+        let cycles = RedundancyMode::ALL.map(|mode| run_clean(&case, false, mode).unwrap());
+        // 46 464 outputs of 363 MACs each, plus one bias load per output.
+        assert_eq!(cycles[0], 46_464 * (363 * 7 + 1));
+    }
+
+    #[test]
+    fn executed_macs_count_the_loop_nest() {
         for (geom, in_c, out_c) in [
             (ConvGeometry::new(12, 12, 5, 5, 2, 2).unwrap(), 3, 4),
             (ConvGeometry::new(7, 5, 3, 4, 3, 4).unwrap(), 2, 3),
             (ConvGeometry::new(2, 2, 1, 1, 1, 3).unwrap(), 1, 2),
             (ConvGeometry::new(1, 1, 1, 1, 3, 2).unwrap(), 2, 2),
         ] {
-            let plan = ConvPlan::new(&geom, in_c, out_c);
-            let taps = brute_force_taps(&geom, in_c, out_c);
-            assert_eq!(plan.executed_macs(), taps.len() as u64, "{geom:?}");
-            for (op, &pixel) in taps.iter().flat_map(|p| [p, p]).enumerate() {
-                assert_eq!(plan.pixel_of_op(op as u64), Some(pixel), "{geom:?} op {op}");
-            }
-            assert_eq!(plan.pixel_of_op(2 * taps.len() as u64), None, "{geom:?}");
+            let plan = ConvPlan::new(&geom, in_c, out_c, true, false);
+            assert_eq!(
+                plan.executed_macs(),
+                brute_force_macs(&geom, in_c, out_c),
+                "{geom:?}"
+            );
         }
     }
 
@@ -824,26 +934,6 @@ mod tests {
             assert_eq!(out.stats.retries, 0);
             assert_eq!(out.stats.bucket_errors, 0);
         }
-    }
-
-    #[test]
-    fn op_counts_match_mac_count() {
-        let (input, filters, bias, geom) = small_problem();
-        let mut inj = NoFaults::new();
-        let mut alu = DmrAlu::new(&mut inj);
-        let out = reliable_conv2d(
-            &input,
-            &filters,
-            Some(&bias),
-            &geom,
-            &mut alu,
-            &ReliableConvConfig::default(),
-        )
-        .unwrap();
-        let macs = geom.mac_count(2, 3);
-        assert_eq!(out.stats.mul_ops, macs);
-        assert_eq!(out.stats.acc_ops, macs);
-        assert_eq!(alu.op_count(), 2 * macs);
     }
 
     #[test]
@@ -1075,6 +1165,75 @@ mod tests {
         let mut alu = DmrAlu::new(&mut inj);
         let err = reliable_relu(&input, &mut alu, &ReliableConvConfig::default());
         assert!(matches!(err, Err(ExecError::PersistentFailure { .. })));
+    }
+
+    #[test]
+    fn partition_bucket_peak_includes_the_relu_stage() {
+        let (input, filters, bias, geom) = small_problem();
+        // The ReLU stage's ALU counts from operation 0 again, and only it
+        // drives the comparator.
+        let mut inj = ScriptedInjector::new([ScriptedFault::transient_flip(5, bits::SIGN_BIT)
+            .on_replica(1)
+            .at_site(FaultSite::Comparator)]);
+        let config = ReliableConvConfig::default();
+        let run = |relu, inj: &mut ScriptedInjector| {
+            reliable_partition(
+                RedundancyMode::Dmr,
+                &input,
+                &filters,
+                Some(&bias),
+                &geom,
+                relu,
+                inj,
+                &config,
+            )
+            .unwrap()
+        };
+        let conv = run(false, &mut ScriptedInjector::new([]));
+        let out = run(true, &mut inj);
+        assert_eq!(conv.stats.bucket_peak, 0, "the convolution ran clean");
+        assert_eq!(out.stats.recovered, 1);
+        // One error raised the ReLU stage's bucket by its factor.
+        assert_eq!(out.stats.bucket_peak, config.bucket.factor);
+    }
+
+    #[test]
+    fn load_faults_are_one_exposure_on_replica_0() {
+        let (input, filters, bias, geom) = small_problem();
+        let golden = conv2d(&input, &filters, Some(&bias), &geom).unwrap();
+        let run = |replica| {
+            let mut inj =
+                ScriptedInjector::new([ScriptedFault::transient_flip(100, bits::SIGN_BIT)
+                    .on_replica(replica)
+                    .at_site(FaultSite::WeightLoad)]);
+            let out = reliable_partition(
+                RedundancyMode::Dmr,
+                &input,
+                &filters,
+                Some(&bias),
+                &geom,
+                false,
+                &mut inj,
+                &ReliableConvConfig::default(),
+            )
+            .unwrap();
+            (out, inj.stats().injected)
+        };
+        // Both replicas multiply the corrupted weight: no comparison sees it.
+        let (out, injected) = run(0);
+        assert_eq!(injected, 1);
+        assert_eq!(out.stats.failed_ops, 0, "common-mode corruption is silent");
+        assert!(out
+            .output
+            .iter()
+            .zip(golden.iter())
+            .any(|(a, b)| (a - b).abs() > 1e-4));
+        // A load is never exposed as replica 1.
+        let (out, injected) = run(1);
+        assert_eq!(injected, 0);
+        for (a, b) in out.output.iter().zip(golden.iter()) {
+            assert!((a - b).abs() < 1e-4);
+        }
     }
 
     #[test]

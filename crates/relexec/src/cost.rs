@@ -4,10 +4,11 @@
 //! execution and worst-case execution time are, given constant-time adders
 //! and multipliers, determinable and, in hardware, constant". This module
 //! makes that claim executable: every ALU charges a fixed cycle price per
-//! elementary action, so BCET/WCET of a whole convolution layer are closed
-//! formulas that experiment X5 checks against the implementation's actual
-//! operation counts.
+//! elementary action. The BCET and WCET of a whole reliable partition come
+//! from [`ConvPlan`], which counts the operations the kernel executes and
+//! prices them here; a fault-free run consumes exactly its BCET.
 
+use crate::conv::ConvPlan;
 use crate::policy::{RedundancyMode, RetryPolicy};
 use relcnn_tensor::conv::ConvGeometry;
 use serde::{Deserialize, Serialize};
@@ -80,10 +81,8 @@ impl OpCost {
     }
 }
 
-/// Closed-form best-case execution cycles for a reliable convolution layer.
-///
-/// `in_c`/`out_c` are channel counts; bias loading charges one load per
-/// output element.
+/// Best-case cycles of a reliable convolution with a bias and no ReLU
+/// stage: `ConvPlan::new(geom, in_c, out_c, true, false).bcet(mode, cost)`.
 pub fn conv_bcet(
     geom: &ConvGeometry,
     in_c: usize,
@@ -91,25 +90,7 @@ pub fn conv_bcet(
     mode: RedundancyMode,
     cost: &OpCost,
 ) -> u64 {
-    let macs = geom.mac_count(in_c, out_c);
-    let outputs = (geom.positions() * out_c) as u64;
-    macs * cost.mac_best(mode) + outputs * cost.load
-}
-
-/// Closed-form worst-case execution cycles for a reliable convolution
-/// layer under the given retry policy (every operation failing maximally,
-/// bucket permitting — an upper bound on any admissible run).
-pub fn conv_wcet(
-    geom: &ConvGeometry,
-    in_c: usize,
-    out_c: usize,
-    mode: RedundancyMode,
-    cost: &OpCost,
-    retry: RetryPolicy,
-) -> u64 {
-    let macs = geom.mac_count(in_c, out_c);
-    let outputs = (geom.positions() * out_c) as u64;
-    macs * cost.mac_worst(mode, retry) + outputs * cost.load
+    ConvPlan::new(geom, in_c, out_c, true, false).bcet(mode, cost)
 }
 
 /// The redundancy overhead ratio the paper's Table 1 exhibits: expected
@@ -153,6 +134,15 @@ mod tests {
     }
 
     #[test]
+    fn worst_mac_pays_two_rollbacks_per_retry() {
+        // Per attempt: 2 loads, then the multiply and the accumulate; the
+        // paper's one retry re-runs both after a 2-cycle rollback each.
+        let c = OpCost::default();
+        let worst = RedundancyMode::ALL.map(|mode| c.mac_worst(mode, RetryPolicy::paper()));
+        assert_eq!(worst, [16, 30, 44]);
+    }
+
+    #[test]
     fn conv_costs_scale_with_macs() {
         let small = ConvGeometry::new(8, 8, 3, 3, 1, 0).unwrap();
         let big = ConvGeometry::new(16, 16, 3, 3, 1, 0).unwrap();
@@ -160,10 +150,8 @@ mod tests {
         let s = conv_bcet(&small, 3, 4, RedundancyMode::Dmr, &c);
         let b = conv_bcet(&big, 3, 4, RedundancyMode::Dmr, &c);
         assert!(b > 4 * s, "quadratic position growth dominates");
-        assert!(
-            conv_wcet(&big, 3, 4, RedundancyMode::Dmr, &c, RetryPolicy::paper())
-                > conv_bcet(&big, 3, 4, RedundancyMode::Dmr, &c)
-        );
+        let plan = ConvPlan::new(&big, 3, 4, true, false);
+        assert!(plan.wcet(RedundancyMode::Dmr, &c, RetryPolicy::paper()) > b);
     }
 
     #[test]
@@ -171,9 +159,16 @@ mod tests {
         // The determinism claim: same inputs -> same WCET, twice.
         let g = ConvGeometry::new(227, 227, 11, 11, 4, 0).unwrap();
         let c = OpCost::default();
-        let w1 = conv_wcet(&g, 3, 96, RedundancyMode::Dmr, &c, RetryPolicy::paper());
-        let w2 = conv_wcet(&g, 3, 96, RedundancyMode::Dmr, &c, RetryPolicy::paper());
-        assert_eq!(w1, w2);
-        assert!(w1 > 0);
+        let wcet = || {
+            ConvPlan::new(&g, 3, 96, true, false).wcet(
+                RedundancyMode::Dmr,
+                &c,
+                RetryPolicy::paper(),
+            )
+        };
+        let w1 = wcet();
+        assert_eq!(w1, wcet());
+        // 290 400 outputs of 363 worst-case MACs and one bias load each.
+        assert_eq!(w1, 290_400 * (363 * 30 + 1));
     }
 }

@@ -24,7 +24,10 @@
 //!   failure;
 //! * [`reliable_partition`](conv::reliable_partition) — the same kernel
 //!   (and optionally the ReLU after it) for a [`RedundancyMode`] known only
-//!   at run time: the one place a mode becomes an ALU type.
+//!   at run time: the one place a mode becomes an ALU type;
+//! * [`ConvPlan`](conv::ConvPlan) — what the partition executes: the one
+//!   count of its qualified operations, and their best- and worst-case
+//!   cycles under the [`cost`] model's prices.
 //!
 //! Faults enter through the caller's [`relcnn_faults::FaultInjector`],
 //! which an ALU borrows (`Alu::new(&mut injector)`): the injector's fault

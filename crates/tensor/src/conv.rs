@@ -121,13 +121,6 @@ impl ConvGeometry {
     pub fn positions(&self) -> usize {
         self.out_h() * self.out_w()
     }
-
-    /// Number of multiply-accumulate operations for a full convolution with
-    /// `in_c` input channels and `out_c` filters — the quantity the paper's
-    /// cost model (Table 1) scales with.
-    pub fn mac_count(&self, in_c: usize, out_c: usize) -> u64 {
-        self.positions() as u64 * (self.k_h * self.k_w * in_c) as u64 * out_c as u64
-    }
 }
 
 /// Validates a convolution's operands against `geom` — `input` CHW,
@@ -657,7 +650,6 @@ mod tests {
         assert_eq!(g.out_h(), 55);
         assert_eq!(g.out_w(), 55);
         assert_eq!(g.positions(), 3025);
-        assert_eq!(g.mac_count(3, 96), 3025 * 363 * 96);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use relcnn::core::guarantee::{conv_layer_guarantee, silent_layer_bound, silent_op_probability};
 use relcnn::faults::campaign::{TrialOutcome, TrialResult};
 use relcnn::faults::{BerInjector, FaultInjector, FaultSite};
-use relcnn::relexec::conv::{reliable_partition, ConvOutput, ReliableConvConfig};
+use relcnn::relexec::conv::{reliable_partition, ConvOutput, ConvPlan, ReliableConvConfig};
 use relcnn::relexec::{BucketConfig, ExecError, RedundancyMode, RetryPolicy};
 use relcnn::runtime::{run_campaign, EarlyStop, Engine, RunPlan};
 use relcnn::tensor::conv::{conv2d, ConvGeometry};
@@ -31,7 +31,7 @@ fn problem() -> Problem {
     let weights = rng.tensor(Shape::d4(3, 2, 3, 3), Init::HeNormal { fan_in: 18 });
     let geom = ConvGeometry::new(8, 8, 3, 3, 1, 0).expect("geometry");
     let golden = conv2d(&input, &weights, None, &geom).expect("golden");
-    let ops = 2 * geom.mac_count(2, 3);
+    let ops = ConvPlan::new(&geom, 2, 3, false, false).qualified_ops();
     Problem {
         input,
         weights,
@@ -163,14 +163,8 @@ fn alexnet_conv1_static_guarantee_is_publishable() {
     // The end-to-end statement a safety case would cite: AlexNet conv-1
     // under DMR at a Jetson-class BER.
     let geom = ConvGeometry::new(227, 227, 11, 11, 4, 0).expect("geometry");
-    let g = conv_layer_guarantee(
-        &geom,
-        3,
-        96,
-        RedundancyMode::Dmr,
-        1e-9,
-        RetryPolicy::paper(),
-    );
+    let plan = ConvPlan::new(&geom, 3, 96, true, false);
+    let g = conv_layer_guarantee(&plan, RedundancyMode::Dmr, 1e-9, RetryPolicy::paper());
     assert!(g.silent_bound < 1e-10, "bound {:.3e}", g.silent_bound);
     assert!(g.expected_detections < 1.0);
     assert!(g.wcet_cycles > g.bcet_cycles);
